@@ -33,7 +33,6 @@ from .mech_phase import (
 from .diffusion import DiffusionProblem, DiffusionSolution, assemble_mu, solve_chi_step
 from .heat import HeatProblem, HeatSolution, dissipation_rhs, solve_w_step
 from .energy_audit import (
-    EnergyLedger,
     LedgerRow,
     apriori_monitor,
     balance_residual,
@@ -62,7 +61,7 @@ __all__ = [
     "solve_mech_phase_step", "tau_max",
     "DiffusionProblem", "DiffusionSolution", "assemble_mu", "solve_chi_step",
     "HeatProblem", "HeatSolution", "dissipation_rhs", "solve_w_step",
-    "EnergyLedger", "LedgerRow", "apriori_monitor", "balance_residual",
+    "LedgerRow", "apriori_monitor", "balance_residual",
     "ledger_step", "write_energy_csv",
     "State", "Trajectory",
     "RunConfig", "desk_default_config", "interpolant_eval", "refine_study",

@@ -22,7 +22,7 @@ import numpy as np
 from .constitutive import desk_default_material, validate_material
 from .driver import RunConfig, desk_default_config, refine_study, run
 from .errors import ConfigError, HydrisimError
-from .mech_phase import tau_max
+from .mech_phase import check_step_size, tau_max
 
 log = logging.getLogger("hydrisim.cli")
 
@@ -259,11 +259,7 @@ def parse_config(path: str) -> RunConfig:
         mat = desk_default_material(dim)
         log.info("defaulted [material] to the desk material")
 
-    bound = tau_max(mat, T)
-    if tau > bound * (1.0 + 1e-12):
-        raise ConfigError(
-            "[time] tau = %g exceeds the convexity threshold (4.6) "
-            "tau_max = %g for this material" % (tau, bound))
+    check_step_size(mat, tau, T)
 
     spatial = "x" if dim == 1 else "xy"
     ini = sec("initial")
@@ -326,6 +322,7 @@ def parse_config(path: str) -> RunConfig:
     cfg = RunConfig(dim=dim, lengths=lengths, resolution=resolution,
                     material=mat, T=T, tau=tau, **init_kw, **src_kw,
                     **sol_kw, **out_kw)
+    cfg.check_solver()
     given = {k for s in parser.sections() for k in parser[s]}
     for fld in dataclasses.fields(cfg):
         if fld.name not in given and fld.name not in ("material", "n_steps"):

@@ -429,6 +429,13 @@ def sigma_a(mat: MaterialModel, m, w):
     return -np.asarray(theta)[..., None, None] * mat.CA
 
 
+def sigma_a_tensor(mat: MaterialModel, m, w) -> np.ndarray:
+    """sigma_a as a (..., d, d) matrix in every dimension, the form the
+    element loops contract with strains."""
+    sig = np.asarray(sigma_a(mat, m, w))
+    return sig[..., None, None] if mat.dim == 1 else sig
+
+
 def s_a(mat: MaterialModel, m, w):
     """Adiabatic microforce s_a(m, w) = d_m phi3 (m, theta(m, w)).
 
@@ -464,13 +471,8 @@ class TransportCoeffs:
     M2: np.ndarray  # M * d2 phi1 / d m d chi, acts on grad m
 
 
-def transport_coeffs(mat: MaterialModel, eps, m, chi, w) -> TransportCoeffs:
-    """Evaluate the scalar transport coefficients at a state.
-
-    The strain argument is accepted for signature stability; the built-in
-    coefficient set does not depend on it.
-    """
-    del eps
+def transport_coeffs(mat: MaterialModel, m, chi, w) -> TransportCoeffs:
+    """Evaluate the scalar transport coefficients at a state."""
     m = np.asarray(m, float)
     chi = np.asarray(chi, float)
     w = np.asarray(w, float)

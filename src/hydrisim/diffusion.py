@@ -17,7 +17,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .constitutive import MaterialModel, chemical_potential, transport_coeffs
@@ -29,7 +28,6 @@ from .grid import (
     grad_stiffness_vector,
     lumped_mass,
     stiffness_with_diag,
-    strain,
 )
 
 log = logging.getLogger(__name__)
@@ -87,8 +85,7 @@ def assemble_mu(mesh: Mesh, mat: MaterialModel, m: np.ndarray,
 
 def _element_coeffs(pr: DiffusionProblem, chi_lin: np.ndarray):
     mesh = pr.mesh
-    eps = strain(mesh, pr.u)
-    tc = transport_coeffs(pr.mat, eps, elem_mean(mesh, pr.m),
+    tc = transport_coeffs(pr.mat, elem_mean(mesh, pr.m),
                           elem_mean(mesh, chi_lin), elem_mean(mesh, pr.w_prev))
     ne = mesh.n_elems
     M1 = np.broadcast_to(np.asarray(tc.M1, float), (ne,))

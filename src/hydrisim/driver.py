@@ -25,7 +25,7 @@ from .constitutive import (
     validate_material,
 )
 from .diffusion import DiffusionProblem, assemble_mu, solve_chi_step
-from .energy_audit import initial_row, ledger_step, write_energy_csv
+from .energy_audit import initial_row, ledger_step, slack, write_energy_csv
 from .errors import ConfigError, InvariantViolation
 from .grid import (
     Mesh,
@@ -39,9 +39,9 @@ from .heat import HeatProblem, solve_w_step
 from .mech_phase import (
     MechPhaseProblem,
     build_operators,
+    check_step_size,
     incremental_objective,
     solve_mech_phase_step,
-    tau_max,
 )
 from .state import State, Trajectory
 
@@ -102,6 +102,18 @@ class RunConfig:
             return self.material
         return desk_default_material(self.dim)
 
+    def check_solver(self):
+        """Tolerances must be finite and positive, iteration caps >= 1."""
+        for name in ("cg_tol", "picard_tol", "opt_tol"):
+            val = getattr(self, name)
+            if val is not None and not (0.0 < val < math.inf):
+                raise ConfigError("[solver] %s must be finite and > 0, got %r"
+                                  % (name, val))
+        for name in ("picard_max", "opt_max"):
+            if getattr(self, name) < 1:
+                raise ConfigError("[solver] %s must be at least 1, got %r"
+                                  % (name, getattr(self, name)))
+
     def step_count(self) -> int:
         if self.n_steps is not None:
             n = int(self.n_steps)
@@ -122,38 +134,24 @@ def desk_default_config(**overrides) -> RunConfig:
 # data evaluation helpers
 
 
-def _eval_initial_scalar(mesh: Mesh, given, name: str) -> np.ndarray:
+def _nodal_data(mesh: Mesh, given, ncomp: int, name: str, *args):
+    """Configured nodal data as a flat (n*ncomp,) array, node-major.
+
+    ``given`` is a constant, an array of n*ncomp values, or a callable of
+    the node coordinates and ``args`` (the time, for sources); None means
+    zero.
+    """
     n = mesh.n_nodes
-    if given is None:
-        return np.zeros(n)
     if callable(given):
-        vals = np.asarray(given(mesh.coords), float)
+        vals = np.asarray(given(mesh.coords, *args), float)
     else:
-        vals = np.asarray(given, float)
-        if vals.ndim == 0:
-            vals = np.full(n, float(vals))
-    if vals.shape != (n,):
+        vals = np.asarray(0.0 if given is None else given, float)
+    if vals.ndim == 0:
+        vals = np.full(n * ncomp, float(vals))
+    if vals.size != n * ncomp:
         raise ConfigError("%s: expected %d nodal values, got shape %s"
-                          % (name, n, vals.shape))
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError("%s contains non-finite values" % name)
-    return vals
-
-
-def _eval_initial_vector(mesh: Mesh, given, name: str) -> np.ndarray:
-    n, d = mesh.n_nodes, mesh.dim
-    if given is None:
-        return np.zeros(n * d)
-    if callable(given):
-        vals = np.asarray(given(mesh.coords), float)
-    else:
-        vals = np.asarray(given, float)
-        if vals.ndim == 0:
-            vals = np.full((n, d), float(vals))
+                          % (name, n * ncomp, vals.shape))
     vals = vals.reshape(-1)
-    if vals.size != n * d:
-        raise ConfigError("%s: expected %d values, got %d"
-                          % (name, n * d, vals.size))
     if not np.all(np.isfinite(vals)):
         raise ConfigError("%s contains non-finite values" % name)
     return vals
@@ -200,22 +198,6 @@ def _vector_boundary_load(mesh: Mesh, side_entries: dict, t: float):
     return out
 
 
-def _body_values(mesh: Mesh, given, t: float, ncomp: int, name: str):
-    if given is None:
-        return None
-    n = mesh.n_nodes
-    if callable(given):
-        vals = np.asarray(given(mesh.coords, t), float)
-    else:
-        vals = np.asarray(given, float)
-    if vals.ndim == 0:
-        vals = np.full((n, ncomp), float(vals))
-    vals = np.broadcast_to(vals.reshape(n, -1), (n, ncomp))
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError("%s contains non-finite values" % name)
-    return np.ascontiguousarray(vals)
-
-
 class _SourceAssembler:
     """Evaluates the configured sources into load vectors at a given time."""
 
@@ -229,14 +211,14 @@ class _SourceAssembler:
 
     def at(self, t: float) -> dict:
         mesh, cfg = self.mesh, self.cfg
-        f_vals = _body_values(mesh, cfg.f, t, mesh.dim, "f")
-        q_vals = _body_values(mesh, cfg.q, t, 1, "q")
         return {
-            "f": None if f_vals is None else self.Mv * f_vals.ravel(),
+            "f": None if cfg.f is None else
+            self.Mv * _nodal_data(mesh, cfg.f, mesh.dim, "f", t),
             "f_s": _vector_boundary_load(mesh, self.fs_map, t),
             "h_s": _scalar_boundary_load(mesh, self.hs_map, t),
             "q_s": _scalar_boundary_load(mesh, self.qs_map, t),
-            "q": None if q_vals is None else q_vals.ravel(),
+            "q": None if cfg.q is None else
+            _nodal_data(mesh, cfg.q, 1, "q", t),
         }
 
 
@@ -245,11 +227,11 @@ class _SourceAssembler:
 
 
 def _initial_state(mesh: Mesh, mat: MaterialModel, cfg: RunConfig) -> State:
-    u0 = _eval_initial_vector(mesh, cfg.u0, "u0")
-    v0 = _eval_initial_vector(mesh, cfg.v0, "v0")
-    m0 = _eval_initial_scalar(mesh, cfg.m0, "m0")
-    chi0 = _eval_initial_scalar(mesh, cfg.chi0, "chi0")
-    theta0 = _eval_initial_scalar(mesh, cfg.theta0, "theta0")
+    u0 = _nodal_data(mesh, cfg.u0, mesh.dim, "u0")
+    v0 = _nodal_data(mesh, cfg.v0, mesh.dim, "v0")
+    m0 = _nodal_data(mesh, cfg.m0, 1, "m0")
+    chi0 = _nodal_data(mesh, cfg.chi0, 1, "chi0")
+    theta0 = _nodal_data(mesh, cfg.theta0, 1, "theta0")
     if np.any(m0 < mat.m_lo) or np.any(m0 > mat.m_hi):
         raise ConfigError("m0 leaves the phase box [%g, %g]"
                           % (mat.m_lo, mat.m_hi))
@@ -272,46 +254,37 @@ def _write_snapshot(mesh: Mesh, mat: MaterialModel, st: State, path: str):
     d = mesh.dim
     cols = ["node"] + ["x", "y"][:d] + ["u%s" % ax for ax in "xy"[:d]]
     cols += ["m", "chi", "mu", "w", "theta"]
-    u = st.u.reshape(-1, d)
-    theta = st.theta(mat)
+    table = np.column_stack([np.arange(mesh.n_nodes), mesh.coords,
+                             st.u.reshape(-1, d), st.m, st.chi, st.mu, st.w,
+                             st.theta(mat)])
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(mesh.n_nodes):
-            row = [str(i)]
-            row += ["%.17g" % v for v in mesh.coords[i]]
-            row += ["%.17g" % v for v in u[i]]
-            row += ["%.17g" % v for v in
-                    (st.m[i], st.chi[i], st.mu[i], st.w[i], theta[i])]
-            fh.write(",".join(row) + "\n")
+        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (table.shape[1] - 1),
+                   delimiter=",")
 
 
 def _write_vtk(mesh: Mesh, mat: MaterialModel, st: State, path: str):
     d = mesh.dim
     n, ne = mesh.n_nodes, mesh.n_elems
     nv = d + 1
-    cell_type = 3 if d == 1 else 5
+    pad = np.zeros((n, 3 - d))
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nhydrisim fields\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % n)
-        for p in mesh.coords:
-            xyz = list(p) + [0.0] * (3 - d)
-            fh.write("%.17g %.17g %.17g\n" % tuple(xyz))
+        np.savetxt(fh, np.hstack([mesh.coords, pad]), fmt="%.17g")
         fh.write("CELLS %d %d\n" % (ne, ne * (nv + 1)))
-        for conn in mesh.elems:
-            fh.write(" ".join([str(nv)] + [str(int(j)) for j in conn]) + "\n")
+        np.savetxt(fh, np.column_stack([np.full(ne, nv), mesh.elems]),
+                   fmt="%d")
         fh.write("CELL_TYPES %d\n" % ne)
-        fh.write("\n".join([str(cell_type)] * ne) + "\n")
+        np.savetxt(fh, np.full(ne, 3 if d == 1 else 5), fmt="%d")
         fh.write("POINT_DATA %d\n" % n)
-        u = st.u.reshape(-1, d)
         fh.write("VECTORS u double\n")
-        for row in u:
-            xyz = list(row) + [0.0] * (3 - d)
-            fh.write("%.17g %.17g %.17g\n" % tuple(xyz))
+        np.savetxt(fh, np.hstack([st.u.reshape(-1, d), pad]), fmt="%.17g")
         for name, vals in (("m", st.m), ("chi", st.chi), ("mu", st.mu),
                            ("w", st.w), ("theta", st.theta(mat))):
             fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
-            fh.write("\n".join("%.17g" % v for v in vals) + "\n")
+            np.savetxt(fh, vals, fmt="%.17g")
 
 
 def _manifest(cfg: RunConfig, mat: MaterialModel, mesh: Mesh, n: int,
@@ -352,11 +325,8 @@ def run(config: RunConfig) -> Trajectory:
     validate_material(mat).raise_for_failure()
     if not (cfg.tau > 0.0) or not (cfg.T > 0.0):
         raise ConfigError("T and tau must be positive")
-    bound = tau_max(mat, cfg.T)
-    if cfg.tau > bound * (1.0 + 1e-12):
-        raise ConfigError(
-            "step %g exceeds the convexity threshold (4.6) %g for this "
-            "material" % (cfg.tau, bound))
+    check_step_size(mat, cfg.tau, cfg.T)
+    cfg.check_solver()
     n = cfg.step_count()
     mesh = build_mesh(cfg.dim, cfg.lengths, cfg.resolution)
     opt_tol = cfg.opt_tol if cfg.opt_tol is not None else (
@@ -417,16 +387,11 @@ def run(config: RunConfig) -> Trajectory:
         new = State(k=k, t=t, u=sol.u, u_prev=state.u, m=sol.m,
                     chi=dsol.chi, w=hsol.w, mu=dsol.mu, xi=sol.xi)
         row = ledger_step(mesh, mat, state, new, cfg.tau, src, hsol.produced)
-        prev_row = rows[-1]
-        de = row.energy - prev_row.energy
-        dth = row.thermal - prev_row.thermal
-        slack = -(de + 0.5 * dth + row.diss_viscous + row.diss_phase
-                  + row.diss_activation + row.diss_diffusion_dual
-                  + row.adiab_expl - row.work_mech - 0.5 * row.heat_total)
+        gap = slack(rows[-1], row)
         scale = max(1.0, abs(row.energy), abs(row.thermal))
-        if slack < -SLACK_TOL * scale:
+        if gap < -SLACK_TOL * scale:
             raise InvariantViolation(
-                "step %d: energy-inequality slack %.3e negative" % (k, slack))
+                "step %d: energy-inequality slack %.3e negative" % (k, gap))
         totals["outer"] += sol.outer_iterations
         totals["cg"] += sol.cg_iterations
         totals["prox"] += sol.prox_iterations

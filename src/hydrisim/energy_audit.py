@@ -28,7 +28,7 @@ from .constitutive import (
     dphi1_dm,
     phi1,
     s_a,
-    sigma_a,
+    sigma_a_tensor,
     transport_coeffs,
 )
 from .diffusion import assemble_mu
@@ -85,11 +85,6 @@ class LedgerRow:
     @property
     def energy(self) -> float:
         return self.kinetic + self.stored + self.gradient
-
-
-@dataclass
-class EnergyLedger:
-    rows: list
 
 
 def _energies(mesh: Mesh, mat: MaterialModel, st: State, tau: float):
@@ -166,15 +161,13 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
     hs_work = tau * float(hs @ cur.mu) if hs is not None else 0.0
     diss_diffusion_dual = hs_work - float(np.sum(Ml * dchi * cur.mu))
     _, gmu = assemble_mu(mesh, mat, cur.m, cur.chi)
-    tc = transport_coeffs(mat, None, elem_mean(mesh, cur.m),
+    tc = transport_coeffs(mat, elem_mean(mesh, cur.m),
                           elem_mean(mesh, cur.chi), elem_mean(mesh, prev.w))
     diss_diffusion = tau * float(np.einsum("ei,ei,e,e->", gmu, gmu, tc.M, vol))
 
     m_e = elem_mean(mesh, prev.m)
     w_e = elem_mean(mesh, prev.w)
-    sig = sigma_a(mat, m_e, w_e)
-    if mesh.dim == 1:
-        sig = np.asarray(sig).reshape(-1, 1, 1)
+    sig = sigma_a_tensor(mat, m_e, w_e)
     adiab_expl = tau * float(np.einsum("eij,eij,e->", sig, rate, vol))
     adiab_expl += float(np.sum(Ml * s_a(mat, prev.m, prev.w) * dm))
 
@@ -202,15 +195,18 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
         min_chi=float(np.min(cur.chi)), min_w=float(np.min(cur.w)))
 
 
-def _step_terms(rows):
-    out = []
-    for prev, cur in zip(rows[:-1], rows[1:]):
-        dE = cur.energy - prev.energy
-        dTh = cur.thermal - prev.thermal
-        diss = (cur.diss_viscous + cur.diss_phase + cur.diss_activation
-                + cur.diss_diffusion_dual)
-        out.append((dE, dTh, diss, cur))
-    return out
+def _dissipation(row: LedgerRow) -> float:
+    return (row.diss_viscous + row.diss_phase + row.diss_activation
+            + row.diss_diffusion_dual)
+
+
+def slack(prev: LedgerRow, row: LedgerRow) -> float:
+    """Slack of the dissipation inequality over the step ending in ``row``
+    (the nu=1/2 series), nonnegative up to solver tolerances."""
+    dE = row.energy - prev.energy
+    dTh = row.thermal - prev.thermal
+    return -(dE + 0.5 * dTh + _dissipation(row) + row.adiab_expl
+             - row.work_mech - 0.5 * row.heat_total)
 
 
 def balance_residual(traj: Trajectory, nu: float) -> np.ndarray:
@@ -225,15 +221,17 @@ def balance_residual(traj: Trajectory, nu: float) -> np.ndarray:
     if not rows:
         return np.zeros(0)
     vals = []
-    for dE, dTh, diss, cur in _step_terms(rows):
+    for prev, cur in zip(rows[:-1], rows[1:]):
+        dE = cur.energy - prev.energy
         if nu == 0:
             vals.append(dE + cur.numdiss + cur.gap_m + cur.gap_chi
-                        + cur.xi_term + diss + cur.adiab_expl - cur.work_mech)
+                        + cur.xi_term + _dissipation(cur) + cur.adiab_expl
+                        - cur.work_mech)
         elif nu == 1:
-            vals.append(dE + dTh - cur.work_mech - cur.heat_supplied)
+            vals.append(dE + (cur.thermal - prev.thermal) - cur.work_mech
+                        - cur.heat_supplied)
         elif nu == 0.5:
-            vals.append(-(dE + 0.5 * dTh + diss + cur.adiab_expl
-                          - cur.work_mech - 0.5 * cur.heat_total))
+            vals.append(slack(prev, cur))
         else:
             raise ValueError("nu must be 0, 0.5 or 1")
     vals = np.asarray(vals)

@@ -35,7 +35,6 @@ __all__ = [
     "coupling_force_matrix",
     "mean_coupling_matrix",
     "boundary_functional",
-    "check_field",
 ]
 
 SIDES_1D = ("left", "right")
@@ -79,10 +78,7 @@ class Mesh:
 
     @cached_property
     def lumped(self) -> np.ndarray:
-        w = np.zeros(self.n_nodes)
-        share = self.volumes / (self.dim + 1)
-        np.add.at(w, self.elems.ravel(), np.repeat(share, self.dim + 1))
-        return w
+        return lump_elements(self, 1.0)
 
     @cached_property
     def _stiff_pattern(self):
@@ -229,6 +225,29 @@ def _mesh_2d(lengths, res) -> Mesh:
 # scalar-field assembly
 
 
+def nodal_sum(n: int, index: np.ndarray, values) -> np.ndarray:
+    """Sum per-entry values into ``n`` nodes, in input order.
+
+    ``values`` has the shape of ``index`` plus optional trailing component
+    axes, which the result keeps: shape (n,) + components.  Each node
+    accumulates its entries in the order they appear, like ``np.add.at``.
+    """
+    index = np.asarray(index)
+    vals = np.asarray(values, float)
+    flat = vals.reshape(index.size, -1)
+    out = np.empty((n, flat.shape[1]))
+    for c in range(flat.shape[1]):
+        out[:, c] = np.bincount(index.ravel(), weights=flat[:, c], minlength=n)
+    return out.reshape((n,) + vals.shape[index.ndim:])
+
+
+def lump_elements(mesh: Mesh, values) -> np.ndarray:
+    """Spread element densities to nodes: each vertex gets vol*value/nv."""
+    share = values * mesh.volumes / (mesh.dim + 1)
+    return nodal_sum(mesh.n_nodes, mesh.elems,
+                     np.broadcast_to(share[:, None], mesh.elems.shape))
+
+
 def lumped_mass(mesh: Mesh) -> np.ndarray:
     """Row-sum lumped mass, one positive weight per node."""
     return mesh.lumped
@@ -282,10 +301,8 @@ def grad_stiffness_vector(mesh: Mesh, coeff, nodal: np.ndarray) -> np.ndarray:
     """
     g = grad_field(mesh, nodal)
     flux = np.asarray(coeff, float)[:, None] * g * mesh.volumes[:, None]
-    out = np.zeros(mesh.n_nodes)
     contrib = np.einsum("ed,ead->ea", flux, mesh.grads)
-    np.add.at(out, mesh.elems.ravel(), contrib.ravel())
-    return out
+    return nodal_sum(mesh.n_nodes, mesh.elems, contrib)
 
 
 def grad_field(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
@@ -332,10 +349,7 @@ def strain_adjoint(mesh: Mesh, sig: np.ndarray) -> np.ndarray:
     sig = np.asarray(sig, float)
     weighted = sig * mesh.volumes[:, None, None]
     contrib = np.einsum("ecd,ead->eac", weighted, mesh.grads)
-    out = np.zeros((mesh.n_nodes, mesh.dim))
-    np.add.at(out, mesh.elems.ravel(),
-              contrib.reshape(-1, mesh.dim))
-    return out.ravel()
+    return nodal_sum(mesh.n_nodes, mesh.elems, contrib).ravel()
 
 
 def _iso_local_stiffness(mesh: Mesh, pair) -> np.ndarray:
@@ -417,15 +431,6 @@ def boundary_functional(mesh: Mesh, g, side: str | None = None) -> np.ndarray:
     elif g.shape != (idx.size,):
         raise ConfigError("g must be scalar or one value per selected facet")
     facets = mesh.facets[idx]
-    out = np.zeros(mesh.n_nodes)
     share = g * mesh.facet_measure[idx] / facets.shape[1]
-    np.add.at(out, facets.ravel(), np.repeat(share, facets.shape[1]))
-    return out
-
-
-def check_field(mesh: Mesh, arr: np.ndarray, ncomp: int = 1, name: str = "field"):
-    arr = np.asarray(arr, float)
-    want = (mesh.n_nodes,) if ncomp == 1 else (mesh.n_nodes, ncomp)
-    if arr.shape != want:
-        raise ConfigError(f"{name} has shape {arr.shape}, expected {want}")
-    return arr
+    return nodal_sum(mesh.n_nodes, facets,
+                     np.broadcast_to(share[:, None], facets.shape))

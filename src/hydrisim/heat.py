@@ -18,14 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .constitutive import MaterialModel, s_a, sigma_a, transport_coeffs
+from .constitutive import (
+    MaterialModel,
+    apply_viscosity,
+    s_a,
+    sigma_a_tensor,
+    transport_coeffs,
+)
 from .errors import InvariantViolation, StepFailure
 from .grid import (
     Mesh,
     elem_mean,
     grad_stiffness_vector,
+    lump_elements,
     lumped_mass,
     stiffness_with_diag,
     strain,
@@ -33,9 +39,6 @@ from .grid import (
 from .mech_phase import _pcg
 
 NEG_TOL = 1e-12
-
-RHS_TERMS = ("viscous", "adiabatic_stress", "phase", "activation",
-             "diffusional", "source", "boundary")
 
 
 @dataclass
@@ -72,14 +75,6 @@ class HeatSolution:
     produced: dict  # integrated right-hand-side terms, by name
 
 
-def _lump_elements(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """Spread element densities to nodes: each vertex gets vol*value/nv."""
-    out = np.zeros(mesh.n_nodes)
-    share = values * mesh.volumes / (mesh.dim + 1)
-    np.add.at(out, mesh.elems.ravel(), np.repeat(share, mesh.dim + 1))
-    return out
-
-
 def dissipation_rhs(pr: HeatProblem, w_lin: np.ndarray) -> dict:
     """Heat-production load vectors at the linearization state ``w_lin``.
 
@@ -92,20 +87,16 @@ def dissipation_rhs(pr: HeatProblem, w_lin: np.ndarray) -> dict:
     Ml = lumped_mass(mesh)
     rate = strain(mesh, (pr.u - pr.u_prev) / tau)
     rate2 = np.einsum("eij,eij->e", rate, rate)
-    from .constitutive import apply_viscosity
-
     visc_density = np.einsum("eij,eij->e", apply_viscosity(mat, rate), rate) \
         / (1.0 + tau * rate2)
 
     m_prev_e = elem_mean(mesh, pr.m_prev)
     w_lin_e = elem_mean(mesh, w_lin)
-    sig = sigma_a(mat, m_prev_e, w_lin_e)
-    if mesh.dim == 1:
-        sig = np.asarray(sig).reshape(-1, 1, 1)
+    sig = sigma_a_tensor(mat, m_prev_e, w_lin_e)
     adiab_density = np.einsum("eij,eij->e", sig, rate)
 
     gmu2 = np.einsum("ei,ei->e", pr.grad_mu, pr.grad_mu)
-    tc = transport_coeffs(mat, None, elem_mean(mesh, pr.m),
+    tc = transport_coeffs(mat, elem_mean(mesh, pr.m),
                           elem_mean(mesh, pr.chi), elem_mean(mesh, pr.w_prev))
     diff_density = tc.M * gmu2 / (1.0 + tau * gmu2)
 
@@ -114,11 +105,11 @@ def dissipation_rhs(pr: HeatProblem, w_lin: np.ndarray) -> dict:
     act_nodal = mat.threshold_r * np.abs(dm)
 
     out = {
-        "viscous": _lump_elements(mesh, visc_density),
-        "adiabatic_stress": _lump_elements(mesh, adiab_density),
+        "viscous": lump_elements(mesh, visc_density),
+        "adiabatic_stress": lump_elements(mesh, adiab_density),
         "phase": Ml * phase_nodal,
         "activation": Ml * act_nodal,
-        "diffusional": _lump_elements(mesh, diff_density),
+        "diffusional": lump_elements(mesh, diff_density),
         "source": Ml * pr.q if pr.q is not None else np.zeros(mesh.n_nodes),
         "boundary": pr.q_s if pr.q_s is not None else np.zeros(mesh.n_nodes),
     }
@@ -143,7 +134,7 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
     produced = None
     for it in range(1, pr.picard_max + 1):
         terms = dissipation_rhs(pr, w_lin)
-        tc = transport_coeffs(mat, None, m_e, chi_e, elem_mean(mesh, w_lin))
+        tc = transport_coeffs(mat, m_e, chi_e, elem_mean(mesh, w_lin))
         A = stiffness_with_diag(mesh, tc.K, Ml / tau)
         rhs = Ml * pr.w_prev / tau
         for vec in terms.values():

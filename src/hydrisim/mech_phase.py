@@ -14,6 +14,7 @@ normal-cone multiplier xi is recovered from the converged m-equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from .constitutive import (
     inf_d2phi1_dmm,
     phi1,
     s_a,
-    sigma_a,
+    sigma_a_tensor,
 )
 from .errors import ConfigError, InvariantViolation, StepFailure
 from .grid import (
@@ -47,12 +48,25 @@ def tau_max(mat: MaterialModel, horizon: float) -> float:
     """Largest step size for which the incremental functional stays convex.
 
     The bound kicks in only when the phase energy loses convexity in m
-    (double-well add-on); otherwise any step up to the horizon is fine.
+    (double-well add-on, curv < 0).  Then both the joint functional (4.6),
+    tau <= alpha^2/curv^2, and the nodal prox, alpha/tau + curv >= 0, must
+    hold, so the threshold is min(horizon, alpha^2/curv^2, alpha/|curv|);
+    otherwise any step up to the horizon is fine.
     """
     curv = inf_d2phi1_dmm(mat)
     if curv < 0.0:
-        return min(horizon, mat.alpha ** 2 / curv ** 2)
+        return min(horizon, mat.alpha ** 2 / curv ** 2, mat.alpha / -curv)
     return horizon
+
+
+def check_step_size(mat: MaterialModel, tau: float,
+                    horizon: float = math.inf):
+    """Raise ConfigError when ``tau`` exceeds ``tau_max(mat, horizon)``."""
+    bound = tau_max(mat, horizon)
+    if tau > bound * (1.0 + 1e-12):
+        raise ConfigError(
+            "tau = %g exceeds the convexity threshold (4.6) tau_max = %g "
+            "for this material" % (tau, bound))
 
 
 def phase_nodal_prox(a_quad, b, p, kappa, lo, hi):
@@ -193,9 +207,7 @@ def _adiabatic_data(pr: MechPhaseProblem):
     mesh, mat = pr.mesh, pr.mat
     m_e = elem_mean(mesh, pr.m_prev)
     w_e = elem_mean(mesh, pr.w_prev)
-    sig = sigma_a(mat, m_e, w_e)
-    if mesh.dim == 1:
-        sig = np.asarray(sig).reshape(-1, 1, 1)
+    sig = sigma_a_tensor(mat, m_e, w_e)
     sa_force = strain_adjoint(mesh, sig)
     sa_node = s_a(mat, pr.m_prev, pr.w_prev)
     return sa_force, np.broadcast_to(np.asarray(sa_node, float),
@@ -308,15 +320,7 @@ def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
         raise InvariantViolation("previous concentration has negative nodes")
     if np.min(pr.w_prev) < -NEG_TOL:
         raise InvariantViolation("previous enthalpy has negative nodes")
-    curv = inf_d2phi1_dmm(mat)
-    if curv < 0.0 and pr.tau > mat.alpha ** 2 / curv ** 2 * (1.0 + 1e-12):
-        raise ConfigError(
-            f"step {pr.tau:g} exceeds the convexity threshold (4.6) "
-            f"{mat.alpha ** 2 / curv ** 2:g} for this material")
-    if mat.alpha / pr.tau + curv < 0.0:
-        raise StepFailure(
-            "nodal phase curvature alpha/tau + min d2phi1/dm2 is negative; "
-            "the proximal solver needs a convex smooth part")
+    check_step_size(mat, pr.tau)
 
     ops = pr.operators()
     sa_force, sa_node = _adiabatic_data(pr)

@@ -62,10 +62,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
 
-    def field_array(self, name: str) -> np.ndarray:
-        """Stack one field over all states, shape (n_states, ...)."""
-        return np.stack([getattr(s, name) for s in self.states])
-
     def check_uniform(self):
         t = self.times()
         if len(t) > 1 and not np.allclose(np.diff(t), self.tau, rtol=1e-12):

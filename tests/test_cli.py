@@ -199,9 +199,22 @@ def test_selftest_passes(monkeypatch, capsys):
     assert "suite" in text and "passed" in text
 
 
-def test_main_maps_config_errors_to_exit_2(monkeypatch, capsys):
-    assert run_main(monkeypatch, "simulate", "/no/such/file.ini") == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("command, text, match", [
+    ("simulate", None, "cannot read"),
+    # invalid [solver] settings stop at parse time, so validate sees them
+    ("validate", "[solver]\npicard_max = 0\n", "picard_max"),
+    ("validate", "[solver]\nopt_max = 0\n", "opt_max"),
+    ("validate", "[solver]\npicard_tol = -1e-10\n", "picard_tol"),
+    ("validate", "[solver]\ncg_tol = 0\n", "cg_tol"),
+], ids=["missing-file", "picard_max-0", "opt_max-0", "picard_tol-negative",
+        "cg_tol-zero"])
+def test_main_maps_config_errors_to_exit_2(tmp_path, monkeypatch, capsys,
+                                           command, text, match):
+    path = "/no/such/file.ini" if text is None else write_cfg(tmp_path, text)
+    assert run_main(monkeypatch, command, path) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert match in err
 
 
 def test_constant_ramp_collapses_to_float(tmp_path):

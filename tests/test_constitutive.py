@@ -214,7 +214,7 @@ def test_2d_sigma_a_is_isotropic_matrix():
 
 
 def test_transport_hand_values(mat):
-    tc = transport_coeffs(mat, 0.0, 0.5, 1.0, 0.0)
+    tc = transport_coeffs(mat, 0.5, 1.0, 0.0)
     assert tc.M1 == pytest.approx(5.5, rel=1e-13)
     assert tc.M2 == pytest.approx(-1.0, rel=1e-13)
     assert tc.K == pytest.approx(1.0)
@@ -224,7 +224,7 @@ def test_transport_hand_values(mat):
 
 def test_cross_conduction_appears_with_m_dependent_c0():
     mat = desk_default_material(c0_m_slope=0.3)
-    tc = transport_coeffs(mat, 0.0, 0.5, 1.0, 2.0)
+    tc = transport_coeffs(mat, 0.5, 1.0, 2.0)
     assert tc.L != 0.0
 
 

@@ -141,7 +141,7 @@ def test_fixed_point_residual_small():
     from hydrisim.constitutive import transport_coeffs
     from hydrisim.grid import grad_stiffness_vector, stiffness
     Ml = lumped_mass(mesh)
-    tc = transport_coeffs(mat, None, elem_mean(mesh, m),
+    tc = transport_coeffs(mat, elem_mean(mesh, m),
                           elem_mean(mesh, sol.chi),
                           elem_mean(mesh, pr.w_prev))
     A = sp.diags(Ml / pr.tau) + stiffness(mesh, tc.M1 * np.ones(mesh.n_elems))

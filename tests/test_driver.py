@@ -7,13 +7,16 @@ import pytest
 from hydrisim.constitutive import desk_default_material, theta_of_w
 from hydrisim.driver import (
     RunConfig,
+    _write_snapshot,
+    _write_vtk,
     desk_default_config,
     interpolant_eval,
     refine_study,
     run,
 )
 from hydrisim.errors import ConfigError
-from hydrisim.grid import lumped_mass, vector_lumped_mass
+from hydrisim.grid import build_mesh, lumped_mass, vector_lumped_mass
+from hydrisim.state import State
 
 
 def desk_mat(**kw):
@@ -33,10 +36,14 @@ def test_invalid_initial_data_rejected():
         run(desk_default_config(resolution=(8,), T=0.002, theta0=-1.0))
 
 
-def test_oversized_step_rejected_with_threshold():
-    mat = desk_mat(double_well=26.0)
-    cfg = desk_default_config(resolution=(8,), material=mat, T=0.05,
-                              tau=0.01)
+@pytest.mark.parametrize("double_well, T, tau", [
+    (26.0, 0.05, 0.01),
+    # passes alpha^2/curv^2 = 4 but not the prox bound alpha/|curv| = 2
+    (10.5, 3.0, 3.0),
+], ids=["double_well-26", "double_well-10.5"])
+def test_oversized_step_rejected_with_threshold(double_well, T, tau):
+    mat = desk_mat(double_well=double_well)
+    cfg = desk_default_config(resolution=(8,), material=mat, T=T, tau=tau)
     with pytest.raises(ConfigError, match=r"\(4\.6\)"):
         run(cfg)
 
@@ -234,6 +241,66 @@ def test_outputs_written_and_deterministic(tmp_path):
     assert manifest["n_steps"] == 5
     assert manifest["mesh"]["nodes"] == 15
     assert "defaulted" in manifest
+
+
+def _awkward_state(mesh, seed):
+    rng = np.random.default_rng(seed)
+    n, d = mesh.n_nodes, mesh.dim
+    u = rng.normal(size=n * d) / 3.0
+    u[0] = -0.0
+    w = rng.uniform(0.0, 1e-3, size=n) ** 3
+    w[-1] = 0.0
+    return State(k=0, t=0.0, u=u, u_prev=u, m=rng.uniform(size=n) / 7.0,
+                 chi=np.full(n, 1e-300), w=w, mu=-rng.normal(size=n) * 1e12,
+                 xi=np.zeros(n))
+
+
+def _reference_snapshot(mesh, mat, st):
+    d = mesh.dim
+    cols = ["node"] + ["x", "y"][:d] + ["u%s" % ax for ax in "xy"[:d]]
+    lines = [",".join(cols + ["m", "chi", "mu", "w", "theta"])]
+    u = st.u.reshape(-1, d)
+    theta = st.theta(mat)
+    for i in range(mesh.n_nodes):
+        vals = list(mesh.coords[i]) + list(u[i]) + [
+            st.m[i], st.chi[i], st.mu[i], st.w[i], theta[i]]
+        lines.append(",".join([str(i)] + ["%.17g" % v for v in vals]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_vtk(mesh, mat, st):
+    d, n, ne = mesh.dim, mesh.n_nodes, mesh.n_elems
+    pad = [0.0] * (3 - d)
+    lines = ["# vtk DataFile Version 3.0", "hydrisim fields", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", "POINTS %d double" % n]
+    lines += [" ".join("%.17g" % v for v in list(p) + pad)
+              for p in mesh.coords]
+    lines.append("CELLS %d %d" % (ne, ne * (d + 2)))
+    lines += [" ".join(str(v) for v in [d + 1] + [int(j) for j in conn])
+              for conn in mesh.elems]
+    lines.append("CELL_TYPES %d" % ne)
+    lines += [str(3 if d == 1 else 5)] * ne
+    lines += ["POINT_DATA %d" % n, "VECTORS u double"]
+    lines += [" ".join("%.17g" % v for v in list(row) + pad)
+              for row in st.u.reshape(-1, d)]
+    for name, vals in (("m", st.m), ("chi", st.chi), ("mu", st.mu),
+                       ("w", st.w), ("theta", st.theta(mat))):
+        lines += ["SCALARS %s double 1" % name, "LOOKUP_TABLE default"]
+        lines += ["%.17g" % v for v in vals]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dim, resolution", [(1, (3,)), (2, (3, 3))],
+                         ids=["line-3", "square-3x3"])
+def test_snapshot_formats_pinned(tmp_path, dim, resolution):
+    mesh = build_mesh(dim, (1.0,) * dim, resolution)
+    mat = desk_default_material(dim)
+    st = _awkward_state(mesh, dim)
+    _write_snapshot(mesh, mat, st, str(tmp_path / "f.csv"))
+    _write_vtk(mesh, mat, st, str(tmp_path / "f.vtk"))
+    assert (tmp_path / "f.csv").read_text() == _reference_snapshot(mesh, mat,
+                                                                   st)
+    assert (tmp_path / "f.vtk").read_text() == _reference_vtk(mesh, mat, st)
 
 
 def test_vtk_snapshot_shape(tmp_path):

@@ -13,6 +13,7 @@ from hydrisim.grid import (
     grad_stiffness_vector,
     lumped_mass,
     mean_coupling_matrix,
+    nodal_sum,
     stiffness,
     stiffness_with_diag,
     strain,
@@ -185,3 +186,15 @@ def test_stiffness_with_diag_matches_two_pass(square3, line3):
         ref = (sp.diags(d) + stiffness(mesh, c)).toarray()
         got = stiffness_with_diag(mesh, c, d).toarray()
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("comps", [(), (2,)])
+def test_nodal_sum_matches_add_at(comps):
+    # the np.add.at loop is the reference: same summation order, same bytes
+    rng = np.random.default_rng(5)
+    mesh = build_mesh(2, (1.0, 1.0), (6, 5))
+    vals = rng.standard_normal(mesh.elems.shape + comps) * 10.0 ** rng.integers(
+        -8, 8, mesh.elems.shape + comps)
+    ref = np.zeros((mesh.n_nodes,) + comps)
+    np.add.at(ref, mesh.elems.ravel(), vals.reshape((-1,) + comps))
+    assert np.array_equal(nodal_sum(mesh.n_nodes, mesh.elems, vals), ref)

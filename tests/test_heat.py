@@ -82,7 +82,7 @@ def test_step_matrix_positive_definite():
     mesh = build_mesh(1, (1.0,), 25)
     mat = desk()
     import scipy.sparse as sp
-    tc = transport_coeffs(mat, None, np.zeros(mesh.n_elems),
+    tc = transport_coeffs(mat, np.zeros(mesh.n_elems),
                           np.zeros(mesh.n_elems), np.zeros(mesh.n_elems))
     A = sp.diags(lumped_mass(mesh) / 1e-3) + stiffness(
         mesh, tc.K * np.ones(mesh.n_elems))

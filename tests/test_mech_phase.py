@@ -48,6 +48,12 @@ def test_tau_max_clamps_to_short_horizon():
     assert tau_max(mat, 0.001) == 0.001
 
 
+def test_tau_max_prox_curvature_threshold():
+    # inf curvature = 10 - 10.5 = -0.5: alpha^2/curv^2 = 4, but the nodal
+    # prox needs alpha/tau + curv >= 0, i.e. tau <= alpha/|curv| = 2
+    assert tau_max(desk(double_well=10.5), 3.0) == 2.0
+
+
 # ---------------------------------------------------------------------------
 # prox kernel
 

@@ -1,0 +1,16 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import hydrisim
+
+MODULES = ["hydrisim"] + ["hydrisim." + m.name
+                          for m in pkgutil.iter_modules(hydrisim.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_names_resolve(name):
+    mod = importlib.import_module(name)
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert missing == []
