@@ -2,10 +2,12 @@
 
 With the chemical potential eliminated through its chain rule, the update
 is a lumped P1 system whose mobility-weighted coefficients depend on the
-unknown concentration itself.  A damped Picard loop freezes those
-coefficients at the current linearization state; each inner system is
-solved exactly (sparse direct), and the returned iterate is the raw output
-of the final solve, so testing the system with the constant function gives
+unknown concentration itself.  An undamped Picard loop freezes those
+coefficients at the previous iterate; the bound (3.1a) keeps the mobility
+away from zero and infinity, so the map contracts.  Each inner system is
+a symmetric M-matrix solved exactly (sparse direct, with a minimum-degree
+ordering on A + A^T), and the returned iterate is the raw output of the
+final solve, so testing the system with the constant function gives
 the discrete hydrogen balance to solver precision: the lumped mass of chi
 moves by exactly tau times the boundary influx.  Non-negativity of chi is
 asserted, never clipped - clipping would falsify that balance.
@@ -51,7 +53,6 @@ class DiffusionProblem:
     chi_prev: np.ndarray
     w_prev: np.ndarray
     h_s: np.ndarray | None = None
-    picard_damping: float = 0.7
     picard_tol: float = 1e-10
     picard_max: int = 200
 
@@ -108,9 +109,9 @@ def solve_chi_step(pr: DiffusionProblem) -> DiffusionSolution:
     last_update = None
     for it in range(1, pr.picard_max + 1):
         M1, M2 = _element_coeffs(pr, chi_lin)
-        A = stiffness_with_diag(mesh, M1, Ml / pr.tau).tocsc()
+        A = stiffness_with_diag(mesh, M1, Ml / pr.tau)
         rhs = rhs_fixed - grad_stiffness_vector(mesh, M2, pr.m)
-        chi_new = spla.spsolve(A, rhs)
+        chi_new = spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
         update = float(np.sqrt(np.sum(Ml * (chi_new - chi_lin) ** 2)))
         if update <= pr.picard_tol:
             break
@@ -118,7 +119,7 @@ def solve_chi_step(pr: DiffusionProblem) -> DiffusionSolution:
             log.warning("concentration Picard update grew: %.3e -> %.3e",
                         last_update, update)
         last_update = update
-        chi_lin = chi_lin + pr.picard_damping * (chi_new - chi_lin)
+        chi_lin = chi_new
     else:
         raise StepFailure(
             f"concentration Picard loop stalled: update {update:.3e} "

@@ -288,7 +288,7 @@ def _write_vtk(mesh: Mesh, mat: MaterialModel, st: State, path: str):
 
 
 def _manifest(cfg: RunConfig, mat: MaterialModel, mesh: Mesh, n: int,
-              defaulted) -> dict:
+              defaulted, iterations: dict) -> dict:
     def enc(v):
         if callable(v):
             return "<callable>"
@@ -311,6 +311,7 @@ def _manifest(cfg: RunConfig, mat: MaterialModel, mesh: Mesh, n: int,
         "defaulted": sorted(defaulted),
         "mesh": {"nodes": mesh.n_nodes, "elements": mesh.n_elems},
         "n_steps": n,
+        "iterations": iterations,
     }
 
 
@@ -353,7 +354,8 @@ def run(config: RunConfig) -> Trajectory:
             _write_vtk(mesh, mat, st, _snapshot_path(outdir, st.k, "vtk"))
 
     maybe_snapshot(state)
-    totals = {"outer": 0, "cg": 0, "prox": 0, "picard_chi": 0, "picard_w": 0}
+    totals = {"outer": 0, "cg": 0, "prox": 0, "picard_chi": 0, "picard_w": 0,
+              "cg_w": 0}
     for k in range(1, n + 1):
         t = k * cfg.tau
         src = sources.at(t)
@@ -397,6 +399,7 @@ def run(config: RunConfig) -> Trajectory:
         totals["prox"] += sol.prox_iterations
         totals["picard_chi"] += dsol.iterations
         totals["picard_w"] += hsol.iterations
+        totals["cg_w"] += hsol.cg_iterations
         rows.append(row)
         states.append(new)
         state = new
@@ -420,7 +423,7 @@ def run(config: RunConfig) -> Trajectory:
 
         defaulted = [f.name for f in dataclasses.fields(cfg)
                      if f.name != "material" and is_default(f)]
-        manifest = _manifest(cfg, mat, mesh, n, defaulted)
+        manifest = _manifest(cfg, mat, mesh, n, defaulted, totals)
         with open(os.path.join(outdir, "run_manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -71,6 +71,7 @@ class HeatProblem:
 class HeatSolution:
     w: np.ndarray
     iterations: int
+    cg_iterations: int  # inner PCG iterations, summed over the fixed-point loop
     update_norm: float
     produced: dict  # integrated right-hand-side terms, by name
 
@@ -132,6 +133,7 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
     w_new = w_lin
     update = np.inf
     produced = None
+    cg_total = 0
     for it in range(1, pr.picard_max + 1):
         terms = dissipation_rhs(pr, w_lin)
         tc = transport_coeffs(mat, m_e, chi_e, elem_mean(mesh, w_lin))
@@ -141,8 +143,9 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
             rhs = rhs + vec
         if np.any(tc.L != 0.0):
             rhs = rhs - grad_stiffness_vector(mesh, tc.L, pr.m)
-        w_new, _ = _pcg(A, rhs, w_lin, A.diagonal(), pr.cg_tol,
-                        200 + 10 * Ml.size)
+        w_new, cg_it = _pcg(A, rhs, w_lin, A.diagonal(), pr.cg_tol,
+                            200 + 10 * Ml.size)
+        cg_total += cg_it
         update = float(np.sqrt(np.sum(Ml * (w_new - w_lin) ** 2)))
         if update <= pr.picard_tol:
             produced = {k: float(v.sum()) for k, v in terms.items()}
@@ -157,5 +160,5 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
         raise InvariantViolation(
             f"negative enthalpy {np.min(w_new):.3e}; check mesh structure "
             "and source signs")
-    return HeatSolution(w=w_new, iterations=it, update_norm=update,
-                        produced=produced)
+    return HeatSolution(w=w_new, iterations=it, cg_iterations=cg_total,
+                        update_norm=update, produced=produced)

@@ -149,6 +149,8 @@ def test_fixed_point_residual_small():
         mesh, tc.M2 * np.ones(mesh.n_elems), m)
     res = A @ sol.chi - rhs
     assert float(np.sqrt(np.sum(res ** 2 / Ml))) <= 1e-8
+    # undamped Picard contracts in a few sweeps (6 here)
+    assert sol.iterations <= 8
 
 
 def test_eigenmode_decay_matches_fd_prediction():
@@ -209,3 +211,4 @@ def test_two_dimensional_step_conserves():
     sol = solve_chi_step(pr)
     assert float(np.sum(Ml * (sol.chi - chi))) == pytest.approx(0.0,
                                                                 abs=1e-12)
+    assert sol.iterations <= 8

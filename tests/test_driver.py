@@ -76,6 +76,8 @@ def test_desk_run_invariants():
         assert r.min_chi >= -1e-12
         assert r.min_w >= -1e-12
     assert all(np.all((s.m >= 0.0) & (s.m <= 1.0)) for s in traj.states)
+    # a few undamped concentration Picard sweeps per step
+    assert traj.meta["iterations"]["picard_chi"] <= 4 * traj.n_steps
 
 
 def test_charging_scenario_moves_phase():
@@ -241,6 +243,15 @@ def test_outputs_written_and_deterministic(tmp_path):
     assert manifest["n_steps"] == 5
     assert manifest["mesh"]["nodes"] == 15
     assert "defaulted" in manifest
+    iters = manifest["iterations"]
+    assert set(iters) == {"outer", "cg", "prox", "picard_chi", "picard_w",
+                          "cg_w"}
+    assert all(isinstance(v, int) and v >= 0 for v in iters.values())
+    assert iters["picard_chi"] >= manifest["n_steps"]
+    assert iters["picard_w"] >= manifest["n_steps"]
+    assert iters["cg_w"] > 0
+    assert iters == json.loads(
+        (tmp_path / "b" / "run_manifest.json").read_text())["iterations"]
 
 
 def _awkward_state(mesh, seed):
