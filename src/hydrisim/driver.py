@@ -35,7 +35,7 @@ from .grid import (
     strain,
     vector_lumped_mass,
 )
-from .heat import HeatProblem, solve_w_step
+from .heat import HeatProblem, build_heat_operator, solve_w_step
 from .mech_phase import (
     MechPhaseProblem,
     build_operators,
@@ -338,6 +338,7 @@ def run(config: RunConfig) -> Trajectory:
     states = [state]
     sources = _SourceAssembler(mesh, cfg)
     ops = build_operators(mesh, mat, cfg.tau)
+    heat_op = build_heat_operator(mesh, mat, cfg.tau)
 
     outdir = cfg.outdir
     if outdir:
@@ -383,7 +384,7 @@ def run(config: RunConfig) -> Trajectory:
             mesh=mesh, mat=mat, tau=cfg.tau, u=sol.u, u_prev=state.u,
             m=sol.m, m_prev=state.m, chi=dsol.chi, grad_mu=dsol.grad_mu,
             w_prev=state.w, q=src["q"], q_s=src["q_s"], cg_tol=cfg.cg_tol,
-            picard_tol=cfg.picard_tol, picard_max=cfg.picard_max)
+            picard_tol=cfg.picard_tol, picard_max=cfg.picard_max, op=heat_op)
         hsol = solve_w_step(hpr)
 
         new = State(k=k, t=t, u=sol.u, u_prev=state.u, m=sol.m,

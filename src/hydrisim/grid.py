@@ -6,7 +6,8 @@ here matches the ones the step solvers and the energy audit evaluate.
 The 2D mesh splits each cell of a structured rectangle grid into two
 right triangles along the same diagonal; together with 1D segments this
 keeps every scalar stiffness matrix an M-matrix, which the discrete
-maximum principles for concentration and enthalpy rely on.
+maximum principles for concentration and enthalpy rely on.  The solver
+for the run-constant SPD operators of the step solvers lives here too.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import ConfigError
+from .errors import ConfigError, StepFailure
 
 __all__ = [
     "Mesh",
@@ -35,6 +37,7 @@ __all__ = [
     "coupling_force_matrix",
     "mean_coupling_matrix",
     "boundary_functional",
+    "SPDSolver",
 ]
 
 SIDES_1D = ("left", "right")
@@ -283,8 +286,8 @@ def stiffness_with_diag(mesh: Mesh, coeff, diag: np.ndarray) -> sp.csr_matrix:
     """Stiffness plus a nodal diagonal, assembled in one pass.
 
     Equivalent to ``diags(diag) + stiffness(mesh, coeff)`` but without
-    building and merging two sparse matrices; the implicit solvers call
-    this once per Picard iteration.
+    building and merging two sparse matrices; the concentration solver
+    calls this once per Picard iteration.
     """
     indptr, indices, _, diag_slots = mesh._stiff_csr
     data = _stiff_data(mesh, coeff)
@@ -434,3 +437,65 @@ def boundary_functional(mesh: Mesh, g, side: str | None = None) -> np.ndarray:
     share = g * mesh.facet_measure[idx] / facets.shape[1]
     return nodal_sum(mesh.n_nodes, facets,
                      np.broadcast_to(share[:, None], facets.shape))
+
+
+# ---------------------------------------------------------------------------
+# solves with run-constant operators
+
+
+class SPDSolver:
+    """Solves A x = b for one fixed symmetric positive definite matrix.
+
+    The path follows the matrix's own structure.  A tridiagonal matrix
+    (every P1 operator on a segment mesh) is solved exactly by sparse LU
+    in natural order, which creates no fill, and ``solve`` reports 0
+    iterations.  Any other matrix goes through Jacobi-preconditioned CG
+    from the given start vector.  No factor is kept between calls: a
+    cached SuperLU factor keeps its workspace resident for the whole run,
+    which costs more memory than re-solving a tridiagonal system costs
+    time.
+    """
+
+    def __init__(self, A: sp.spmatrix):
+        self.A = A.tocsr()
+        n = self.A.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(self.A.indptr))
+        self.direct = bool(np.all(np.abs(rows - self.A.indices) <= 1))
+        self.diag = self.A.diagonal()
+        self.max_iter = 200 + 10 * n
+
+    def solve(self, b: np.ndarray, x0: np.ndarray, rel_tol: float):
+        """Return (x, CG iterations).  ``x0`` and ``rel_tol`` (relative to
+        the norm of b) apply only to the CG path."""
+        if self.direct:
+            return spla.spsolve(self.A, b, permc_spec="NATURAL"), 0
+        return _pcg(self.A, b, x0, self.diag, rel_tol, self.max_iter)
+
+
+def _pcg(A, b, x0, diag, rel_tol, max_iter):
+    """Jacobi-preconditioned conjugate gradients, deterministic."""
+    x = x0.copy()
+    r = b - A @ x
+    bnorm = np.sqrt(b @ b)
+    stop = rel_tol * (bnorm if bnorm > 0.0 else 1.0)
+    z = r / diag
+    p = z.copy()
+    rz = r @ z
+    for it in range(max_iter):
+        if np.sqrt(r @ r) <= stop:
+            return x, it
+        Ap = A @ p
+        pAp = p @ Ap
+        if pAp <= 0.0:
+            break
+        a = rz / pAp
+        x += a * p
+        r -= a * Ap
+        z = r / diag
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    if np.sqrt(r @ r) > stop:
+        raise StepFailure(
+            f"CG stalled at residual {np.sqrt(r @ r):.3e} (target {stop:.3e})")
+    return x, max_iter

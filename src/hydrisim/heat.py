@@ -6,7 +6,9 @@ right-hand side.  The quadratic production terms carry a 1/(1+tau|.|^2)
 denominator that caps each of them at coefficient/tau, and the adiabatic
 terms vanish identically for nonpositive enthalpy; together with the
 lumped M-matrix system this keeps the new enthalpy nonnegative, which is
-asserted.  The adiabatic terms are implicit in w, handled by a plain
+asserted.  The system matrix is a run constant, solved by
+``grid.SPDSolver`` (exact when tridiagonal, Jacobi-preconditioned CG
+otherwise).  The adiabatic terms are implicit in w, handled by a plain
 fixed-point loop; the returned breakdown of the right-hand side is the one
 the final linear solve actually saw, so ledger identities built on it hold
 to linear-solver precision rather than picking up the Hoelder-type
@@ -15,7 +17,7 @@ sensitivity of the adiabatic stress near w = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .constitutive import (
 from .errors import InvariantViolation, StepFailure
 from .grid import (
     Mesh,
+    SPDSolver,
     elem_mean,
     grad_stiffness_vector,
     lump_elements,
@@ -36,7 +39,6 @@ from .grid import (
     stiffness_with_diag,
     strain,
 )
-from .mech_phase import _pcg
 
 NEG_TOL = 1e-12
 
@@ -48,6 +50,8 @@ class HeatProblem:
     ``q`` holds nodal source values (per unit volume), ``q_s`` an
     already-assembled boundary load vector; None means zero.  ``grad_mu``
     is the element chemical-potential gradient from the diffusion step.
+    ``op`` lets the time loop share the system matrix across steps; it is
+    built from mesh, material and tau when absent.
     """
 
     mesh: Mesh
@@ -65,13 +69,30 @@ class HeatProblem:
     cg_tol: float = 1e-12
     picard_tol: float = 1e-10
     picard_max: int = 200
+    op: SPDSolver | None = field(default=None, repr=False)
+
+    def operator(self) -> SPDSolver:
+        if self.op is None:
+            self.op = build_heat_operator(self.mesh, self.mat, self.tau)
+        return self.op
+
+
+def build_heat_operator(mesh: Mesh, mat: MaterialModel,
+                        tau: float) -> SPDSolver:
+    """Solver for the enthalpy system K0-stiffness + lumped mass / tau.
+
+    The conductivity of ``transport_coeffs`` is K0 broadcast, independent
+    of the state, so the matrix is fixed for the whole run.
+    """
+    return SPDSolver(stiffness_with_diag(mesh, mat.K0,
+                                         lumped_mass(mesh) / tau))
 
 
 @dataclass(frozen=True)
 class HeatSolution:
     w: np.ndarray
     iterations: int
-    cg_iterations: int  # inner PCG iterations, summed over the fixed-point loop
+    cg_iterations: int  # inner PCG iterations, summed; 0 if tridiagonal
     update_norm: float
     produced: dict  # integrated right-hand-side terms, by name
 
@@ -127,6 +148,7 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
         raise InvariantViolation("negative boundary heat flux defeats w >= 0")
 
     Ml = lumped_mass(mesh)
+    op = pr.operator()
     m_e = elem_mean(mesh, pr.m)
     chi_e = elem_mean(mesh, pr.chi)
     w_lin = pr.w_prev.copy()
@@ -137,14 +159,12 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
     for it in range(1, pr.picard_max + 1):
         terms = dissipation_rhs(pr, w_lin)
         tc = transport_coeffs(mat, m_e, chi_e, elem_mean(mesh, w_lin))
-        A = stiffness_with_diag(mesh, tc.K, Ml / tau)
         rhs = Ml * pr.w_prev / tau
         for vec in terms.values():
             rhs = rhs + vec
         if np.any(tc.L != 0.0):
             rhs = rhs - grad_stiffness_vector(mesh, tc.L, pr.m)
-        w_new, cg_it = _pcg(A, rhs, w_lin, A.diagonal(), pr.cg_tol,
-                            200 + 10 * Ml.size)
+        w_new, cg_it = op.solve(rhs, w_lin, pr.cg_tol)
         cg_total += cg_it
         update = float(np.sqrt(np.sum(Ml * (w_new - w_lin) ** 2)))
         if update <= pr.picard_tol:

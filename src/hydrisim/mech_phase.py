@@ -6,10 +6,12 @@ previous concentration, the phase-gradient term, inertia and viscosity
 differences, the rate-independent activation cost r|m - m_prev| and the box
 constraint on m, plus the adiabatic couplings sigma_a, s_a frozen at the
 previous phase/enthalpy pair.  The solver alternates an SPD displacement
-solve (Jacobi-preconditioned CG) with an accelerated proximal-gradient pass
-on m whose nonsmooth part is handled exactly by a nodal prox, and stops on
-the joint first-order residual measured in the lumped dual norm.  The
-normal-cone multiplier xi is recovered from the converged m-equation.
+solve (``grid.SPDSolver``: exact when the operator is tridiagonal, as on
+every segment mesh, Jacobi-preconditioned CG otherwise) with an
+accelerated proximal-gradient pass on m whose nonsmooth part is handled
+exactly by a nodal prox, and stops on the joint first-order residual
+measured in the lumped dual norm.  The normal-cone multiplier xi is
+recovered from the converged m-equation.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .constitutive import (
 from .errors import ConfigError, InvariantViolation, StepFailure
 from .grid import (
     Mesh,
+    SPDSolver,
     coupling_force_matrix,
     elastic_stiffness,
     elem_mean,
@@ -95,7 +98,7 @@ class MechOperators:
     B: sp.csr_matrix
     W: sp.csr_matrix
     A_u: sp.csr_matrix
-    jacobi: np.ndarray
+    u_solver: SPDSolver
     lipschitz: float
 
 
@@ -109,7 +112,6 @@ def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators
     B = coupling_force_matrix(mesh, sig_unit)
     W = mean_coupling_matrix(mesh, mat.eps_tr_C_eps_tr)
     A_u = (sp.diags(mat.rho / tau ** 2 * Mvec) + A_visc / tau + A_el).tocsr()
-    jacobi = A_u.diagonal()
     # Gershgorin bound for the phase-block Hessian; the pointwise curvature
     # is taken over the extrapolation range [-1, 2] the accelerated steps
     # can visit, where the quartic well contributes at most 26*d0.
@@ -118,7 +120,7 @@ def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators
          + sp.diags(Mlump * (mat.alpha / tau + curv_max))).tocsr()
     lipschitz = float(np.abs(H).sum(axis=1).max())
     return MechOperators(tau, Mlump, Mvec, Kscal, A_el, A_visc, B, W,
-                         A_u, jacobi, lipschitz)
+                         A_u, SPDSolver(A_u), lipschitz)
 
 
 def _transformation_stress(mat: MaterialModel) -> np.ndarray:
@@ -171,35 +173,6 @@ class MechPhaseSolution:
     prox_iterations: int
     cg_iterations: int
     objective: float
-
-
-def _pcg(A, b, x0, diag, rel_tol, max_iter):
-    """Jacobi-preconditioned conjugate gradients, deterministic."""
-    x = x0.copy()
-    r = b - A @ x
-    bnorm = np.sqrt(b @ b)
-    stop = rel_tol * (bnorm if bnorm > 0.0 else 1.0)
-    z = r / diag
-    p = z.copy()
-    rz = r @ z
-    for it in range(max_iter):
-        if np.sqrt(r @ r) <= stop:
-            return x, it
-        Ap = A @ p
-        pAp = p @ Ap
-        if pAp <= 0.0:
-            break
-        a = rz / pAp
-        x += a * p
-        r -= a * Ap
-        z = r / diag
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if np.sqrt(r @ r) > stop:
-        raise StepFailure(
-            f"CG stalled at residual {np.sqrt(r @ r):.3e} (target {stop:.3e})")
-    return x, max_iter
 
 
 def _adiabatic_data(pr: MechPhaseProblem):
@@ -325,11 +298,10 @@ def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
     ops = pr.operators()
     sa_force, sa_node = _adiabatic_data(pr)
     b_base = _u_rhs_base(pr, ops, sa_force)
-    cg_max = 200 + 10 * ops.Mvec.size
 
     # stopping is relative to the forcing magnitude: the inertial part of
     # b_base scales like rho/tau^2, so an absolute test would demand more
-    # accuracy than the inner CG can deliver in double precision
+    # accuracy than the inner solve can deliver in double precision
     scale = 1.0 + float(np.sqrt(np.sum(b_base ** 2 / ops.Mvec)))
     tol_eff = pr.opt_tol * scale
 
@@ -340,7 +312,7 @@ def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
     residual = np.inf
     for outer in range(1, pr.opt_max + 1):
         b_u = b_base + ops.B @ m
-        u, cg_it = _pcg(ops.A_u, b_u, u, ops.jacobi, pr.cg_tol, cg_max)
+        u, cg_it = ops.u_solver.solve(b_u, u, pr.cg_tol)
         cg_total += cg_it
         m, g, fista_it = _solve_m_block(pr, ops, u, m, sa_node,
                                         0.5 * tol_eff, pr.fista_max)

@@ -249,9 +249,22 @@ def test_outputs_written_and_deterministic(tmp_path):
     assert all(isinstance(v, int) and v >= 0 for v in iters.values())
     assert iters["picard_chi"] >= manifest["n_steps"]
     assert iters["picard_w"] >= manifest["n_steps"]
-    assert iters["cg_w"] > 0
+    # both 1D operators are tridiagonal and solved directly, without PCG
+    assert iters["cg"] == iters["cg_w"] == 0
     assert iters == json.loads(
         (tmp_path / "b" / "run_manifest.json").read_text())["iterations"]
+
+
+def test_pcg_counts_reach_manifest_in_2d(tmp_path):
+    cfg = RunConfig(dim=2, lengths=(1.0, 1.0), resolution=(5, 5),
+                    T=0.002, tau=1e-3, h_s={"left": 0.5},
+                    outdir=str(tmp_path))
+    traj = run(cfg)
+    iters = json.loads((tmp_path / "run_manifest.json").read_text())[
+        "iterations"]
+    assert iters == traj.meta["iterations"]
+    assert iters["cg"] > 0
+    assert iters["cg_w"] > 0
 
 
 def _awkward_state(mesh, seed):

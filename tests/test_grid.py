@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from hydrisim.grid import (
+    SPDSolver,
     boundary_functional,
     build_mesh,
     coupling_force_matrix,
@@ -186,6 +188,24 @@ def test_stiffness_with_diag_matches_two_pass(square3, line3):
         ref = (sp.diags(d) + stiffness(mesh, c)).toarray()
         got = stiffness_with_diag(mesh, c, d).toarray()
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dim, res, direct", [(1, (40,), True),
+                                              (2, (6, 6), False)])
+def test_spd_solver_path_and_accuracy(dim, res, direct):
+    mesh = build_mesh(dim, (1.0,) * dim, res)
+    rng = np.random.default_rng(3)
+    A = stiffness_with_diag(mesh, rng.uniform(0.5, 2.0, mesh.n_elems),
+                            lumped_mass(mesh) / 1e-3)
+    b = rng.normal(size=mesh.n_nodes)
+    solver = SPDSolver(A)
+    x, iters = solver.solve(b, np.zeros_like(b), 1e-12)
+    assert solver.direct is direct
+    assert iters == 0 if direct else iters > 0
+    ref = spla.spsolve(A.tocsc(), b)
+    for y in (x, ref):
+        assert np.linalg.norm(A @ y - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("comps", [(), (2,)])
