@@ -311,8 +311,11 @@ def parse_config(path: str) -> RunConfig:
     if "dir" in out:
         out_kw["outdir"] = out["dir"].strip()
     if "every_n" in out:
-        out_kw["every_n"] = int(_parse_float(out["every_n"],
-                                             "[output] every_n"))
+        every_n = _parse_float(out["every_n"], "[output] every_n")
+        if every_n < 0 or not every_n.is_integer():
+            raise ConfigError("[output] every_n must be a whole number >= 0, "
+                              "got %r" % out["every_n"])
+        out_kw["every_n"] = int(every_n)
     if "vtk" in out:
         raw = out["vtk"].strip().lower()
         if raw not in ("0", "1", "true", "false", "yes", "no"):

@@ -250,6 +250,18 @@ def _snapshot_path(outdir: str, k: int, ext: str) -> str:
     return os.path.join(outdir, "fields_%06d.%s" % (k, ext))
 
 
+# rows formatted per write: bounds the transient float lists and text
+_BLOCK_ROWS = 256
+
+
+def _write_rows(fh, table: np.ndarray, line: str):
+    """Write each row of ``table`` (2D, or 1D for one column) as
+    ``line % tuple(row)``, a block of rows per ``fh.write``."""
+    for start in range(0, table.shape[0], _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS]
+        fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def _write_snapshot(mesh: Mesh, mat: MaterialModel, st: State, path: str):
     d = mesh.dim
     cols = ["node"] + ["x", "y"][:d] + ["u%s" % ax for ax in "xy"[:d]]
@@ -259,8 +271,8 @@ def _write_snapshot(mesh: Mesh, mat: MaterialModel, st: State, path: str):
                              st.theta(mat)])
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (table.shape[1] - 1),
-                   delimiter=",")
+        _write_rows(fh, table, ",".join(["%d"] + ["%.17g"] * (len(cols) - 1))
+                    + "\n")
 
 
 def _write_vtk(mesh: Mesh, mat: MaterialModel, st: State, path: str):
@@ -272,19 +284,20 @@ def _write_vtk(mesh: Mesh, mat: MaterialModel, st: State, path: str):
         fh.write("# vtk DataFile Version 3.0\nhydrisim fields\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write("POINTS %d double\n" % n)
-        np.savetxt(fh, np.hstack([mesh.coords, pad]), fmt="%.17g")
+        _write_rows(fh, np.hstack([mesh.coords, pad]), "%.17g %.17g %.17g\n")
         fh.write("CELLS %d %d\n" % (ne, ne * (nv + 1)))
-        np.savetxt(fh, np.column_stack([np.full(ne, nv), mesh.elems]),
-                   fmt="%d")
+        _write_rows(fh, np.column_stack([np.full(ne, nv), mesh.elems]),
+                    " ".join(["%d"] * (nv + 1)) + "\n")
         fh.write("CELL_TYPES %d\n" % ne)
-        np.savetxt(fh, np.full(ne, 3 if d == 1 else 5), fmt="%d")
+        _write_rows(fh, np.full(ne, 3 if d == 1 else 5), "%d\n")
         fh.write("POINT_DATA %d\n" % n)
         fh.write("VECTORS u double\n")
-        np.savetxt(fh, np.hstack([st.u.reshape(-1, d), pad]), fmt="%.17g")
+        _write_rows(fh, np.hstack([st.u.reshape(-1, d), pad]),
+                    "%.17g %.17g %.17g\n")
         for name, vals in (("m", st.m), ("chi", st.chi), ("mu", st.mu),
                            ("w", st.w), ("theta", st.theta(mat))):
             fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
-            np.savetxt(fh, vals, fmt="%.17g")
+            _write_rows(fh, vals, "%.17g\n")
 
 
 def _manifest(cfg: RunConfig, mat: MaterialModel, mesh: Mesh, n: int,
@@ -342,7 +355,11 @@ def run(config: RunConfig) -> Trajectory:
 
     outdir = cfg.outdir
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("output directory %r cannot be created: %s"
+                              % (outdir, exc.strerror)) from None
 
     def maybe_snapshot(st):
         if not outdir:

@@ -199,19 +199,30 @@ def test_selftest_passes(monkeypatch, capsys):
     assert "suite" in text and "passed" in text
 
 
-@pytest.mark.parametrize("command, text, match", [
-    ("simulate", None, "cannot read"),
+@pytest.mark.parametrize("command, text, out, match", [
+    ("simulate", None, None, "cannot read"),
     # invalid [solver] settings stop at parse time, so validate sees them
-    ("validate", "[solver]\npicard_max = 0\n", "picard_max"),
-    ("validate", "[solver]\nopt_max = 0\n", "opt_max"),
-    ("validate", "[solver]\npicard_tol = -1e-10\n", "picard_tol"),
-    ("validate", "[solver]\ncg_tol = 0\n", "cg_tol"),
+    ("validate", "[solver]\npicard_max = 0\n", None, "picard_max"),
+    ("validate", "[solver]\nopt_max = 0\n", None, "opt_max"),
+    ("validate", "[solver]\npicard_tol = -1e-10\n", None, "picard_tol"),
+    ("validate", "[solver]\ncg_tol = 0\n", None, "cg_tol"),
+    # neither a regular file nor a path under one is a usable output dir
+    ("simulate", SMALL, "taken", "taken"),
+    ("simulate", SMALL, "taken/sub", "taken/sub"),
+    ("validate", "[output]\nevery_n = 2.5\n", None, "every_n"),
+    ("validate", "[output]\nevery_n = 0.5\n", None, "every_n"),
+    ("validate", "[output]\nevery_n = -3\n", None, "every_n"),
 ], ids=["missing-file", "picard_max-0", "opt_max-0", "picard_tol-negative",
-        "cg_tol-zero"])
+        "cg_tol-zero", "out-is-file", "out-under-file", "every_n-2.5",
+        "every_n-0.5", "every_n-negative"])
 def test_main_maps_config_errors_to_exit_2(tmp_path, monkeypatch, capsys,
-                                           command, text, match):
+                                           command, text, out, match):
     path = "/no/such/file.ini" if text is None else write_cfg(tmp_path, text)
-    assert run_main(monkeypatch, command, path) == 2
+    argv = [command, path]
+    if out is not None:
+        (tmp_path / "taken").write_text("")
+        argv += ["--out", str(tmp_path / out)]
+    assert run_main(monkeypatch, *argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err
     assert match in err

@@ -314,8 +314,11 @@ def _reference_vtk(mesh, mat, st):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("dim, resolution", [(1, (3,)), (2, (3, 3))],
-                         ids=["line-3", "square-3x3"])
+# 24x24: 576 nodes and 1058 elements, each several writer blocks with a
+# partial last one
+@pytest.mark.parametrize("dim, resolution",
+                         [(1, (3,)), (2, (3, 3)), (2, (24, 24))],
+                         ids=["line-3", "square-3x3", "square-24x24"])
 def test_snapshot_formats_pinned(tmp_path, dim, resolution):
     mesh = build_mesh(dim, (1.0,) * dim, resolution)
     mat = desk_default_material(dim)
