@@ -123,9 +123,18 @@ def _parse_float(raw: str, context: str) -> float:
     return val
 
 
-def _parse_pair(raw: str, context: str):
+def _parse_whole(raw: str, context: str) -> int:
+    """A whole number >= 0; ``2.5`` or ``-3`` is an error, not truncated."""
+    val = _parse_float(raw, context)
+    if val < 0 or not val.is_integer():
+        raise ConfigError("%s must be a whole number >= 0, got %r"
+                          % (context, raw.strip()))
+    return int(val)
+
+
+def _parse_pair(raw: str, context: str, conv=_parse_float):
     parts = [p for p in re.split(r"[,\s]+", raw.strip()) if p]
-    vals = tuple(_parse_float(p, context) for p in parts)
+    vals = tuple(conv(p, context) for p in parts)
     if len(vals) not in (1, 2):
         raise ConfigError("%s: expected one or two numbers" % context)
     return vals
@@ -230,7 +239,7 @@ def parse_config(path: str) -> RunConfig:
         return parser[name] if parser.has_section(name) else {}
 
     dom = sec("domain")
-    dim = int(_parse_float(dom["dim"], "[domain] dim")) if "dim" in dom else 1
+    dim = _parse_whole(dom["dim"], "[domain] dim") if "dim" in dom else 1
     if dim not in (1, 2):
         raise ConfigError("[domain] dim must be 1 or 2")
     if "lengths" in dom:
@@ -238,9 +247,8 @@ def parse_config(path: str) -> RunConfig:
     else:
         lengths = (1.0,) * dim
     if "resolution" in dom:
-        resolution = tuple(int(v) for v in
-                           _parse_pair(dom["resolution"],
-                                       "[domain] resolution"))
+        resolution = _parse_pair(dom["resolution"], "[domain] resolution",
+                                 _parse_whole)
     else:
         resolution = (50,) * dim
     if len(lengths) != dim or len(resolution) != dim:
@@ -300,22 +308,18 @@ def parse_config(path: str) -> RunConfig:
 
     sol = sec("solver")
     sol_kw = {}
-    for key, conv in (("cg_tol", float), ("picard_tol", float),
-                      ("picard_max", int), ("opt_tol", float),
-                      ("opt_max", int)):
+    for key, conv in (("cg_tol", _parse_float), ("picard_tol", _parse_float),
+                      ("picard_max", _parse_whole), ("opt_tol", _parse_float),
+                      ("opt_max", _parse_whole)):
         if key in sol:
-            sol_kw[key] = conv(_parse_float(sol[key], "[solver] %s" % key))
+            sol_kw[key] = conv(sol[key], "[solver] %s" % key)
 
     out = sec("output")
     out_kw = {}
     if "dir" in out:
         out_kw["outdir"] = out["dir"].strip()
     if "every_n" in out:
-        every_n = _parse_float(out["every_n"], "[output] every_n")
-        if every_n < 0 or not every_n.is_integer():
-            raise ConfigError("[output] every_n must be a whole number >= 0, "
-                              "got %r" % out["every_n"])
-        out_kw["every_n"] = int(every_n)
+        out_kw["every_n"] = _parse_whole(out["every_n"], "[output] every_n")
     if "vtk" in out:
         raw = out["vtk"].strip().lower()
         if raw not in ("0", "1", "true", "false", "yes", "no"):

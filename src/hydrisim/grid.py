@@ -8,6 +8,18 @@ right triangles along the same diagonal; together with 1D segments this
 keeps every scalar stiffness matrix an M-matrix, which the discrete
 maximum principles for concentration and enthalpy rely on.  The solver
 for the run-constant SPD operators of the step solvers lives here too.
+
+Two sparse linear maps, cached on ``Mesh``, carry every element kernel:
+``grad_op`` takes nodal values to element gradients and ``mean_op``
+takes them to element midpoint values.  Gradients, strains, midpoint
+values and their adjoints (nodal loads) are products with these maps or
+their transposes, and the run-constant matrices are triple products
+``left.T @ kron(diag(vol), local) @ right``.  The scalar stiffness is the
+exception: the concentration step reassembles it with a new element
+coefficient on every Picard iteration, and one ``bincount`` onto its
+cached CSR pattern is 15-25 times cheaper than a triple product (on a
+2-core Xeon, 0.04 against 1.0 ms on a 400-node line and 0.13 against
+1.9 ms on a 40x40 square).
 """
 
 from __future__ import annotations
@@ -31,7 +43,6 @@ __all__ = [
     "strain",
     "strain_adjoint",
     "elem_mean",
-    "elem_mean_matrix",
     "grad_field",
     "elastic_stiffness",
     "coupling_force_matrix",
@@ -69,7 +80,6 @@ class Mesh:
     facet_side: np.ndarray
     sides: tuple[str, ...]
     lengths: tuple[float, ...]
-    quadrature: str = "one-point-midpoint"
 
     @property
     def n_nodes(self) -> int:
@@ -84,24 +94,48 @@ class Mesh:
         return lump_elements(self, 1.0)
 
     @cached_property
-    def _stiff_pattern(self):
-        """Per-entry rows, cols and unit-coefficient values of the scalar
-        stiffness, plus the element id of each entry, cached for fast
-        reassembly with varying element coefficients."""
+    def grad_op(self) -> sp.csr_matrix:
+        """Sparse (ne*dim, n) map from nodal values to element gradients:
+        row e*dim + d gives the d-th partial derivative on element e."""
+        ne, nv, dim = self.n_elems, self.dim + 1, self.dim
+        indptr = np.arange(0, ne * dim * nv + 1, nv)
+        indices = np.repeat(self.elems, dim, axis=0).ravel()
+        data = np.swapaxes(self.grads, 1, 2).ravel()
+        return sp.csr_matrix((data, indices, indptr),
+                             shape=(ne * dim, self.n_nodes))
+
+    @cached_property
+    def mean_op(self) -> sp.csr_matrix:
+        """Sparse (ne, n) map from nodal values to element midpoint values,
+        the mean of the element's vertex values."""
         nv = self.dim + 1
-        local = np.einsum("ead,ebd->eab", self.grads, self.grads) \
-            * self.volumes[:, None, None]
-        rows = np.repeat(self.elems, nv, axis=1).reshape(self.n_elems, nv, nv)
-        cols = np.swapaxes(rows, 1, 2)
-        eids = np.repeat(np.arange(self.n_elems), nv * nv)
-        return rows.ravel(), cols.ravel(), local.ravel(), eids
+        indptr = np.arange(0, self.elems.size + 1, nv)
+        data = np.full(self.elems.size, 1.0 / nv)
+        return sp.csr_matrix((data, self.elems.ravel(), indptr),
+                             shape=(self.n_elems, self.n_nodes))
+
+    # The transposes are cached as well: on a 400-node line, building
+    # ``mean_op.T`` took about 20 us, more than the 8 us product with it.
+    @cached_property
+    def grad_op_t(self) -> sp.csc_matrix:
+        return self.grad_op.T
+
+    @cached_property
+    def mean_op_t(self) -> sp.csc_matrix:
+        return self.mean_op.T
 
     @cached_property
     def _stiff_csr(self):
-        """CSR skeleton of the stiffness sparsity: indptr, indices, a raw
-        entry-to-slot scatter and the diagonal slots.  Reassembly with a
-        new coefficient is then one bincount, no fresh COO build."""
-        rows, cols, _, _ = self._stiff_pattern
+        """CSR skeleton of the scalar stiffness: indptr, indices, the
+        unit-coefficient value of each element entry, an entry-to-slot
+        scatter and the diagonal slots.  Reassembly with a new element
+        coefficient is then one bincount, no fresh COO build."""
+        nv = self.dim + 1
+        unit = np.einsum("ead,ebd->eab", self.grads, self.grads) \
+            * self.volumes[:, None, None]
+        rows = np.repeat(self.elems, nv, axis=1).reshape(self.n_elems, nv, nv)
+        cols = np.swapaxes(rows, 1, 2).ravel()
+        rows = rows.ravel()
         n = self.n_nodes
         key = rows.astype(np.int64) * n + cols
         order = np.argsort(key, kind="stable")
@@ -118,15 +152,7 @@ class Mesh:
         indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
         diag_slots = np.searchsorted(uniq, np.arange(n, dtype=np.int64)
                                      * (n + 1))
-        return indptr, indices, scatter, diag_slots
-
-    @cached_property
-    def facet_midpoints(self) -> np.ndarray:
-        return self.coords[self.facets].mean(axis=1)
-
-    @cached_property
-    def elem_midpoints(self) -> np.ndarray:
-        return self.coords[self.elems].mean(axis=1)
+        return indptr, indices, unit.ravel(), scatter, diag_slots
 
     def side_facets(self, side: str) -> np.ndarray:
         if side not in self.sides:
@@ -231,24 +257,16 @@ def _mesh_2d(lengths, res) -> Mesh:
 def nodal_sum(n: int, index: np.ndarray, values) -> np.ndarray:
     """Sum per-entry values into ``n`` nodes, in input order.
 
-    ``values`` has the shape of ``index`` plus optional trailing component
-    axes, which the result keeps: shape (n,) + components.  Each node
-    accumulates its entries in the order they appear, like ``np.add.at``.
+    ``values`` has the shape of ``index``; each node accumulates its
+    entries in the order they appear, like ``np.add.at``.
     """
-    index = np.asarray(index)
-    vals = np.asarray(values, float)
-    flat = vals.reshape(index.size, -1)
-    out = np.empty((n, flat.shape[1]))
-    for c in range(flat.shape[1]):
-        out[:, c] = np.bincount(index.ravel(), weights=flat[:, c], minlength=n)
-    return out.reshape((n,) + vals.shape[index.ndim:])
+    return np.bincount(np.asarray(index).ravel(),
+                       weights=np.asarray(values, float).ravel(), minlength=n)
 
 
 def lump_elements(mesh: Mesh, values) -> np.ndarray:
     """Spread element densities to nodes: each vertex gets vol*value/nv."""
-    share = values * mesh.volumes / (mesh.dim + 1)
-    return nodal_sum(mesh.n_nodes, mesh.elems,
-                     np.broadcast_to(share[:, None], mesh.elems.shape))
+    return mesh.mean_op_t @ (values * mesh.volumes)
 
 
 def lumped_mass(mesh: Mesh) -> np.ndarray:
@@ -262,21 +280,20 @@ def vector_lumped_mass(mesh: Mesh) -> np.ndarray:
 
 
 def _stiff_data(mesh: Mesh, coeff) -> np.ndarray:
-    _, _, unit, eids = mesh._stiff_pattern
-    indptr, indices, scatter, _ = mesh._stiff_csr
+    _, indices, unit, scatter, _ = mesh._stiff_csr
     coeff = np.asarray(coeff, float)
     if coeff.ndim == 0:
         vals = unit * float(coeff)
     else:
         if coeff.shape != (mesh.n_elems,):
             raise ConfigError("coefficient must be scalar or one value per element")
-        vals = unit * coeff[eids]
+        vals = unit * np.repeat(coeff, (mesh.dim + 1) ** 2)
     return np.bincount(scatter, weights=vals, minlength=indices.size)
 
 
 def stiffness(mesh: Mesh, coeff=1.0) -> sp.csr_matrix:
     """Scalar stiffness with a per-element (or constant) coefficient."""
-    indptr, indices, _, _ = mesh._stiff_csr
+    indptr, indices, _, _, _ = mesh._stiff_csr
     data = _stiff_data(mesh, coeff)
     return sp.csr_matrix((data, indices, indptr),
                          shape=(mesh.n_nodes, mesh.n_nodes))
@@ -289,7 +306,7 @@ def stiffness_with_diag(mesh: Mesh, coeff, diag: np.ndarray) -> sp.csr_matrix:
     building and merging two sparse matrices; the concentration solver
     calls this once per Picard iteration.
     """
-    indptr, indices, _, diag_slots = mesh._stiff_csr
+    indptr, indices, _, _, diag_slots = mesh._stiff_csr
     data = _stiff_data(mesh, coeff)
     data[diag_slots] += diag
     return sp.csr_matrix((data, indices, indptr),
@@ -302,30 +319,20 @@ def grad_stiffness_vector(mesh: Mesh, coeff, nodal: np.ndarray) -> np.ndarray:
     This is the action of a stiffness with coefficient ``coeff`` without
     building the matrix; used for the cross-gradient fluxes.
     """
-    g = grad_field(mesh, nodal)
-    flux = np.asarray(coeff, float)[:, None] * g * mesh.volumes[:, None]
-    contrib = np.einsum("ed,ead->ea", flux, mesh.grads)
-    return nodal_sum(mesh.n_nodes, mesh.elems, contrib)
+    flux = np.asarray(coeff, float)[:, None] * grad_field(mesh, nodal) \
+        * mesh.volumes[:, None]
+    return mesh.grad_op_t @ flux.ravel()
 
 
 def grad_field(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
     """Constant P1 gradient per element, shape (ne, dim)."""
-    vals = np.asarray(nodal, float)[mesh.elems]
-    return np.einsum("ea,ead->ed", vals, mesh.grads)
+    g = mesh.grad_op @ np.asarray(nodal, float)
+    return g.reshape(mesh.n_elems, mesh.dim)
 
 
 def elem_mean(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
     """Midpoint value of a P1 field, the mean of its vertex values."""
-    return np.asarray(nodal, float)[mesh.elems].mean(axis=1)
-
-
-def elem_mean_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """Sparse (ne, n) map from nodal values to element midpoint values."""
-    nv = mesh.dim + 1
-    rows = np.repeat(np.arange(mesh.n_elems), nv)
-    cols = mesh.elems.ravel()
-    data = np.full(rows.shape, 1.0 / nv)
-    return sp.csr_matrix((data, (rows, cols)), shape=(mesh.n_elems, mesh.n_nodes))
+    return mesh.mean_op @ np.asarray(nodal, float)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +345,7 @@ def strain(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     ``u`` may be (n, dim) or flat (n*dim,); exact for affine fields.
     """
     u = np.asarray(u, float).reshape(mesh.n_nodes, mesh.dim)
-    vals = u[mesh.elems]                     # (ne, nv, dim)
-    g = np.einsum("eac,ead->ecd", vals, mesh.grads)
+    g = (mesh.grad_op @ u).reshape(mesh.n_elems, mesh.dim, mesh.dim)
     return 0.5 * (g + np.swapaxes(g, -2, -1))
 
 
@@ -349,39 +355,37 @@ def strain_adjoint(mesh: Mesh, sig: np.ndarray) -> np.ndarray:
     Pairs with ``strain``: f . v == sum_e vol_e sig_e : strain(v)_e for
     every nodal vector v (sig must be symmetric).  Returns (n*dim,).
     """
-    sig = np.asarray(sig, float)
-    weighted = sig * mesh.volumes[:, None, None]
-    contrib = np.einsum("ecd,ead->eac", weighted, mesh.grads)
-    return nodal_sum(mesh.n_nodes, mesh.elems, contrib).ravel()
+    weighted = np.asarray(sig, float) * mesh.volumes[:, None, None]
+    # row (e, d) of grad_op meets column d of each stress row
+    flux = np.swapaxes(weighted, 1, 2).reshape(-1, mesh.dim)
+    return (mesh.grad_op_t @ flux).ravel()
 
 
-def _iso_local_stiffness(mesh: Mesh, pair) -> np.ndarray:
-    """Dense local stiffness blocks for an isotropic modulus pair."""
-    lam, mu = pair
-    g = mesh.grads                                # (ne, nv, dim)
-    vol = mesh.volumes
-    dot = np.einsum("ead,ebd->eab", g, g)         # grad_i . grad_j
-    ne, nv, dim = g.shape
-    loc = np.zeros((ne, nv, dim, nv, dim))
-    eye = np.eye(dim)
-    loc += lam * np.einsum("eac,ebd->eacbd", g, g)
-    loc += mu * np.einsum("eab,cd->eacbd", dot, eye)
-    loc += mu * np.einsum("ead,ebc->eacbd", g, g)
-    return loc * vol[:, None, None, None, None]
+def _element_form(mesh: Mesh, left, local, right) -> sp.csr_matrix:
+    """Matrix of the one-point-quadrature bilinear form
+    sum_e vol_e (left v)_e . local (right u)_e, where ``left`` and
+    ``right`` map nodal vectors to per-element operand blocks."""
+    W = sp.kron(sp.diags(mesh.volumes), np.atleast_2d(local), format="csr")
+    return (left.T @ W @ right).tocsr()
+
+
+def _vector_grad_op(mesh: Mesh) -> sp.csr_matrix:
+    """kron(grad_op, I_dim): flat (n*dim,) displacement to gradient
+    entries, row (e*dim + d)*dim + c holding d u_c / d x_d."""
+    return sp.kron(mesh.grad_op, sp.identity(mesh.dim), format="csr")
 
 
 def elastic_stiffness(mesh: Mesh, pair) -> sp.csr_matrix:
     """Vector stiffness of an isotropic 4th-order modulus (Lame pair)."""
-    loc = _iso_local_stiffness(mesh, pair)
-    ne, nv, dim = mesh.n_elems, mesh.dim + 1, mesh.dim
-    dofs = (mesh.elems[:, :, None] * dim + np.arange(dim)).reshape(ne, nv * dim)
-    rows = np.repeat(dofs[:, :, None], nv * dim, axis=2)
-    cols = np.repeat(dofs[:, None, :], nv * dim, axis=1)
-    data = loc.reshape(ne, nv * dim, nv * dim)
-    mat = sp.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
-                        shape=(mesh.n_nodes * dim,) * 2)
-    mat.sum_duplicates()
-    return mat
+    lam, mu = pair
+    eye = np.eye(mesh.dim)
+    # local[(d, c), (p, q)] pairs du_c/dx_d with dv_q/dx_p:
+    # lam div u div v + mu (grad u : grad v + grad u : grad v^T)
+    local = (lam * np.einsum("dc,pq->dcpq", eye, eye)
+             + mu * np.einsum("dp,cq->dcpq", eye, eye)
+             + mu * np.einsum("dq,cp->dcpq", eye, eye))
+    G = _vector_grad_op(mesh)
+    return _element_form(mesh, G, local.reshape((mesh.dim ** 2,) * 2), G)
 
 
 def coupling_force_matrix(mesh: Mesh, sig_unit: np.ndarray) -> sp.csr_matrix:
@@ -390,26 +394,13 @@ def coupling_force_matrix(mesh: Mesh, sig_unit: np.ndarray) -> sp.csr_matrix:
     ``sig_unit`` is the constant stress per unit phase fraction, for the
     transformation coupling C eps_tr.
     """
-    ne, nv, dim = mesh.n_elems, mesh.dim + 1, mesh.dim
-    contrib = np.einsum("cd,ead->eac", np.asarray(sig_unit, float), mesh.grads) \
-        * mesh.volumes[:, None, None] / nv       # (ne, nv, dim) per unit mean
-    rows = mesh.elems[:, :, None] * dim + np.arange(dim)      # (ne, nv, dim)
-    rows = np.broadcast_to(rows[:, :, :, None], (ne, nv, dim, nv))
-    cols = np.broadcast_to(mesh.elems[:, None, None, :], (ne, nv, dim, nv))
-    data = np.broadcast_to(contrib[:, :, :, None], (ne, nv, dim, nv))
-    mat = sp.csr_matrix(
-        (data.ravel(), (np.ascontiguousarray(rows).ravel(),
-                        np.ascontiguousarray(cols).ravel())),
-        shape=(mesh.n_nodes * dim, mesh.n_nodes))
-    mat.sum_duplicates()
-    return mat
+    local = np.asarray(sig_unit, float).T.reshape(-1, 1)
+    return _element_form(mesh, _vector_grad_op(mesh), local, mesh.mean_op)
 
 
 def mean_coupling_matrix(mesh: Mesh, scale: float) -> sp.csr_matrix:
     """Sparse n x n matrix of sum_e vol_e scale mean(m)_e mean(v)_e."""
-    E = elem_mean_matrix(mesh)
-    W = sp.diags(mesh.volumes * scale)
-    return (E.T @ W @ E).tocsr()
+    return _element_form(mesh, mesh.mean_op, scale, mesh.mean_op)
 
 
 # ---------------------------------------------------------------------------

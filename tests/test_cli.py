@@ -212,9 +212,15 @@ def test_selftest_passes(monkeypatch, capsys):
     ("validate", "[output]\nevery_n = 2.5\n", None, "every_n"),
     ("validate", "[output]\nevery_n = 0.5\n", None, "every_n"),
     ("validate", "[output]\nevery_n = -3\n", None, "every_n"),
+    # whole-number keys are rejected, not truncated
+    ("validate", "[domain]\ndim = 1.7\n", None, "dim"),
+    ("validate", "[domain]\nresolution = 12.9\n", None, "resolution"),
+    ("validate", "[solver]\npicard_max = 2.5\n", None, "picard_max"),
+    ("validate", "[solver]\nopt_max = 3.9\n", None, "opt_max"),
 ], ids=["missing-file", "picard_max-0", "opt_max-0", "picard_tol-negative",
         "cg_tol-zero", "out-is-file", "out-under-file", "every_n-2.5",
-        "every_n-0.5", "every_n-negative"])
+        "every_n-0.5", "every_n-negative", "dim-1.7", "resolution-12.9",
+        "picard_max-2.5", "opt_max-3.9"])
 def test_main_maps_config_errors_to_exit_2(tmp_path, monkeypatch, capsys,
                                            command, text, out, match):
     path = "/no/such/file.ini" if text is None else write_cfg(tmp_path, text)
