@@ -6,8 +6,12 @@ here matches the ones the step solvers and the energy audit evaluate.
 The 2D mesh splits each cell of a structured rectangle grid into two
 right triangles along the same diagonal; together with 1D segments this
 keeps every scalar stiffness matrix an M-matrix, which the discrete
-maximum principles for concentration and enthalpy rely on.  The solver
-for the run-constant SPD operators of the step solvers lives here too.
+maximum principles for concentration and enthalpy rely on.  The direct
+solves live here too: in natural node order every scalar P1 matrix is
+banded (half bandwidth 1 on a segment, ny + 1 on an nx x ny grid), so
+``solve_stiffness_banded`` solves one exactly by LAPACK banded Cholesky,
+and ``SPDSolver`` keeps a banded Cholesky factor of a tridiagonal
+run-constant operator for the whole run.
 
 Two sparse linear maps, cached on ``Mesh``, carry every element kernel:
 ``grad_op`` takes nodal values to element gradients and ``mean_op``
@@ -29,7 +33,12 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import (
+    LinAlgError,
+    cho_solve_banded,
+    cholesky_banded,
+    solveh_banded,
+)
 
 from .errors import ConfigError, StepFailure
 
@@ -48,6 +57,7 @@ __all__ = [
     "coupling_force_matrix",
     "mean_coupling_matrix",
     "boundary_functional",
+    "solve_stiffness_banded",
     "SPDSolver",
 ]
 
@@ -153,6 +163,28 @@ class Mesh:
         diag_slots = np.searchsorted(uniq, np.arange(n, dtype=np.int64)
                                      * (n + 1))
         return indptr, indices, unit.ravel(), scatter, diag_slots
+
+    @cached_property
+    def _stiff_band(self):
+        """LAPACK upper band layout of the scalar stiffness pattern: the
+        half bandwidth kd, the CSR slots on or above the diagonal and
+        their flat positions in a column-major (kd+1, n) band, row
+        kd - (j - i) and column j for entry (i, j).  Column-major is
+        LAPACK's own layout, so the band reaches it without a copy."""
+        indptr, indices, _, _, _ = self._stiff_csr
+        n = self.n_nodes
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        upper = np.flatnonzero(indices >= rows)
+        cols = indices[upper].astype(np.int64)
+        offset = cols - rows[upper]
+        kd = int(offset.max())
+        return kd, upper, cols * (kd + 1) + kd - offset
+
+    @property
+    def half_bandwidth(self) -> int:
+        """Half bandwidth of every scalar P1 matrix in natural node order:
+        1 on a segment, ny + 1 on an nx x ny grid."""
+        return self._stiff_band[0]
 
     def side_facets(self, side: str) -> np.ndarray:
         if side not in self.sides:
@@ -365,13 +397,20 @@ def _element_form(mesh: Mesh, left, local, right) -> sp.csr_matrix:
     """Matrix of the one-point-quadrature bilinear form
     sum_e vol_e (left v)_e . local (right u)_e, where ``left`` and
     ``right`` map nodal vectors to per-element operand blocks."""
-    W = sp.kron(sp.diags(mesh.volumes), np.atleast_2d(local), format="csr")
+    local = np.atleast_2d(local)
+    if local.shape == (1, 1):
+        # the same products as the kron below, without its set-up cost
+        W = sp.diags(mesh.volumes * local[0, 0], format="csr")
+    else:
+        W = sp.kron(sp.diags(mesh.volumes), local, format="csr")
     return (left.T @ W @ right).tocsr()
 
 
 def _vector_grad_op(mesh: Mesh) -> sp.csr_matrix:
     """kron(grad_op, I_dim): flat (n*dim,) displacement to gradient
     entries, row (e*dim + d)*dim + c holding d u_c / d x_d."""
+    if mesh.dim == 1:
+        return mesh.grad_op
     return sp.kron(mesh.grad_op, sp.identity(mesh.dim), format="csr")
 
 
@@ -431,35 +470,71 @@ def boundary_functional(mesh: Mesh, g, side: str | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# solves with run-constant operators
+# direct and iterative solves
+
+
+def _banded(stage: str, routine, *args, **kwargs) -> np.ndarray:
+    """Call a LAPACK banded Cholesky routine of ``scipy.linalg``.  A matrix
+    that is not positive definite, or a non-finite result (LAPACK passes
+    NaN through without complaint), is a ``StepFailure`` naming ``stage``."""
+    try:
+        out = routine(*args, check_finite=False, **kwargs)
+    except LinAlgError as exc:
+        raise StepFailure(f"{stage}: banded Cholesky failed: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise StepFailure(f"{stage}: banded Cholesky gave non-finite values")
+    return out
+
+
+def solve_stiffness_banded(mesh: Mesh, A: sp.csr_matrix, b: np.ndarray,
+                           stage: str) -> np.ndarray:
+    """Solve A x = b exactly by banded Cholesky in natural node order.
+
+    ``A`` must be symmetric positive definite and carry the scalar
+    stiffness pattern of ``mesh``, as ``stiffness`` and
+    ``stiffness_with_diag`` return it; only its upper triangle is read.
+    The band holds (half_bandwidth + 1) * n doubles.
+    """
+    kd, upper, pos = mesh._stiff_band
+    ab = np.zeros((kd + 1) * mesh.n_nodes)
+    ab[pos] = A.data[upper]
+    return _banded(stage, solveh_banded,
+                   ab.reshape((kd + 1, -1), order="F"), b, overwrite_ab=True)
 
 
 class SPDSolver:
     """Solves A x = b for one fixed symmetric positive definite matrix.
 
     The path follows the matrix's own structure.  A tridiagonal matrix
-    (every P1 operator on a segment mesh) is solved exactly by sparse LU
-    in natural order, which creates no fill, and ``solve`` reports 0
-    iterations.  Any other matrix goes through Jacobi-preconditioned CG
-    from the given start vector.  No factor is kept between calls: a
-    cached SuperLU factor keeps its workspace resident for the whole run,
-    which costs more memory than re-solving a tridiagonal system costs
-    time.
+    (every P1 operator on a segment mesh) is factored once by banded
+    Cholesky, a factor of 2n doubles, and each ``solve`` is an exact
+    back-substitution that reports 0 iterations.  Any other matrix goes
+    through Jacobi-preconditioned CG from the given start vector and keeps
+    no factor: a sparse factor of the 2D operators would stay resident for
+    the whole run.  A factorization that fails is a ``StepFailure`` naming
+    ``stage``.
     """
 
-    def __init__(self, A: sp.spmatrix):
+    def __init__(self, A: sp.spmatrix, stage: str = "SPD solve"):
         self.A = A.tocsr()
+        self.stage = stage
         n = self.A.shape[0]
         rows = np.repeat(np.arange(n), np.diff(self.A.indptr))
         self.direct = bool(np.all(np.abs(rows - self.A.indices) <= 1))
         self.diag = self.A.diagonal()
         self.max_iter = 200 + 10 * n
+        if self.direct:
+            band = np.zeros((2, n))
+            band[0, 1:] = self.A.diagonal(1)
+            band[1] = self.diag
+            self.factor = _banded(stage, cholesky_banded, band)
 
     def solve(self, b: np.ndarray, x0: np.ndarray, rel_tol: float):
         """Return (x, CG iterations).  ``x0`` and ``rel_tol`` (relative to
         the norm of b) apply only to the CG path."""
         if self.direct:
-            return spla.spsolve(self.A, b, permc_spec="NATURAL"), 0
+            return _banded(self.stage, cho_solve_banded,
+                           (self.factor, False), b), 0
         return _pcg(self.A, b, x0, self.diag, rel_tol, self.max_iter)
 
 

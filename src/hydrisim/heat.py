@@ -7,8 +7,9 @@ denominator that caps each of them at coefficient/tau, and the adiabatic
 terms vanish identically for nonpositive enthalpy; together with the
 lumped M-matrix system this keeps the new enthalpy nonnegative, which is
 asserted.  The system matrix is a run constant, solved by
-``grid.SPDSolver`` (exact when tridiagonal, Jacobi-preconditioned CG
-otherwise).  The adiabatic terms are implicit in w, handled by a plain
+``grid.SPDSolver``: a banded Cholesky factor computed once per run when
+the matrix is tridiagonal (every segment mesh), Jacobi-preconditioned CG
+otherwise.  The adiabatic terms are implicit in w, handled by a plain
 fixed-point loop; the returned breakdown of the right-hand side is the one
 the final linear solve actually saw, so ledger identities built on it hold
 to linear-solver precision rather than picking up the Hoelder-type
@@ -85,7 +86,8 @@ def build_heat_operator(mesh: Mesh, mat: MaterialModel,
     of the state, so the matrix is fixed for the whole run.
     """
     return SPDSolver(stiffness_with_diag(mesh, mat.K0,
-                                         lumped_mass(mesh) / tau))
+                                         lumped_mass(mesh) / tau),
+                     "enthalpy solve")
 
 
 @dataclass(frozen=True)

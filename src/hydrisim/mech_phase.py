@@ -6,12 +6,12 @@ previous concentration, the phase-gradient term, inertia and viscosity
 differences, the rate-independent activation cost r|m - m_prev| and the box
 constraint on m, plus the adiabatic couplings sigma_a, s_a frozen at the
 previous phase/enthalpy pair.  The solver alternates an SPD displacement
-solve (``grid.SPDSolver``: exact when the operator is tridiagonal, as on
-every segment mesh, Jacobi-preconditioned CG otherwise) with an
-accelerated proximal-gradient pass on m whose nonsmooth part is handled
-exactly by a nodal prox, and stops on the joint first-order residual
-measured in the lumped dual norm.  The normal-cone multiplier xi is
-recovered from the converged m-equation.
+solve (``grid.SPDSolver``: a banded Cholesky factor computed once when
+the operator is tridiagonal, as on every segment mesh, and
+Jacobi-preconditioned CG otherwise) with an accelerated proximal-gradient
+pass on m whose nonsmooth part is handled exactly by a nodal prox, and
+stops on the joint first-order residual measured in the lumped dual norm.
+The normal-cone multiplier xi is recovered from the converged m-equation.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators
          + sp.diags(Mlump * (mat.alpha / tau + curv_max))).tocsr()
     lipschitz = float(np.abs(H).sum(axis=1).max())
     return MechOperators(tau, Mlump, Mvec, Kscal, A_el, A_visc, B, W,
-                         A_u, SPDSolver(A_u), lipschitz)
+                         A_u, SPDSolver(A_u, "displacement solve"),
+                         lipschitz)
 
 
 def _transformation_stress(mat: MaterialModel) -> np.ndarray:

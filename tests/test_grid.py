@@ -23,8 +23,9 @@ from hydrisim.grid import (
     strain_adjoint,
     vector_lumped_mass,
 )
+from hydrisim import diffusion
 from hydrisim.constitutive import apply_elastic, desk_default_material
-from hydrisim.errors import ConfigError
+from hydrisim.errors import ConfigError, StepFailure
 
 
 @pytest.fixture
@@ -207,6 +208,61 @@ def test_spd_solver_path_and_accuracy(dim, res, direct):
     for y in (x, ref):
         assert np.linalg.norm(A @ y - b) <= 1e-10 * np.linalg.norm(b)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+# (3, 130) has kd = 131 > diffusion._BAND_MAX: the SuperLU fallback
+@pytest.mark.parametrize("dim, res, kd, banded", [
+    (1, (40,), 1, True),
+    (2, (9, 9), 10, True),
+    (2, (12, 5), 6, True),
+    (2, (5, 12), 13, True),
+    (2, (3, 130), 131, False),
+], ids=["line40", "square9", "rect12x5", "rect5x12", "rect3x130"])
+def test_concentration_solve_matches_spsolve(monkeypatch, dim, res, kd,
+                                             banded):
+    mesh = build_mesh(dim, (1.0,) * dim, res)
+    assert mesh.half_bandwidth == kd
+    rng = np.random.default_rng(3)
+    A = stiffness_with_diag(mesh, rng.uniform(0.5, 2.0, mesh.n_elems),
+                            lumped_mass(mesh) / 1e-3)
+    b = rng.normal(size=mesh.n_nodes)
+    banded_solve, calls = diffusion.solve_stiffness_banded, []
+    monkeypatch.setattr(diffusion, "solve_stiffness_banded",
+                        lambda *args: calls.append(1) or banded_solve(*args))
+    x = diffusion._solve(mesh, A, b)
+    assert bool(calls) is banded
+    ref = spla.spsolve(A.tocsc(), b)
+    solutions = [x]
+    if dim == 1:
+        solver = SPDSolver(A)
+        assert solver.direct
+        solutions.append(solver.solve(b, np.zeros_like(b), 1e-12)[0])
+    for y in solutions:
+        assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(A @ y - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def _negative_diagonal(mesh):
+    return stiffness_with_diag(mesh, 1.0, -10.0 * lumped_mass(mesh) / 1e-3)
+
+
+def _nan_coefficient(mesh):
+    coeff = np.ones(mesh.n_elems)
+    coeff[mesh.n_elems // 2] = np.nan
+    return stiffness_with_diag(mesh, coeff, lumped_mass(mesh) / 1e-3)
+
+
+@pytest.mark.parametrize("make", [_negative_diagonal, _nan_coefficient],
+                         ids=["negative-diagonal", "nan-coefficient"])
+def test_failed_banded_cholesky_is_step_failure(make):
+    line = build_mesh(1, (1.0,), 20)
+    with pytest.raises(StepFailure, match="enthalpy solve: banded Cholesky"):
+        SPDSolver(make(line), "enthalpy solve")
+    square = build_mesh(2, (1.0, 1.0), (6, 5))
+    b = np.ones(square.n_nodes)
+    with pytest.raises(StepFailure,
+                       match="concentration solve: banded Cholesky"):
+        diffusion._solve(square, make(square), b)
 
 
 @pytest.mark.parametrize("comps", [()])
