@@ -12,7 +12,6 @@ from .constitutive import (
     stress,
     sigma_a,
     s_a,
-    transport_coeffs,
     validate_material,
 )
 from .errors import (
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MaterialModel", "desk_default_material", "omega_of_theta", "theta_of_w",
     "chemical_potential", "dphi1_dm", "stress", "sigma_a", "s_a",
-    "transport_coeffs", "validate_material",
+    "validate_material",
     "HydrisimError", "ConfigError", "MaterialError", "StepFailure",
     "InvariantViolation",
     "Mesh", "build_mesh", "lumped_mass", "stiffness", "boundary_functional",

@@ -30,7 +30,7 @@ is what lets the heat step keep the enthalpy non-negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +55,6 @@ __all__ = [
     "stress",
     "sigma_a",
     "s_a",
-    "transport_coeffs",
     "apply_elastic",
     "apply_viscosity",
     "validate_material",
@@ -150,9 +149,6 @@ class MaterialModel:
 
     def c0_of_m(self, m):
         return self.c0 * (1.0 + self.c0_m_slope * np.asarray(m, float))
-
-    def with_updates(self, **kw) -> "MaterialModel":
-        return replace(self, **kw)
 
 
 def desk_default_material(dim: int = 1, **overrides) -> MaterialModel:
@@ -454,36 +450,6 @@ def s_a(mat: MaterialModel, m, w):
                                 0.0)
             val = val - dc * (log_part - theta)
     return val
-
-
-# ---------------------------------------------------------------------------
-# transport
-
-
-@dataclass(frozen=True)
-class TransportCoeffs:
-    """Scalar transport coefficients at one state (all multiply identity)."""
-
-    K: np.ndarray   # heat conduction, acts on grad w
-    L: np.ndarray   # cross conduction, acts on grad m
-    M: np.ndarray   # hydrogen mobility, acts on grad mu
-    M1: np.ndarray  # M * d2 phi1 / d chi d chi, acts on grad chi
-    M2: np.ndarray  # M * d2 phi1 / d m d chi, acts on grad m
-
-
-def transport_coeffs(mat: MaterialModel, m, chi, w) -> TransportCoeffs:
-    """Evaluate the scalar transport coefficients at a state."""
-    m = np.asarray(m, float)
-    chi = np.asarray(chi, float)
-    w = np.asarray(w, float)
-    shape = np.broadcast(m, chi, w).shape
-    K = np.broadcast_to(np.asarray(mat.K0, float), shape).copy()
-    M = np.broadcast_to(np.asarray(mat.M0, float), shape).copy()
-    L = K * dtheta_dm(mat, m, np.maximum(w, 0.0))
-    M1 = M * d2phi1_dchichi(mat, m, chi)
-    M2 = M * d2phi1_dmchi(mat, m, chi)
-    return TransportCoeffs(K=K, L=np.broadcast_to(L, shape).copy(),
-                           M=M, M1=M1, M2=M2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .constitutive import MaterialModel, chemical_potential, transport_coeffs
+from .constitutive import (
+    MaterialModel,
+    chemical_potential,
+    d2phi1_dchichi,
+    d2phi1_dmchi,
+)
 from .errors import InvariantViolation, StepFailure
 from .grid import (
     Mesh,
@@ -60,10 +65,8 @@ class DiffusionProblem:
     mesh: Mesh
     mat: MaterialModel
     tau: float
-    u: np.ndarray
     m: np.ndarray
     chi_prev: np.ndarray
-    w_prev: np.ndarray
     h_s: np.ndarray | None = None
     picard_tol: float = 1e-10
     picard_max: int = 200
@@ -86,8 +89,6 @@ def assemble_mu(mesh: Mesh, mat: MaterialModel, m: np.ndarray,
     the curvature coefficients at element midpoint values, matching the
     flux assembly of the solver.
     """
-    from .constitutive import d2phi1_dchichi, d2phi1_dmchi
-
     mu = chemical_potential(mat, m, chi)
     m_e = elem_mean(mesh, m)
     chi_e = elem_mean(mesh, chi)
@@ -96,20 +97,22 @@ def assemble_mu(mesh: Mesh, mat: MaterialModel, m: np.ndarray,
     return mu, grad_mu
 
 
-def _element_coeffs(pr: DiffusionProblem, chi_lin: np.ndarray):
-    mesh = pr.mesh
-    tc = transport_coeffs(pr.mat, elem_mean(mesh, pr.m),
-                          elem_mean(mesh, chi_lin), elem_mean(mesh, pr.w_prev))
-    ne = mesh.n_elems
-    M1 = np.broadcast_to(np.asarray(tc.M1, float), (ne,))
-    M2 = np.broadcast_to(np.asarray(tc.M2, float), (ne,))
-    return M1, M2
+def _element_coeffs(mat: MaterialModel, m_e: np.ndarray, chi_e: np.ndarray):
+    """Mobility-weighted curvatures M0 d2phi1/dchi2 (on grad chi) and
+    M0 d2phi1/dm dchi (on grad m) at element midpoint values."""
+    return (mat.M0 * d2phi1_dchichi(mat, m_e, chi_e),
+            mat.M0 * d2phi1_dmchi(mat, m_e, chi_e))
 
 
 def _solve(mesh: Mesh, A, rhs: np.ndarray) -> np.ndarray:
     if mesh.half_bandwidth <= _BAND_MAX:
         return solve_stiffness_banded(mesh, A, rhs, "concentration solve")
-    return spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
+    # SuperLU only warns on a NaN-poisoned matrix and returns NaN
+    x = spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
+    if not np.isfinite(x).all():
+        raise StepFailure(
+            "concentration solve: sparse LU gave non-finite values")
+    return x
 
 
 def solve_chi_step(pr: DiffusionProblem) -> DiffusionSolution:
@@ -121,12 +124,13 @@ def solve_chi_step(pr: DiffusionProblem) -> DiffusionSolution:
     if pr.h_s is not None:
         rhs_fixed = rhs_fixed + pr.h_s
 
+    m_e = elem_mean(mesh, pr.m)
     chi_lin = pr.chi_prev.copy()
     chi_new = chi_lin
     update = np.inf
     last_update = None
     for it in range(1, pr.picard_max + 1):
-        M1, M2 = _element_coeffs(pr, chi_lin)
+        M1, M2 = _element_coeffs(mat, m_e, elem_mean(mesh, chi_lin))
         A = stiffness_with_diag(mesh, M1, Ml / pr.tau)
         rhs = rhs_fixed - grad_stiffness_vector(mesh, M2, pr.m)
         chi_new = _solve(mesh, A, rhs)

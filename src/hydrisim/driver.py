@@ -392,14 +392,14 @@ def run(config: RunConfig) -> Trajectory:
             raise InvariantViolation("step %d: phase left the box" % k)
 
         dpr = DiffusionProblem(
-            mesh=mesh, mat=mat, tau=cfg.tau, u=sol.u, m=sol.m,
-            chi_prev=state.chi, w_prev=state.w, h_s=src["h_s"],
-            picard_tol=cfg.picard_tol, picard_max=cfg.picard_max)
+            mesh=mesh, mat=mat, tau=cfg.tau, m=sol.m, chi_prev=state.chi,
+            h_s=src["h_s"], picard_tol=cfg.picard_tol,
+            picard_max=cfg.picard_max)
         dsol = solve_chi_step(dpr)
 
         hpr = HeatProblem(
             mesh=mesh, mat=mat, tau=cfg.tau, u=sol.u, u_prev=state.u,
-            m=sol.m, m_prev=state.m, chi=dsol.chi, grad_mu=dsol.grad_mu,
+            m=sol.m, m_prev=state.m, grad_mu=dsol.grad_mu,
             w_prev=state.w, q=src["q"], q_s=src["q_s"], cg_tol=cfg.cg_tol,
             picard_tol=cfg.picard_tol, picard_max=cfg.picard_max, op=heat_op)
         hsol = solve_w_step(hpr)

@@ -29,7 +29,6 @@ from .constitutive import (
     phi1,
     s_a,
     sigma_a_tensor,
-    transport_coeffs,
 )
 from .diffusion import assemble_mu
 from .grid import (
@@ -161,9 +160,8 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
     hs_work = tau * float(hs @ cur.mu) if hs is not None else 0.0
     diss_diffusion_dual = hs_work - float(np.sum(Ml * dchi * cur.mu))
     _, gmu = assemble_mu(mesh, mat, cur.m, cur.chi)
-    tc = transport_coeffs(mat, elem_mean(mesh, cur.m),
-                          elem_mean(mesh, cur.chi), elem_mean(mesh, prev.w))
-    diss_diffusion = tau * float(np.einsum("ei,ei,e,e->", gmu, gmu, tc.M, vol))
+    diss_diffusion = tau * float(np.einsum(
+        "ei,ei,e,e->", gmu, gmu, np.full(mesh.n_elems, mat.M0), vol))
 
     m_e = elem_mean(mesh, prev.m)
     w_e = elem_mean(mesh, prev.w)

@@ -511,8 +511,8 @@ class SPDSolver:
     back-substitution that reports 0 iterations.  Any other matrix goes
     through Jacobi-preconditioned CG from the given start vector and keeps
     no factor: a sparse factor of the 2D operators would stay resident for
-    the whole run.  A factorization that fails is a ``StepFailure`` naming
-    ``stage``.
+    the whole run.  A factorization that fails, or CG that stalls or meets
+    a non-finite value, is a ``StepFailure`` naming ``stage``.
     """
 
     def __init__(self, A: sp.spmatrix, stage: str = "SPD solve"):
@@ -535,11 +535,13 @@ class SPDSolver:
         if self.direct:
             return _banded(self.stage, cho_solve_banded,
                            (self.factor, False), b), 0
-        return _pcg(self.A, b, x0, self.diag, rel_tol, self.max_iter)
+        return _pcg(self.A, b, x0, self.diag, rel_tol, self.max_iter,
+                    self.stage)
 
 
-def _pcg(A, b, x0, diag, rel_tol, max_iter):
-    """Jacobi-preconditioned conjugate gradients, deterministic."""
+def _pcg(A, b, x0, diag, rel_tol, max_iter, stage):
+    """Jacobi-preconditioned conjugate gradients, deterministic.  The
+    breakdown and stall tests are written so that NaN fails them."""
     x = x0.copy()
     r = b - A @ x
     bnorm = np.sqrt(b @ b)
@@ -552,7 +554,7 @@ def _pcg(A, b, x0, diag, rel_tol, max_iter):
             return x, it
         Ap = A @ p
         pAp = p @ Ap
-        if pAp <= 0.0:
+        if not pAp > 0.0:
             break
         a = rz / pAp
         x += a * p
@@ -561,7 +563,8 @@ def _pcg(A, b, x0, diag, rel_tol, max_iter):
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-    if np.sqrt(r @ r) > stop:
+    res = np.sqrt(r @ r)
+    if not res <= stop:
         raise StepFailure(
-            f"CG stalled at residual {np.sqrt(r @ r):.3e} (target {stop:.3e})")
+            f"{stage}: CG stalled at residual {res:.3e} (target {stop:.3e})")
     return x, max_iter

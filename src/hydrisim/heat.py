@@ -25,9 +25,9 @@ import numpy as np
 from .constitutive import (
     MaterialModel,
     apply_viscosity,
+    dtheta_dm,
     s_a,
     sigma_a_tensor,
-    transport_coeffs,
 )
 from .errors import InvariantViolation, StepFailure
 from .grid import (
@@ -62,7 +62,6 @@ class HeatProblem:
     u_prev: np.ndarray
     m: np.ndarray
     m_prev: np.ndarray
-    chi: np.ndarray
     grad_mu: np.ndarray
     w_prev: np.ndarray
     q: np.ndarray | None = None
@@ -82,8 +81,8 @@ def build_heat_operator(mesh: Mesh, mat: MaterialModel,
                         tau: float) -> SPDSolver:
     """Solver for the enthalpy system K0-stiffness + lumped mass / tau.
 
-    The conductivity of ``transport_coeffs`` is K0 broadcast, independent
-    of the state, so the matrix is fixed for the whole run.
+    The conductivity is the material constant K0, independent of the
+    state, so the matrix is fixed for the whole run.
     """
     return SPDSolver(stiffness_with_diag(mesh, mat.K0,
                                          lumped_mass(mesh) / tau),
@@ -120,9 +119,7 @@ def dissipation_rhs(pr: HeatProblem, w_lin: np.ndarray) -> dict:
     adiab_density = np.einsum("eij,eij->e", sig, rate)
 
     gmu2 = np.einsum("ei,ei->e", pr.grad_mu, pr.grad_mu)
-    tc = transport_coeffs(mat, elem_mean(mesh, pr.m),
-                          elem_mean(mesh, pr.chi), elem_mean(mesh, pr.w_prev))
-    diff_density = tc.M * gmu2 / (1.0 + tau * gmu2)
+    diff_density = mat.M0 * gmu2 / (1.0 + tau * gmu2)
 
     dm = (pr.m - pr.m_prev) / tau
     phase_nodal = (s_a(mat, pr.m_prev, w_lin) + mat.alpha * dm) * dm
@@ -152,7 +149,6 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
     Ml = lumped_mass(mesh)
     op = pr.operator()
     m_e = elem_mean(mesh, pr.m)
-    chi_e = elem_mean(mesh, pr.chi)
     w_lin = pr.w_prev.copy()
     w_new = w_lin
     update = np.inf
@@ -160,12 +156,14 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
     cg_total = 0
     for it in range(1, pr.picard_max + 1):
         terms = dissipation_rhs(pr, w_lin)
-        tc = transport_coeffs(mat, m_e, chi_e, elem_mean(mesh, w_lin))
+        # cross conduction L = K0 d theta / d m acts on grad m
+        L = mat.K0 * dtheta_dm(mat, m_e,
+                               np.maximum(elem_mean(mesh, w_lin), 0.0))
         rhs = Ml * pr.w_prev / tau
         for vec in terms.values():
             rhs = rhs + vec
-        if np.any(tc.L != 0.0):
-            rhs = rhs - grad_stiffness_vector(mesh, tc.L, pr.m)
+        if np.any(L != 0.0):
+            rhs = rhs - grad_stiffness_vector(mesh, L, pr.m)
         w_new, cg_it = op.solve(rhs, w_lin, pr.cg_tol)
         cg_total += cg_it
         update = float(np.sqrt(np.sum(Ml * (w_new - w_lin) ** 2)))

@@ -14,6 +14,7 @@ from hydrisim.constitutive import (
     desk_default_material,
     dphi1_dm,
     dphi3_dtheta,
+    dtheta_dm,
     inf_d2phi1_dmm,
     invert_omega,
     omega_of_theta,
@@ -24,7 +25,6 @@ from hydrisim.constitutive import (
     stress,
     swelling_curve,
     theta_of_w,
-    transport_coeffs,
     validate_material,
 )
 from hydrisim.errors import MaterialError
@@ -214,18 +214,19 @@ def test_2d_sigma_a_is_isotropic_matrix():
 
 
 def test_transport_hand_values(mat):
-    tc = transport_coeffs(mat, 0.5, 1.0, 0.0)
-    assert tc.M1 == pytest.approx(5.5, rel=1e-13)
-    assert tc.M2 == pytest.approx(-1.0, rel=1e-13)
-    assert tc.K == pytest.approx(1.0)
-    assert tc.M == pytest.approx(1.0)
-    assert tc.L == pytest.approx(0.0, abs=1e-15)
+    # M1 = M0 d2phi1/dchi2, M2 = M0 d2phi1/dm dchi, L = K0 dtheta/dm
+    assert mat.M0 * d2phi1_dchichi(mat, 0.5, 1.0) == pytest.approx(
+        5.5, rel=1e-13)
+    assert mat.M0 * d2phi1_dmchi(mat, 0.5, 1.0) == pytest.approx(
+        -1.0, rel=1e-13)
+    assert mat.K0 == pytest.approx(1.0)
+    assert mat.M0 == pytest.approx(1.0)
+    assert mat.K0 * dtheta_dm(mat, 0.5, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cross_conduction_appears_with_m_dependent_c0():
     mat = desk_default_material(c0_m_slope=0.3)
-    tc = transport_coeffs(mat, 0.5, 1.0, 2.0)
-    assert tc.L != 0.0
+    assert mat.K0 * dtheta_dm(mat, 0.5, 2.0) != 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,23 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from hydrisim import diffusion
 from hydrisim.constitutive import (
     d2phi1_dchichi,
     d2phi1_dmchi,
     desk_default_material,
 )
 from hydrisim.diffusion import DiffusionProblem, assemble_mu, solve_chi_step
-from hydrisim.errors import InvariantViolation
-from hydrisim.grid import build_mesh, elem_mean, lumped_mass
+from hydrisim.errors import InvariantViolation, StepFailure
+from hydrisim.grid import (
+    build_mesh,
+    elem_mean,
+    grad_stiffness_vector,
+    lumped_mass,
+    stiffness,
+)
 
 from _oracles import cos_mode_amplitude, fd_eigenvalue
 
@@ -22,9 +30,7 @@ def desk(**kw):
 def make_problem(mesh, mat, tau, chi_prev, m=None, **kw):
     n = mesh.n_nodes
     args = dict(mesh=mesh, mat=mat, tau=tau,
-                u=np.zeros(n * mesh.dim),
-                m=np.zeros(n) if m is None else m,
-                chi_prev=chi_prev, w_prev=np.zeros(n))
+                m=np.zeros(n) if m is None else m, chi_prev=chi_prev)
     args.update(kw)
     return DiffusionProblem(**args)
 
@@ -75,8 +81,7 @@ def test_constant_state_is_fixed_point():
     mat = desk()
     chi0 = np.full(mesh.n_nodes, 0.8)
     m = np.full(mesh.n_nodes, 0.4)
-    u = np.linspace(0.0, 0.1, mesh.n_nodes)  # affine u is irrelevant
-    sol = solve_chi_step(make_problem(mesh, mat, 1e-3, chi0, m=m, u=u))
+    sol = solve_chi_step(make_problem(mesh, mat, 1e-3, chi0, m=m))
     assert np.allclose(sol.chi, chi0, atol=1e-13)
     assert np.allclose(np.diff(sol.mu), 0.0, atol=1e-13)
 
@@ -127,6 +132,21 @@ def test_negative_previous_concentration_rejected():
         solve_chi_step(make_problem(mesh, desk(), 1e-3, chi))
 
 
+def fixed_point_residual(pr, chi):
+    """Defect of the semilinear system rebuilt at ``chi``, in the lumped
+    dual norm: (Ml/tau + M0 K(d2phi1/dchi2)) chi = Ml chi_prev/tau
+    - M0 G(d2phi1/dm dchi) m."""
+    mesh, mat = pr.mesh, pr.mat
+    Ml = lumped_mass(mesh)
+    m_e, chi_e = elem_mean(mesh, pr.m), elem_mean(mesh, chi)
+    A = sp.diags(Ml / pr.tau) + stiffness(
+        mesh, mat.M0 * d2phi1_dchichi(mat, m_e, chi_e))
+    rhs = Ml * pr.chi_prev / pr.tau - grad_stiffness_vector(
+        mesh, mat.M0 * d2phi1_dmchi(mat, m_e, chi_e), pr.m)
+    res = A @ chi - rhs
+    return float(np.sqrt(np.sum(res ** 2 / Ml)))
+
+
 def test_fixed_point_residual_small():
     mesh = build_mesh(1, (1.0,), 20)
     mat = desk()
@@ -135,22 +155,22 @@ def test_fixed_point_residual_small():
     m = 0.5 + 0.2 * np.sin(np.pi * x)
     pr = make_problem(mesh, mat, 1e-3, chi, m=m)
     sol = solve_chi_step(pr)
-    # rebuild the semilinear system at the returned iterate and measure
-    # the defect in the lumped dual norm
-    import scipy.sparse as sp
-    from hydrisim.constitutive import transport_coeffs
-    from hydrisim.grid import grad_stiffness_vector, stiffness
-    Ml = lumped_mass(mesh)
-    tc = transport_coeffs(mat, elem_mean(mesh, m),
-                          elem_mean(mesh, sol.chi),
-                          elem_mean(mesh, pr.w_prev))
-    A = sp.diags(Ml / pr.tau) + stiffness(mesh, tc.M1 * np.ones(mesh.n_elems))
-    rhs = Ml * chi / pr.tau - grad_stiffness_vector(
-        mesh, tc.M2 * np.ones(mesh.n_elems), m)
-    res = A @ sol.chi - rhs
-    assert float(np.sqrt(np.sum(res ** 2 / Ml))) <= 1e-8
+    assert fixed_point_residual(pr, sol.chi) <= 1e-8
     # undamped Picard contracts in a few sweeps (6 here)
     assert sol.iterations <= 8
+
+
+def test_fixed_point_residual_with_mobility():
+    # the bench runs M0 = 1 only; a lost or doubled M0 factor shows here
+    mesh = build_mesh(1, (1.0,), 20)
+    mat = desk(M0=2.5)
+    x = mesh.coords[:, 0]
+    chi = 0.5 + 0.3 * np.cos(np.pi * x)
+    m = 0.5 + 0.2 * np.sin(np.pi * x)
+    pr = make_problem(mesh, mat, 1e-3, chi, m=m)
+    sol = solve_chi_step(pr)
+    assert fixed_point_residual(pr, sol.chi) <= 1e-8
+    assert fixed_point_residual(pr, chi) > 1.0
 
 
 def test_eigenmode_decay_matches_fd_prediction():
@@ -205,10 +225,28 @@ def test_two_dimensional_step_conserves():
     x = mesh.coords[:, 0]
     chi = 0.5 + 0.2 * np.cos(np.pi * x)
     pr = DiffusionProblem(mesh=mesh, mat=mat, tau=1e-3,
-                          u=np.zeros(2 * mesh.n_nodes),
-                          m=np.zeros(mesh.n_nodes), chi_prev=chi,
-                          w_prev=np.zeros(mesh.n_nodes))
+                          m=np.zeros(mesh.n_nodes), chi_prev=chi)
     sol = solve_chi_step(pr)
     assert float(np.sum(Ml * (sol.chi - chi))) == pytest.approx(0.0,
                                                                 abs=1e-12)
     assert sol.iterations <= 8
+
+
+@pytest.mark.filterwarnings(
+    "ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_non_finite_sparse_lu_solve_fails_at_once(monkeypatch):
+    # kd = 131 > _BAND_MAX: the wide-band SuperLU path, which only warns
+    # on a NaN-poisoned matrix and returns NaN
+    mesh = build_mesh(2, (1.0, 1.0), (3, 130))
+    assert mesh.half_bandwidth > diffusion._BAND_MAX
+    m = np.zeros(mesh.n_nodes)
+    m[mesh.n_nodes // 2] = np.nan
+    chi = 0.5 + 0.2 * mesh.coords[:, 0]
+    spsolve, calls = diffusion.spla.spsolve, []
+    monkeypatch.setattr(diffusion.spla, "spsolve",
+                        lambda *a, **kw: calls.append(1) or spsolve(*a, **kw))
+    pr = make_problem(mesh, desk_default_material(2), 1e-3, chi, m=m)
+    with pytest.raises(StepFailure,
+                       match="concentration solve: sparse LU gave non-finite"):
+        solve_chi_step(pr)
+    assert len(calls) == 1

@@ -79,6 +79,20 @@ def test_activation_increment_is_threshold_times_travel():
     assert row.diss_activation >= 0.0
 
 
+def test_diffusion_dissipation_scales_with_mobility():
+    # tau * M0 * |grad mu|^2 per element: linear in the mobility M0
+    mesh = build_mesh(1, (1.0,), 9)
+    tau = 1e-2
+    chi = 0.3 + 0.2 * mesh.coords[:, 0]
+    s0 = make_state(mesh, 0, tau, chi=chi)
+    s1 = make_state(mesh, 1, tau, chi=chi)
+    base, scaled = (
+        ledger_step(mesh, desk(M0=M0), s0, s1, tau, {}, ZERO_HEAT)
+        .diss_diffusion for M0 in (1.0, 2.5))
+    assert base > 0.0
+    assert scaled == pytest.approx(2.5 * base, rel=1e-14)
+
+
 def test_dissipation_columns_nonnegative_on_run():
     traj = run(desk_default_config(resolution=(25,), T=0.02))
     for r in traj.rows[1:]:

@@ -265,6 +265,23 @@ def test_failed_banded_cholesky_is_step_failure(make):
         diffusion._solve(square, make(square), b)
 
 
+@pytest.mark.parametrize("make", [_negative_diagonal, _nan_coefficient],
+                         ids=["negative-diagonal", "nan-coefficient"])
+def test_failed_pcg_is_step_failure(make):
+    # a 2D matrix is not tridiagonal: it goes through Jacobi-PCG
+    solver = SPDSolver(make(build_mesh(2, (1.0, 1.0), (6, 5))),
+                       "enthalpy solve")
+    assert not solver.direct
+    b = np.ones(solver.A.shape[0])
+    A, products = solver.A, []
+    solver.A = type("Counted", (), {
+        "__matmul__": lambda self, v: products.append(1) or A @ v})()
+    with pytest.raises(StepFailure, match="enthalpy solve: CG stalled"):
+        solver.solve(b, np.zeros_like(b), 1e-12)
+    # the start residual and one A p: the breakdown test stops CG at once
+    assert len(products) == 2
+
+
 @pytest.mark.parametrize("comps", [()])
 def test_nodal_sum_matches_add_at(comps):
     # the np.add.at loop is the reference: same summation order, same bytes

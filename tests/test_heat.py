@@ -2,10 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from hydrisim.constitutive import desk_default_material, transport_coeffs
+from hydrisim.constitutive import desk_default_material, dtheta_dm
 from hydrisim.errors import InvariantViolation
-from hydrisim.grid import build_mesh, elem_mean, lumped_mass, stiffness
+from hydrisim.grid import (
+    build_mesh,
+    elem_mean,
+    grad_stiffness_vector,
+    lump_elements,
+    lumped_mass,
+    stiffness,
+)
 from hydrisim.heat import HeatProblem, dissipation_rhs, solve_w_step
 
 from _oracles import cos_mode_amplitude, fd_eigenvalue
@@ -21,7 +29,7 @@ def make_problem(mesh, mat, tau, **kw):
     args = dict(mesh=mesh, mat=mat, tau=tau,
                 u=np.zeros(n * d), u_prev=np.zeros(n * d),
                 m=np.zeros(n), m_prev=np.zeros(n),
-                chi=np.zeros(n), grad_mu=np.zeros((mesh.n_elems, d)),
+                grad_mu=np.zeros((mesh.n_elems, d)),
                 w_prev=np.zeros(n))
     args.update(kw)
     return HeatProblem(**args)
@@ -81,11 +89,8 @@ def test_regularized_terms_bounded_by_coefficient_over_tau():
 def test_step_matrix_positive_definite():
     mesh = build_mesh(1, (1.0,), 25)
     mat = desk()
-    import scipy.sparse as sp
-    tc = transport_coeffs(mat, np.zeros(mesh.n_elems),
-                          np.zeros(mesh.n_elems), np.zeros(mesh.n_elems))
     A = sp.diags(lumped_mass(mesh) / 1e-3) + stiffness(
-        mesh, tc.K * np.ones(mesh.n_elems))
+        mesh, mat.K0 * np.ones(mesh.n_elems))
     rng = np.random.default_rng(5)
     for _ in range(20):
         v = rng.normal(size=mesh.n_nodes)
@@ -220,3 +225,34 @@ def test_produced_breakdown_keys_and_signs():
         assert name in sol.produced
     for name in ("viscous", "activation", "diffusional", "source"):
         assert sol.produced[name] >= 0.0
+
+
+def test_fixed_point_residual_with_cross_conduction():
+    # the bench runs K0 = M0 = 1 and c0 independent of m; here c0 depends
+    # on m, so L = K0 dtheta/dm is nonzero where w > 0 and m varies
+    mesh = build_mesh(1, (1.0,), 20)
+    mat = desk(c0_m_slope=0.3, K0=0.7, M0=2.5)
+    tau = 1e-3
+    ne = mesh.n_elems
+    x = mesh.coords[:, 0]
+    m = 0.2 + 0.5 * x
+    w0 = 0.5 + 0.3 * np.cos(np.pi * x)
+    pr = make_problem(mesh, mat, tau, m=m, m_prev=m, w_prev=w0,
+                      grad_mu=np.full((ne, 1), 0.8))
+    sol = solve_w_step(pr)
+    # rebuild the final linear system at the returned iterate
+    Ml = lumped_mass(mesh)
+    terms = dissipation_rhs(pr, sol.w)
+    assert np.allclose(terms["diffusional"], lump_elements(
+        mesh, np.full(ne, 2.5 * 0.64 / (1.0 + tau * 0.64))),
+        rtol=1e-14, atol=0.0)
+    L = 0.7 * dtheta_dm(mat, elem_mean(mesh, m), elem_mean(mesh, sol.w))
+    cross = grad_stiffness_vector(mesh, L, m)
+    A = sp.diags(Ml / tau) + stiffness(mesh, np.full(ne, 0.7))
+    res = A @ sol.w - (Ml * w0 / tau + sum(terms.values()) - cross)
+
+    def dual(v):
+        return float(np.sqrt(np.sum(v ** 2 / Ml)))
+
+    assert dual(res) <= 1e-8
+    assert dual(cross) > 1e-3
