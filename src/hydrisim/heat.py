@@ -8,12 +8,16 @@ terms vanish identically for nonpositive enthalpy; together with the
 lumped M-matrix system this keeps the new enthalpy nonnegative, which is
 asserted.  The system matrix is a run constant, solved by
 ``grid.SPDSolver``: a banded Cholesky factor computed once per run when
-the matrix is tridiagonal (every segment mesh), Jacobi-preconditioned CG
-otherwise.  The adiabatic terms are implicit in w, handled by a plain
-fixed-point loop; the returned breakdown of the right-hand side is the one
-the final linear solve actually saw, so ledger identities built on it hold
-to linear-solver precision rather than picking up the Hoelder-type
-sensitivity of the adiabatic stress near w = 0.
+the matrix is tridiagonal (every segment mesh), and on a 2D grid CG
+preconditioned by the exact inverse of its tensor-product model
+(``grid.tensor_grid_inverse``), which converges in at most 5
+iterations.  The adiabatic terms are implicit in w, handled by a plain
+fixed-point loop; the production terms that do not depend on w are
+computed once per step, before it.  The returned breakdown of the
+right-hand side is the one the final linear solve actually saw, so ledger
+identities built on it hold to linear-solver precision rather than
+picking up the Hoelder-type sensitivity of the adiabatic stress near
+w = 0.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .grid import (
     lumped_mass,
     stiffness_with_diag,
     strain,
+    tensor_grid_inverse,
 )
 
 NEG_TOL = 1e-12
@@ -82,11 +87,16 @@ def build_heat_operator(mesh: Mesh, mat: MaterialModel,
     """Solver for the enthalpy system K0-stiffness + lumped mass / tau.
 
     The conductivity is the material constant K0, independent of the
-    state, so the matrix is fixed for the whole run.
+    state, so the matrix is fixed for the whole run.  On a 2D grid the
+    matrix differs from the tensor-product model that
+    ``tensor_grid_inverse`` inverts only in the lumped mass of the 4
+    corner nodes, so CG preconditioned by that inverse converges in at
+    most 5 iterations.
     """
     return SPDSolver(stiffness_with_diag(mesh, mat.K0,
                                          lumped_mass(mesh) / tau),
-                     "enthalpy solve")
+                     "enthalpy solve",
+                     tensor_grid_inverse(mesh, mat.K0, 1.0 / tau))
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,15 @@ def dissipation_rhs(pr: HeatProblem, w_lin: np.ndarray) -> dict:
     same lumped weights the mechanics step used, so the audit's phase and
     activation entries cancel against the mechanics ledger exactly.
     """
+    return _iterate_terms(pr, _fixed_terms(pr), w_lin)
+
+
+def _fixed_terms(pr: HeatProblem) -> tuple:
+    """The w-independent part of ``dissipation_rhs``, computed once per
+    step: the element strain rate, the midpoint values of m_prev, the
+    nodal phase rate and the load vectors, with None for the two that
+    depend on w.  The key order is the order in which the right-hand
+    side adds them."""
     mesh, mat, tau = pr.mesh, pr.mat, pr.tau
     Ml = lumped_mass(mesh)
     rate = strain(mesh, (pr.u - pr.u_prev) / tau)
@@ -113,28 +132,34 @@ def dissipation_rhs(pr: HeatProblem, w_lin: np.ndarray) -> dict:
     visc_density = np.einsum("eij,eij->e", apply_viscosity(mat, rate), rate) \
         / (1.0 + tau * rate2)
 
-    m_prev_e = elem_mean(mesh, pr.m_prev)
-    w_lin_e = elem_mean(mesh, w_lin)
-    sig = sigma_a_tensor(mat, m_prev_e, w_lin_e)
-    adiab_density = np.einsum("eij,eij->e", sig, rate)
-
     gmu2 = np.einsum("ei,ei->e", pr.grad_mu, pr.grad_mu)
     diff_density = mat.M0 * gmu2 / (1.0 + tau * gmu2)
 
     dm = (pr.m - pr.m_prev) / tau
-    phase_nodal = (s_a(mat, pr.m_prev, w_lin) + mat.alpha * dm) * dm
     act_nodal = mat.threshold_r * np.abs(dm)
-
-    out = {
+    loads = {
         "viscous": lump_elements(mesh, visc_density),
-        "adiabatic_stress": lump_elements(mesh, adiab_density),
-        "phase": Ml * phase_nodal,
+        "adiabatic_stress": None,
+        "phase": None,
         "activation": Ml * act_nodal,
         "diffusional": lump_elements(mesh, diff_density),
         "source": Ml * pr.q if pr.q is not None else np.zeros(mesh.n_nodes),
         "boundary": pr.q_s if pr.q_s is not None else np.zeros(mesh.n_nodes),
     }
-    return out
+    return rate, elem_mean(mesh, pr.m_prev), dm, loads
+
+
+def _iterate_terms(pr: HeatProblem, fixed: tuple, w_lin: np.ndarray) -> dict:
+    """The load vectors at ``w_lin``: those of ``fixed`` with the adiabatic
+    stress power and the phase heating filled in, in the same key order."""
+    mesh, mat = pr.mesh, pr.mat
+    rate, m_prev_e, dm, loads = fixed
+    sig = sigma_a_tensor(mat, m_prev_e, elem_mean(mesh, w_lin))
+    adiab_density = np.einsum("eij,eij->e", sig, rate)
+    phase_nodal = (s_a(mat, pr.m_prev, w_lin) + mat.alpha * dm) * dm
+    return {**loads,
+            "adiabatic_stress": lump_elements(mesh, adiab_density),
+            "phase": lumped_mass(mesh) * phase_nodal}
 
 
 def solve_w_step(pr: HeatProblem) -> HeatSolution:
@@ -148,22 +173,25 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
 
     Ml = lumped_mass(mesh)
     op = pr.operator()
-    m_e = elem_mean(mesh, pr.m)
+    # cross conduction L = K0 d theta / d m acts on grad m; it vanishes
+    # unless c0 depends on m
+    m_e = elem_mean(mesh, pr.m) if mat.c0_m_slope != 0.0 else None
+    fixed = _fixed_terms(pr)
     w_lin = pr.w_prev.copy()
     w_new = w_lin
     update = np.inf
     produced = None
     cg_total = 0
     for it in range(1, pr.picard_max + 1):
-        terms = dissipation_rhs(pr, w_lin)
-        # cross conduction L = K0 d theta / d m acts on grad m
-        L = mat.K0 * dtheta_dm(mat, m_e,
-                               np.maximum(elem_mean(mesh, w_lin), 0.0))
+        terms = _iterate_terms(pr, fixed, w_lin)
         rhs = Ml * pr.w_prev / tau
         for vec in terms.values():
             rhs = rhs + vec
-        if np.any(L != 0.0):
-            rhs = rhs - grad_stiffness_vector(mesh, L, pr.m)
+        if m_e is not None:
+            L = mat.K0 * dtheta_dm(mat, m_e,
+                                   np.maximum(elem_mean(mesh, w_lin), 0.0))
+            if np.any(L != 0.0):
+                rhs = rhs - grad_stiffness_vector(mesh, L, pr.m)
         w_new, cg_it = op.solve(rhs, w_lin, pr.cg_tol)
         cg_total += cg_it
         update = float(np.sqrt(np.sum(Ml * (w_new - w_lin) ** 2)))

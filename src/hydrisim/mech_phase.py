@@ -111,7 +111,8 @@ def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators
     sig_unit = _transformation_stress(mat)
     B = coupling_force_matrix(mesh, sig_unit)
     W = mean_coupling_matrix(mesh, mat.eps_tr_C_eps_tr)
-    A_u = (sp.diags(mat.rho / tau ** 2 * Mvec) + A_visc / tau + A_el).tocsr()
+    A_u = sp.diags(mat.rho / tau ** 2 * Mvec) + A_visc / tau + A_el
+    A_visc, A_u = (_on_pattern(A, A_el) for A in (A_visc, A_u))
     # Gershgorin bound for the phase-block Hessian; the pointwise curvature
     # is taken over the extrapolation range [-1, 2] the accelerated steps
     # can visit, where the quartic well contributes at most 26*d0.
@@ -122,6 +123,20 @@ def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators
     return MechOperators(tau, Mlump, Mvec, Kscal, A_el, A_visc, B, W,
                          A_u, SPDSolver(A_u, "displacement solve"),
                          lipschitz)
+
+
+def _on_pattern(A: sp.spmatrix, P: sp.csr_matrix) -> sp.csr_matrix:
+    """``A`` in CSR with its arrays copied to size, sharing the index
+    arrays of ``P`` when it has the same pattern.  The CSR sum leaves its
+    result in buffers sized for nnz(A) + nnz(B), twice the matrix here;
+    the pattern is shared by the elastic, viscous and displacement
+    matrices of every mesh from ``build_mesh``."""
+    A = A.tocsr()
+    if not (np.array_equal(A.indptr, P.indptr)
+            and np.array_equal(A.indices, P.indices)):
+        return A.copy()
+    return sp.csr_matrix((A.data.copy(), P.indices, P.indptr),
+                         shape=A.shape)
 
 
 def _transformation_stress(mat: MaterialModel) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Mesh construction and assembly against hand-computed small cases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hydrisim.grid import (
@@ -21,9 +24,11 @@ from hydrisim.grid import (
     stiffness_with_diag,
     strain,
     strain_adjoint,
+    tensor_grid_inverse,
     vector_lumped_mass,
 )
 from hydrisim import diffusion
+from hydrisim.heat import build_heat_operator
 from hydrisim.constitutive import apply_elastic, desk_default_material
 from hydrisim.errors import ConfigError, StepFailure
 
@@ -280,6 +285,130 @@ def test_failed_pcg_is_step_failure(make):
         solver.solve(b, np.zeros_like(b), 1e-12)
     # the start residual and one A p: the breakdown test stops CG at once
     assert len(products) == 2
+
+
+def _tensor_model(mesh, k, c):
+    """k (Kx (x) Dy + Dx (x) Ky) + c Dx (x) Dy from the 1D meshes' own
+    stiffness and lumped mass."""
+    (Kx, Dx), (Ky, Dy) = (
+        (stiffness(line), sp.diags(lumped_mass(line)))
+        for line in (build_mesh(1, (length,), n)
+                     for n, length in zip(mesh.shape, mesh.lengths)))
+    return k * (sp.kron(Kx, Dy) + sp.kron(Dx, Ky)) + c * sp.kron(Dx, Dy)
+
+
+TENSOR_GRIDS = [((1.0, 1.0), (9, 9)), ((2.0, 0.5), (12, 5)),
+                ((0.3, 1.7), (5, 12)), ((1.0, 1.0), (2, 7)),
+                ((0.5, 3.0), (6, 2)), ((1.0, 1.0), (2, 2))]
+TENSOR_IDS = ["square9", "rect12x5", "rect5x12", "rect2x7", "rect6x2",
+              "square2"]
+
+
+@pytest.mark.parametrize("lengths, res", TENSOR_GRIDS, ids=TENSOR_IDS)
+def test_tensor_grid_inverse_inverts_the_model(lengths, res):
+    mesh = build_mesh(2, lengths, res)
+    assert mesh.shape == res
+    model = _tensor_model(mesh, 0.7, 1e3)
+    # the grid's stiffness is the model's; its lumped mass differs from
+    # Dx (x) Dy at the 4 corners only
+    assert abs(stiffness(mesh) - _tensor_model(mesh, 1.0, 0.0)).max() \
+        <= 1e-12 * abs(stiffness(mesh)).max()
+    mass_gap = lumped_mass(mesh) - _tensor_model(mesh, 0.0, 1.0).diagonal()
+    corners = [0, res[1] - 1, mesh.n_nodes - res[1], mesh.n_nodes - 1]
+    assert np.all(mass_gap[corners] != 0.0)
+    assert np.allclose(np.delete(mass_gap, corners), 0.0, rtol=0.0,
+                       atol=1e-15 * lumped_mass(mesh).max())
+    r = np.random.default_rng(7).standard_normal(mesh.n_nodes)
+    ref = spla.spsolve(model.tocsc(), r)
+    got = tensor_grid_inverse(mesh, 0.7, 1e3)(r)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_tensor_grid_inverse_needs_a_2d_grid():
+    assert tensor_grid_inverse(build_mesh(1, (1.0,), 9), 1.0, 1.0) is None
+    square = build_mesh(2, (1.0, 1.0), (4, 4))
+    hand_built = dataclasses.replace(square, shape=())
+    assert tensor_grid_inverse(hand_built, 1.0, 1.0) is None
+
+
+@pytest.mark.parametrize("lengths, res", TENSOR_GRIDS, ids=TENSOR_IDS)
+def test_enthalpy_solve_on_tensor_grid_matches_spsolve(lengths, res):
+    mesh = build_mesh(2, lengths, res)
+    mat = dataclasses.replace(desk_default_material(2), K0=0.7)
+    op = build_heat_operator(mesh, mat, 1e-3)
+    assert not op.direct
+    rng = np.random.default_rng(11)
+    b = rng.normal(size=mesh.n_nodes)
+    ref = spla.spsolve(op.A.tocsc(), b)
+    for x0 in (np.zeros_like(b), rng.normal(size=mesh.n_nodes)):
+        x, iters = op.solve(b, x0, 1e-12)
+        # the matrix is the model plus a rank-4 corner term: CG needs at
+        # most 5 iterations, where Jacobi-PCG needs about one per node row
+        assert 1 <= iters <= 5
+        assert np.linalg.norm(op.A @ x - b) <= 1e-12 * np.linalg.norm(b)
+        # the residual target times the matrix's condition number
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("field", ["K0", "tau"])
+def test_nan_enthalpy_coefficient_is_step_failure(field):
+    mesh = build_mesh(2, (1.0, 1.0), (6, 5))
+    mat, tau = desk_default_material(2), 1e-3
+    if field == "K0":
+        mat = dataclasses.replace(mat, K0=np.nan)
+    else:
+        tau = np.nan
+    op = build_heat_operator(mesh, mat, tau)
+    b = np.ones(mesh.n_nodes)
+    with pytest.raises(StepFailure, match="enthalpy solve: CG stalled"):
+        op.solve(b, np.zeros_like(b), 1e-12)
+    # a NaN element coefficient in the matrix, a finite preconditioner
+    solver = SPDSolver(_nan_coefficient(mesh), "enthalpy solve",
+                       tensor_grid_inverse(mesh, 1.0, 1e3))
+    with pytest.raises(StepFailure, match="enthalpy solve: CG stalled"):
+        solver.solve(b, np.zeros_like(b), 1e-12)
+
+
+def _oracle_mesh_2d(lengths, res):
+    """The cell and facet loops that built 2D meshes before they were
+    vectorized, kept as the reference for ``build_mesh``."""
+    (lx, ly), (nx, ny) = lengths, res
+    X, Y = np.meshgrid(np.linspace(0.0, lx, nx), np.linspace(0.0, ly, ny),
+                       indexing="ij")
+    coords = np.stack([X.ravel(), Y.ravel()], axis=1)
+    tris = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            a, b = i * ny + j, (i + 1) * ny + j
+            c, d = (i + 1) * ny + j + 1, i * ny + j + 1
+            tris += [(a, b, c), (a, c, d)]
+    facets, measures, normals, side_ids = [], [], [], []
+    sides = [([j for j in range(ny)], (-1.0, 0.0)),
+             ([(nx - 1) * ny + j for j in range(ny)], (1.0, 0.0)),
+             ([i * ny for i in range(nx)], (0.0, -1.0)),
+             ([i * ny + ny - 1 for i in range(nx)], (0.0, 1.0))]
+    for side, (ids, normal) in enumerate(sides):
+        for a, b in zip(ids[:-1], ids[1:]):
+            facets.append((a, b))
+            measures.append(float(np.linalg.norm(coords[b] - coords[a])))
+            normals.append(normal)
+            side_ids.append(side)
+    return dict(coords=coords, elems=np.array(tris, dtype=int),
+                facets=np.array(facets), facet_measure=np.array(measures),
+                facet_normal=np.array(normals),
+                facet_side=np.array(side_ids))
+
+
+@pytest.mark.parametrize("lengths, res", [
+    ((1.0, 1.0), (40, 40)), ((2.0, 0.5), (7, 3)), ((1.0, 1.0), (2, 2)),
+    ((3.0, 1.7), (13, 29)),
+], ids=["square40", "rect7x3", "square2", "rect13x29"])
+def test_mesh_2d_matches_loop_oracle(lengths, res):
+    mesh = build_mesh(2, lengths, res)
+    for name, ref in _oracle_mesh_2d(lengths, res).items():
+        got = getattr(mesh, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert np.array_equal(got, ref), name
 
 
 @pytest.mark.parametrize("comps", [()])

@@ -14,6 +14,7 @@ from hydrisim.grid import (
     lumped_mass,
     stiffness,
 )
+from hydrisim import heat
 from hydrisim.heat import HeatProblem, dissipation_rhs, solve_w_step
 
 from _oracles import cos_mode_amplitude, fd_eigenvalue
@@ -256,3 +257,17 @@ def test_fixed_point_residual_with_cross_conduction():
 
     assert dual(res) <= 1e-8
     assert dual(cross) > 1e-3
+
+
+def test_cross_conduction_skipped_without_c0_slope(monkeypatch):
+    # with c0 independent of m, L = K0 dtheta/dm is zero: the step must not
+    # evaluate it on any fixed-point iteration
+    mesh = build_mesh(1, (1.0,), 20)
+    x = mesh.coords[:, 0]
+    pr = make_problem(mesh, desk(), 1e-3, m=0.2 + 0.5 * x, m_prev=0.2 + x,
+                      w_prev=0.5 + 0.3 * np.cos(np.pi * x))
+    monkeypatch.setattr(heat, "dtheta_dm", lambda *a: pytest.fail(
+        "dtheta_dm evaluated with c0_m_slope = 0"))
+    sol = solve_w_step(pr)
+    assert sol.iterations > 1
+

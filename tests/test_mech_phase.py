@@ -2,12 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hydrisim.constitutive import desk_default_material
 from hydrisim.errors import ConfigError, InvariantViolation
-from hydrisim.grid import build_mesh, lumped_mass
+from hydrisim.grid import (
+    build_mesh,
+    elastic_stiffness,
+    lumped_mass,
+    vector_lumped_mass,
+)
 from hydrisim.mech_phase import (
     MechPhaseProblem,
+    _on_pattern,
+    build_operators,
     incremental_objective,
     phase_nodal_prox,
     solve_mech_phase_step,
@@ -289,3 +297,36 @@ def test_desk_run_terminal_residuals_stay_absolute():
                               w_prev=st[k - 1].w)
         sol = solve_mech_phase_step(pr)
         assert sol.residual <= 1e-10
+
+
+def _owned_bytes(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes
+
+
+@pytest.mark.parametrize("dim, res", [(1, (9,)), (2, (7, 4))])
+def test_displacement_matrices_share_one_pattern(dim, res):
+    mesh = build_mesh(dim, (1.0,) * dim, res)
+    mat = desk_default_material(dim)
+    tau = 1e-3
+    ops = build_operators(mesh, mat, tau)
+    A_el = elastic_stiffness(mesh, mat.lame)
+    A_visc = elastic_stiffness(mesh, mat.visc)
+    A_u = (sp.diags(mat.rho / tau ** 2 * vector_lumped_mass(mesh))
+           + A_visc / tau + A_el)
+    # the values are those of the separately built matrices, bit for bit
+    for got, ref in ((ops.A_el, A_el), (ops.A_visc, A_visc),
+                     (ops.A_u, A_u)):
+        assert np.array_equal(got.toarray(), ref.toarray())
+    # one copy of the pattern, and no buffer beyond the stored entries
+    for A in (ops.A_visc, ops.A_u):
+        assert np.shares_memory(A.indices, ops.A_el.indices)
+        assert np.shares_memory(A.indptr, ops.A_el.indptr)
+    for A in (ops.A_el, ops.A_visc, ops.A_u):
+        assert _owned_bytes(A.data) == A.data.nbytes
+        assert _owned_bytes(A.indices) == A.indices.nbytes
+    # a matrix with another pattern keeps its own index arrays
+    other = _on_pattern(sp.identity(A_u.shape[0]), ops.A_el)
+    assert np.array_equal(other.toarray(), np.eye(A_u.shape[0]))
+    assert not np.shares_memory(other.indices, ops.A_el.indices)
