@@ -15,6 +15,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -250,54 +251,115 @@ def _snapshot_path(outdir: str, k: int, ext: str) -> str:
     return os.path.join(outdir, "fields_%06d.%s" % (k, ext))
 
 
-# rows formatted per write: bounds the transient float lists and text
+# rows formatted per string: bounds the transient float lists and text
 _BLOCK_ROWS = 256
 
-
-def _write_rows(fh, table: np.ndarray, line: str):
-    """Write each row of ``table`` (2D, or 1D for one column) as
-    ``line % tuple(row)``, a block of rows per ``fh.write``."""
-    for start in range(0, table.shape[0], _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
-        fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+# the scalar fields of a snapshot, in column order after u
+_SCALARS = ("m", "chi", "mu", "w", "theta")
 
 
-def _write_snapshot(mesh: Mesh, mat: MaterialModel, st: State, path: str):
+def _format_rows(table: np.ndarray, line: str) -> list:
+    """``line % tuple(row)`` for each row of ``table`` (2D, or 1D for one
+    column), joined into one string per block of ``_BLOCK_ROWS`` rows."""
+    return [(line * block.shape[0]) % tuple(block.ravel().tolist())
+            for block in (table[start:start + _BLOCK_ROWS]
+                          for start in range(0, table.shape[0], _BLOCK_ROWS))]
+
+
+class _MeshText:
+    """The mesh-constant text of one run's snapshots.  Each part is
+    formatted when a snapshot first needs it and then kept, so a run
+    formats its mesh once and a CSV-only run never formats the VTK part.
+    Made per run: the text belongs to this mesh and no other."""
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+
+    @cached_property
+    def csv_nodes(self) -> list:
+        """The ``node,x[,y]`` columns, one string per block of rows."""
+        mesh = self.mesh
+        return _format_rows(
+            np.column_stack([np.arange(mesh.n_nodes), mesh.coords]),
+            ",".join(["%d"] + ["%.17g"] * mesh.dim) + "\n")
+
+    @cached_property
+    def vtk_mesh(self) -> str:
+        """The VTK file up to its first point-data line: header, points,
+        cells and cell types."""
+        mesh = self.mesh
+        d, n, ne = mesh.dim, mesh.n_nodes, mesh.n_elems
+        nv = d + 1
+        return "".join(
+            ["# vtk DataFile Version 3.0\nhydrisim fields\nASCII\n"
+             "DATASET UNSTRUCTURED_GRID\nPOINTS %d double\n" % n]
+            + _format_rows(np.hstack([mesh.coords, np.zeros((n, 3 - d))]),
+                           "%.17g %.17g %.17g\n")
+            + ["CELLS %d %d\n" % (ne, ne * (nv + 1))]
+            + _format_rows(np.column_stack([np.full(ne, nv), mesh.elems]),
+                           " ".join(["%d"] * (nv + 1)) + "\n")
+            + ["CELL_TYPES %d\n" % ne, ("%d\n" % (3 if d == 1 else 5)) * ne,
+               "POINT_DATA %d\nVECTORS u double\n" % n])
+
+
+def _field_text(mesh: Mesh, mat: MaterialModel, st: State) -> list:
+    """Every nodal value of ``st`` formatted once as ``%.17g``, in the
+    layout of the VTK point data: u as padded 3-vectors, then one column
+    per scalar of ``_SCALARS``, each a list of one string per block of
+    rows.  No value contains whitespace, so ``str.split`` recovers the
+    single values for the CSV rows."""
     d = mesh.dim
+    u_line = " ".join(["%.17g"] * d + ["0"] * (3 - d)) + "\n"
+    return ([_format_rows(st.u.reshape(-1, d), u_line)]
+            + [_format_rows(vals, "%.17g\n")
+               for vals in (st.m, st.chi, st.mu, st.w, st.theta(mat))])
+
+
+def _write_snapshot(mesh: Mesh, mat: MaterialModel, st: State, path: str,
+                    text: _MeshText | None = None) -> list:
+    """Write the nodal fields of ``st`` as CSV: the node index, then
+    ``%.17g`` coordinates, displacement and scalars, one row per node.
+
+    Each value is formatted once per snapshot: the rows are joined from
+    the strings of ``_field_text``, which are returned for ``_write_vtk``
+    to reuse.  ``text`` is the run's ``_MeshText``, so the ``node,x,y``
+    columns are formatted once per run; it is built here when not
+    given."""
+    d = mesh.dim
+    fields = _field_text(mesh, mat, st)
+    if text is None:
+        text = _MeshText(mesh)
     cols = ["node"] + ["x", "y"][:d] + ["u%s" % ax for ax in "xy"[:d]]
-    cols += ["m", "chi", "mu", "w", "theta"]
-    table = np.column_stack([np.arange(mesh.n_nodes), mesh.coords,
-                             st.u.reshape(-1, d), st.m, st.chi, st.mu, st.w,
-                             st.theta(mat)])
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        _write_rows(fh, table, ",".join(["%d"] + ["%.17g"] * (len(cols) - 1))
-                    + "\n")
+        fh.write(",".join(cols + list(_SCALARS)) + "\n")
+        for b, nodes in enumerate(text.csv_nodes):
+            u = fields[0][b].split()
+            values = [u[c::3] for c in range(d)]
+            values += [col[b].split() for col in fields[1:]]
+            fh.write("\n".join(map(",".join, zip(nodes.split(), *values)))
+                     + "\n")
+    return fields
 
 
-def _write_vtk(mesh: Mesh, mat: MaterialModel, st: State, path: str):
-    d = mesh.dim
-    n, ne = mesh.n_nodes, mesh.n_elems
-    nv = d + 1
-    pad = np.zeros((n, 3 - d))
+def _write_vtk(mesh: Mesh, mat: MaterialModel, st: State, path: str,
+               fields: list | None = None, text: _MeshText | None = None):
+    """Write the nodal fields of ``st`` as a legacy ASCII VTK
+    unstructured grid with the same ``%.17g`` values as the CSV.
+
+    The point data is the strings of ``fields``, as ``_write_snapshot``
+    returns them for the same state, so no value is formatted a second
+    time; the header, points and cells come from the run's ``_MeshText``,
+    formatted once per run.  Either is built here when not given."""
+    if fields is None:
+        fields = _field_text(mesh, mat, st)
+    if text is None:
+        text = _MeshText(mesh)
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\nhydrisim fields\nASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write("POINTS %d double\n" % n)
-        _write_rows(fh, np.hstack([mesh.coords, pad]), "%.17g %.17g %.17g\n")
-        fh.write("CELLS %d %d\n" % (ne, ne * (nv + 1)))
-        _write_rows(fh, np.column_stack([np.full(ne, nv), mesh.elems]),
-                    " ".join(["%d"] * (nv + 1)) + "\n")
-        fh.write("CELL_TYPES %d\n" % ne)
-        _write_rows(fh, np.full(ne, 3 if d == 1 else 5), "%d\n")
-        fh.write("POINT_DATA %d\n" % n)
-        fh.write("VECTORS u double\n")
-        _write_rows(fh, np.hstack([st.u.reshape(-1, d), pad]),
-                    "%.17g %.17g %.17g\n")
-        for name, vals in (("m", st.m), ("chi", st.chi), ("mu", st.mu),
-                           ("w", st.w), ("theta", st.theta(mat))):
+        fh.write(text.vtk_mesh)
+        fh.writelines(fields[0])
+        for name, col in zip(_SCALARS, fields[1:]):
             fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
-            _write_rows(fh, vals, "%.17g\n")
+            fh.writelines(col)
 
 
 def _manifest(cfg: RunConfig, mat: MaterialModel, mesh: Mesh, n: int,
@@ -360,6 +422,7 @@ def run(config: RunConfig) -> Trajectory:
         except OSError as exc:
             raise ConfigError("output directory %r cannot be created: %s"
                               % (outdir, exc.strerror)) from None
+    mesh_text = _MeshText(mesh)
 
     def maybe_snapshot(st):
         if not outdir:
@@ -367,9 +430,12 @@ def run(config: RunConfig) -> Trajectory:
         due = (cfg.every_n > 0 and st.k % cfg.every_n == 0) or st.k in (0, n)
         if not due:
             return
-        _write_snapshot(mesh, mat, st, _snapshot_path(outdir, st.k, "csv"))
+        fields = _write_snapshot(mesh, mat, st,
+                                 _snapshot_path(outdir, st.k, "csv"),
+                                 text=mesh_text)
         if cfg.vtk:
-            _write_vtk(mesh, mat, st, _snapshot_path(outdir, st.k, "vtk"))
+            _write_vtk(mesh, mat, st, _snapshot_path(outdir, st.k, "vtk"),
+                       fields, mesh_text)
 
     maybe_snapshot(state)
     totals = {"outer": 0, "cg": 0, "prox": 0, "picard_chi": 0, "picard_w": 0,

@@ -586,10 +586,10 @@ class SPDSolver:
             band[0, 1:] = self.A.diagonal(1)
             band[1] = diag
             self.factor = _banded(stage, cholesky_banded, band)
-        elif precond is None:
-            self.precond = lambda r: r / diag
         else:
-            self.precond = precond
+            self.a_norm = np.bincount(rows, np.abs(self.A.data), n).max()
+            self.precond = ((lambda r: r / diag) if precond is None
+                            else precond)
 
     def solve(self, b: np.ndarray, x0: np.ndarray, rel_tol: float):
         """Return (x, CG iterations).  ``x0`` and ``rel_tol`` (relative to
@@ -598,39 +598,53 @@ class SPDSolver:
             return _banded(self.stage, cho_solve_banded,
                            (self.factor, False), b), 0
         return _pcg(self.A, b, x0, self.precond, rel_tol, self.max_iter,
-                    self.stage)
+                    self.stage, self.a_norm)
 
 
-def _pcg(A, b, x0, precond, rel_tol, max_iter, stage):
+def _pcg(A, b, x0, precond, rel_tol, max_iter, stage, a_norm):
     """Preconditioned conjugate gradients, deterministic.  The residual
     is tested before it is preconditioned, so a converged solve spends no
-    preconditioner apply on its last residual.  The convergence and
-    breakdown tests are written so that NaN fails them."""
+    preconditioner apply on its last residual.  CG's updated residual
+    drifts from b - A x by round-off, most from a start far from the
+    solution, so ``rel_tol`` is checked on the true residual once the
+    updated one meets it; if the true one misses, CG starts again from x
+    with it, within the same ``max_iter`` budget.  A true residual below
+    eps (``a_norm`` |x| + |b|), with ``a_norm`` the infinity norm of A,
+    is rounding noise of its own computation and also ends the solve:
+    CG cannot push it lower, so a target below it would only spend the
+    budget.  The convergence and breakdown tests are written so that NaN
+    fails them."""
     x = x0.copy()
-    r = b - A @ x
     bnorm = np.sqrt(b @ b)
     stop = rel_tol * (bnorm if bnorm > 0.0 else 1.0)
-    if np.sqrt(r @ r) <= stop:
-        return x, 0
-    z = precond(r)
-    p = z.copy()
-    rz = r @ z
-    for it in range(1, max_iter + 1):
-        Ap = A @ p
-        pAp = p @ Ap
-        if not pAp > 0.0:
-            break
-        a = rz / pAp
-        x += a * p
-        r -= a * Ap
-        if np.sqrt(r @ r) <= stop:
+    eps = np.finfo(float).eps
+    it = 0
+    while True:
+        r = b - A @ x
+        if np.sqrt(r @ r) <= max(stop,
+                                 eps * (a_norm * np.sqrt(x @ x) + bnorm)):
             return x, it
         z = precond(r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    # reached only after a breakdown or the last iteration, both with the
-    # residual above target
+        p = z.copy()
+        rz = r @ z
+        while it < max_iter:
+            it += 1
+            Ap = A @ p
+            pAp = p @ Ap
+            if not pAp > 0.0:
+                break
+            a = rz / pAp
+            x += a * p
+            r -= a * Ap
+            if np.sqrt(r @ r) <= stop:
+                break
+            z = precond(r)
+            rz_new = r @ z
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        # a breakdown or the spent budget leaves the residual above target
+        if not np.sqrt(r @ r) <= stop:
+            break
     res = np.sqrt(r @ r)
     raise StepFailure(
         f"{stage}: CG stalled at residual {res:.3e} (target {stop:.3e})")

@@ -44,3 +44,40 @@ def fd_eigenvalue(nx, length=1.0):
     uniform grid of nx nodes."""
     h = length / (nx - 1)
     return 2.0 / h ** 2 * (1.0 - np.cos(np.pi * h / length))
+
+
+def reference_snapshot(mesh, mat, st):
+    """The CSV snapshot of ``st``, formatted value by value."""
+    d = mesh.dim
+    cols = ["node"] + ["x", "y"][:d] + ["u%s" % ax for ax in "xy"[:d]]
+    lines = [",".join(cols + ["m", "chi", "mu", "w", "theta"])]
+    u = st.u.reshape(-1, d)
+    theta = st.theta(mat)
+    for i in range(mesh.n_nodes):
+        vals = list(mesh.coords[i]) + list(u[i]) + [
+            st.m[i], st.chi[i], st.mu[i], st.w[i], theta[i]]
+        lines.append(",".join([str(i)] + ["%.17g" % v for v in vals]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_vtk(mesh, mat, st):
+    """The legacy VTK snapshot of ``st``, formatted value by value."""
+    d, n, ne = mesh.dim, mesh.n_nodes, mesh.n_elems
+    pad = [0.0] * (3 - d)
+    lines = ["# vtk DataFile Version 3.0", "hydrisim fields", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", "POINTS %d double" % n]
+    lines += [" ".join("%.17g" % v for v in list(p) + pad)
+              for p in mesh.coords]
+    lines.append("CELLS %d %d" % (ne, ne * (d + 2)))
+    lines += [" ".join(str(v) for v in [d + 1] + [int(j) for j in conn])
+              for conn in mesh.elems]
+    lines.append("CELL_TYPES %d" % ne)
+    lines += [str(3 if d == 1 else 5)] * ne
+    lines += ["POINT_DATA %d" % n, "VECTORS u double"]
+    lines += [" ".join("%.17g" % v for v in list(row) + pad)
+              for row in st.u.reshape(-1, d)]
+    for name, vals in (("m", st.m), ("chi", st.chi), ("mu", st.mu),
+                       ("w", st.w), ("theta", st.theta(mat))):
+        lines += ["SCALARS %s double 1" % name, "LOOKUP_TABLE default"]
+        lines += ["%.17g" % v for v in vals]
+    return "\n".join(lines) + "\n"

@@ -18,6 +18,8 @@ from hydrisim.errors import ConfigError
 from hydrisim.grid import build_mesh, lumped_mass, vector_lumped_mass
 from hydrisim.state import State
 
+from _oracles import reference_snapshot, reference_vtk
+
 
 def desk_mat(**kw):
     return dataclasses.replace(desk_default_material(1), **kw)
@@ -279,41 +281,6 @@ def _awkward_state(mesh, seed):
                  xi=np.zeros(n))
 
 
-def _reference_snapshot(mesh, mat, st):
-    d = mesh.dim
-    cols = ["node"] + ["x", "y"][:d] + ["u%s" % ax for ax in "xy"[:d]]
-    lines = [",".join(cols + ["m", "chi", "mu", "w", "theta"])]
-    u = st.u.reshape(-1, d)
-    theta = st.theta(mat)
-    for i in range(mesh.n_nodes):
-        vals = list(mesh.coords[i]) + list(u[i]) + [
-            st.m[i], st.chi[i], st.mu[i], st.w[i], theta[i]]
-        lines.append(",".join([str(i)] + ["%.17g" % v for v in vals]))
-    return "\n".join(lines) + "\n"
-
-
-def _reference_vtk(mesh, mat, st):
-    d, n, ne = mesh.dim, mesh.n_nodes, mesh.n_elems
-    pad = [0.0] * (3 - d)
-    lines = ["# vtk DataFile Version 3.0", "hydrisim fields", "ASCII",
-             "DATASET UNSTRUCTURED_GRID", "POINTS %d double" % n]
-    lines += [" ".join("%.17g" % v for v in list(p) + pad)
-              for p in mesh.coords]
-    lines.append("CELLS %d %d" % (ne, ne * (d + 2)))
-    lines += [" ".join(str(v) for v in [d + 1] + [int(j) for j in conn])
-              for conn in mesh.elems]
-    lines.append("CELL_TYPES %d" % ne)
-    lines += [str(3 if d == 1 else 5)] * ne
-    lines += ["POINT_DATA %d" % n, "VECTORS u double"]
-    lines += [" ".join("%.17g" % v for v in list(row) + pad)
-              for row in st.u.reshape(-1, d)]
-    for name, vals in (("m", st.m), ("chi", st.chi), ("mu", st.mu),
-                       ("w", st.w), ("theta", st.theta(mat))):
-        lines += ["SCALARS %s double 1" % name, "LOOKUP_TABLE default"]
-        lines += ["%.17g" % v for v in vals]
-    return "\n".join(lines) + "\n"
-
-
 # 24x24: 576 nodes and 1058 elements, each several writer blocks with a
 # partial last one
 @pytest.mark.parametrize("dim, resolution",
@@ -325,9 +292,9 @@ def test_snapshot_formats_pinned(tmp_path, dim, resolution):
     st = _awkward_state(mesh, dim)
     _write_snapshot(mesh, mat, st, str(tmp_path / "f.csv"))
     _write_vtk(mesh, mat, st, str(tmp_path / "f.vtk"))
-    assert (tmp_path / "f.csv").read_text() == _reference_snapshot(mesh, mat,
-                                                                   st)
-    assert (tmp_path / "f.vtk").read_text() == _reference_vtk(mesh, mat, st)
+    assert (tmp_path / "f.csv").read_text() == reference_snapshot(mesh, mat,
+                                                                  st)
+    assert (tmp_path / "f.vtk").read_text() == reference_vtk(mesh, mat, st)
 
 
 def test_vtk_snapshot_shape(tmp_path):
@@ -338,6 +305,43 @@ def test_vtk_snapshot_shape(tmp_path):
     assert text.startswith("# vtk DataFile Version 3.0")
     assert "POINTS 8 double" in text
     assert "SCALARS theta double 1" in text
+
+
+def _assert_snapshots_match_states(traj, outdir):
+    for st in traj.states:
+        stem = outdir / ("fields_%06d" % st.k)
+        assert (stem.with_suffix(".csv").read_text()
+                == reference_snapshot(traj.mesh, traj.mat, st))
+        assert (stem.with_suffix(".vtk").read_text()
+                == reference_vtk(traj.mesh, traj.mat, st))
+
+
+def test_run_snapshots_reuse_mesh_text(tmp_path):
+    # every snapshot after the first writes the run's cached mesh text
+    cfg = RunConfig(dim=2, lengths=(1.0, 1.0), resolution=(5, 4), T=0.003,
+                    tau=1e-3, h_s={"left": 0.5}, every_n=1, vtk=True,
+                    outdir=str(tmp_path))
+    traj = run(cfg)
+    assert len(list(tmp_path.glob("fields_*.vtk"))) == traj.n_steps + 1
+    _assert_snapshots_match_states(traj, tmp_path)
+
+
+def test_mesh_text_belongs_to_its_run(tmp_path):
+    # the first two meshes have the same node count and connectivity but
+    # other coordinates; the third has another size
+    points = []
+    for i, (lengths, res) in enumerate([((1.0, 1.0), (4, 3)),
+                                        ((2.0, 0.5), (4, 3)),
+                                        ((1.0, 1.0), (6, 5))]):
+        out = tmp_path / str(i)
+        cfg = RunConfig(dim=2, lengths=lengths, resolution=res, T=0.001,
+                        tau=1e-3, h_s={"left": 0.5}, vtk=True,
+                        outdir=str(out))
+        traj = run(cfg)
+        _assert_snapshots_match_states(traj, out)
+        vtk = (out / "fields_000000.vtk").read_text()
+        points.append(vtk[vtk.index("POINTS"):vtk.index("CELLS")])
+    assert len(set(points)) == 3
 
 
 # ---------------------------------------------------------------------------

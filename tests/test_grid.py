@@ -287,6 +287,33 @@ def test_failed_pcg_is_step_failure(make):
     assert len(products) == 2
 
 
+def test_pcg_meets_tolerance_on_the_true_residual():
+    # x0 ~ N(0, 1) lies far from a solution of order tau |b|: CG's updated
+    # residual met 1e-12 |b| while b - A x stayed tens of times above it
+    mesh = build_mesh(2, (1.0, 1.0), (2, 2))
+    op = build_heat_operator(mesh, desk_default_material(2), 1e-6)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=mesh.n_nodes)
+        x, _ = op.solve(b, rng.normal(size=mesh.n_nodes), 1e-12)
+        assert np.linalg.norm(b - op.A @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_pcg_stops_at_the_rounding_floor():
+    # K0 tau / h^2 is about 2e7 here: the 1e-12 target lies below the
+    # rounding noise eps (|A| |x| + |b|) of b - A x, which no iterate can
+    # beat, so the solve ends there instead of spending its budget
+    mesh = build_mesh(2, (0.1, 0.1), (14, 14))
+    mat = dataclasses.replace(desk_default_material(2), K0=1e3)
+    op = build_heat_operator(mesh, mat, 1.0)
+    b = np.random.default_rng(1).normal(size=mesh.n_nodes)
+    x, iters = op.solve(b, np.zeros_like(b), 1e-12)
+    res, bnorm = np.linalg.norm(b - op.A @ x), np.linalg.norm(b)
+    floor = np.finfo(float).eps * (op.a_norm * np.linalg.norm(x) + bnorm)
+    assert 1e-12 * bnorm < res <= floor
+    assert iters <= 5
+
+
 def _tensor_model(mesh, k, c):
     """k (Kx (x) Dy + Dx (x) Ky) + c Dx (x) Dy from the 1D meshes' own
     stiffness and lumped mass."""

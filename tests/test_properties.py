@@ -10,8 +10,12 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from hydrisim.constitutive import desk_default_material  # noqa: E402
+from hydrisim.driver import _write_snapshot, _write_vtk  # noqa: E402
 from hydrisim.grid import build_mesh  # noqa: E402
 from hydrisim.heat import build_heat_operator  # noqa: E402
+from hydrisim.state import State  # noqa: E402
+
+from _oracles import reference_snapshot, reference_vtk  # noqa: E402
 
 
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
@@ -41,3 +45,53 @@ def test_enthalpy_solve_on_any_tensor_grid(nx, ny, lx, ly, k0, tau, seed):
     ref = spla.spsolve(op.A.tocsc(), b)
     assert np.linalg.norm(x - ref) <= 10.0 * np.linalg.cond(A) * backward \
         * np.linalg.norm(ref) + 1e-15 * np.linalg.norm(ref)
+
+
+# values whose %.17g text is easy to get wrong: signed zero, subnormals,
+# the extremes of the double range and whole numbers stored as floats
+_AWKWARD = (-0.0, 0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308, 1e308,
+            -1e308, 3.0, -17.0, 2.0 ** 53, 1e16)
+
+
+def _awkward_field(rng, size, specials):
+    vals = rng.normal(size=size) * 10.0 ** rng.integers(-320, 308, size=size)
+    vals = np.where(rng.random(size) < 0.2,
+                    rng.integers(-10 ** 6, 10 ** 6, size=size), vals)
+    vals[rng.integers(0, size, len(specials))] = specials
+    return vals
+
+
+# node counts on both sides of the 256-row block: 256 fills its blocks
+# exactly, 257 leaves one row in the last
+@hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(
+    resolution=st.one_of(st.tuples(st.integers(200, 600)),
+                         st.tuples(st.integers(8, 30), st.integers(8, 30))),
+    lengths=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    specials=st.lists(st.sampled_from(_AWKWARD), min_size=1, max_size=6),
+    seed=st.integers(0, 2 ** 16))
+@hypothesis.example(resolution=(256,), lengths=(1.0, 1.0), specials=[-0.0],
+                    seed=0)
+@hypothesis.example(resolution=(257,), lengths=(1.0, 1.0), specials=[1e308],
+                    seed=1)
+def test_snapshot_writers_match_oracles(tmp_path_factory, resolution, lengths,
+                                        specials, seed):
+    dim = len(resolution)
+    mesh = build_mesh(dim, lengths[:dim], resolution)
+    mat = desk_default_material(dim)
+    rng = np.random.default_rng(seed)
+    n = mesh.n_nodes
+    u, m, chi, mu, w = (_awkward_field(rng, size, specials)
+                        for size in (n * dim, n, n, n, n))
+    state = State(k=0, t=0.0, u=u, u_prev=u, m=m, chi=chi, w=np.abs(w),
+                  mu=mu, xi=np.zeros(n))
+    out = tmp_path_factory.mktemp("snapshot")
+    # theta of an awkward w and m can overflow or be NaN: the writers and
+    # the oracles format the same values
+    with np.errstate(over="ignore", invalid="ignore"):
+        _write_snapshot(mesh, mat, state, str(out / "f.csv"))
+        _write_vtk(mesh, mat, state, str(out / "f.vtk"))
+        assert (out / "f.csv").read_text() == reference_snapshot(mesh, mat,
+                                                                 state)
+        assert (out / "f.vtk").read_text() == reference_vtk(mesh, mat, state)
