@@ -22,6 +22,7 @@ import numpy as np
 from .constitutive import desk_default_material, validate_material
 from .driver import RunConfig, desk_default_config, refine_study, run
 from .errors import ConfigError, HydrisimError
+from .grid import check_spacing
 from .mech_phase import check_step_size, tau_max
 
 log = logging.getLogger("hydrisim.cli")
@@ -180,7 +181,8 @@ def _side_ramps(raw: str, context: str, dim: int, vector: bool):
                          np.array([c(None, t) for c in cc]))
         else:
             ramp = parse_ramp(chunk, "t", context)
-            out[side] = ramp if not ramp.is_constant else ramp.const
+            out[side] = ramp.const if ramp.is_constant else (
+                lambda t, rr=ramp: rr(None, t))
     return out
 
 
@@ -254,6 +256,7 @@ def parse_config(path: str) -> RunConfig:
     if len(lengths) != dim or len(resolution) != dim:
         raise ConfigError("[domain]: lengths/resolution must have %d "
                           "entr%s" % (dim, "y" if dim == 1 else "ies"))
+    check_spacing(dim, lengths, resolution)
 
     tm = sec("time")
     T = _parse_float(tm["T"], "[time] T") if "T" in tm else 0.05

@@ -32,6 +32,7 @@ from .grid import (
     Mesh,
     boundary_functional,
     build_mesh,
+    check_spacing,
     lumped_mass,
     strain,
     vector_lumped_mass,
@@ -404,6 +405,7 @@ def run(config: RunConfig) -> Trajectory:
     check_step_size(mat, cfg.tau, cfg.T)
     cfg.check_solver()
     n = cfg.step_count()
+    check_spacing(cfg.dim, cfg.lengths, cfg.resolution)
     mesh = build_mesh(cfg.dim, cfg.lengths, cfg.resolution)
     opt_tol = cfg.opt_tol if cfg.opt_tol is not None else (
         1e-10 if cfg.dim == 1 else 1e-8)

@@ -9,8 +9,10 @@ previous phase/enthalpy pair.  The solver alternates an SPD displacement
 solve (``grid.SPDSolver``: a banded Cholesky factor computed once when
 the operator is tridiagonal, as on every segment mesh, and
 Jacobi-preconditioned CG otherwise) with an accelerated proximal-gradient
-pass on m whose nonsmooth part is handled exactly by a nodal prox, and
-stops on the joint first-order residual measured in the lumped dual norm.
+pass on m (FISTA with restart) in a diagonal metric: each node steps by
+its own Gershgorin row sum of the phase Hessian, so the nonsmooth part
+stays an exact nodal prox.  It stops on the joint first-order residual
+measured in the lumped dual norm.
 The normal-cone multiplier xi is recovered from the converged m-equation.
 """
 
@@ -64,7 +66,10 @@ def tau_max(mat: MaterialModel, horizon: float) -> float:
 
 def check_step_size(mat: MaterialModel, tau: float,
                     horizon: float = math.inf):
-    """Raise ConfigError when ``tau`` exceeds ``tau_max(mat, horizon)``."""
+    """Raise ConfigError when ``tau`` exceeds ``tau_max(mat, horizon)`` or
+    leaves tau^2 or the inertia weight rho/tau^2 outside the floats."""
+    if not (0.0 < tau * tau < math.inf and math.isfinite(mat.rho / tau ** 2)):
+        raise ConfigError("tau = %g leaves rho/tau^2 out of range" % tau)
     bound = tau_max(mat, horizon)
     if tau > bound * (1.0 + 1e-12):
         raise ConfigError(
@@ -92,45 +97,39 @@ class MechOperators:
     tau: float
     Mlump: np.ndarray
     Mvec: np.ndarray
-    Kscal: sp.csr_matrix
+    A_m: sp.csr_matrix  # phase-gradient stiffness + transformation coupling
     A_el: sp.csr_matrix
     A_visc: sp.csr_matrix
     B: sp.csr_matrix
-    W: sp.csr_matrix
     A_u: sp.csr_matrix
     u_solver: SPDSolver
-    lipschitz: float
+    lipschitz: np.ndarray  # per-node step metric D, majorizes the m-Hessian
 
 
 def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators:
     Mlump = lumped_mass(mesh)
     Mvec = vector_lumped_mass(mesh)
-    Kscal = stiffness(mesh, 1.0)
+    K = stiffness(mesh, mat.grad_coeff)
+    A_m = _on_pattern(K + mean_coupling_matrix(mesh, mat.eps_tr_C_eps_tr), K)
     A_el = elastic_stiffness(mesh, mat.lame)
     A_visc = elastic_stiffness(mesh, mat.visc)
-    sig_unit = _transformation_stress(mat)
-    B = coupling_force_matrix(mesh, sig_unit)
-    W = mean_coupling_matrix(mesh, mat.eps_tr_C_eps_tr)
+    B = coupling_force_matrix(mesh, _transformation_stress(mat))
     A_u = sp.diags(mat.rho / tau ** 2 * Mvec) + A_visc / tau + A_el
     A_visc, A_u = (_on_pattern(A, A_el) for A in (A_visc, A_u))
-    # Gershgorin bound for the phase-block Hessian; the pointwise curvature
-    # is taken over the extrapolation range [-1, 2] the accelerated steps
-    # can visit, where the quartic well contributes at most 26*d0.
+    # Gershgorin row sums D of the phase-block Hessian H leave D - H diagonally
+    # dominant; the curvature is bounded over the range [-1, 2] the
+    # accelerated steps can visit, where the quartic well adds <= 26*d0.
     curv_max = mat.coupling_k + 26.0 * mat.double_well
-    H = (mat.grad_coeff * Kscal + W
-         + sp.diags(Mlump * (mat.alpha / tau + curv_max))).tocsr()
-    lipschitz = float(np.abs(H).sum(axis=1).max())
-    return MechOperators(tau, Mlump, Mvec, Kscal, A_el, A_visc, B, W,
-                         A_u, SPDSolver(A_u, "displacement solve"),
-                         lipschitz)
+    H = A_m + sp.diags(Mlump * (mat.alpha / tau + curv_max))
+    lipschitz = np.asarray(abs(H).sum(axis=1)).ravel()
+    return MechOperators(tau, Mlump, Mvec, A_m, A_el, A_visc, B, A_u,
+                         SPDSolver(A_u, "displacement solve"), lipschitz)
 
 
 def _on_pattern(A: sp.spmatrix, P: sp.csr_matrix) -> sp.csr_matrix:
     """``A`` in CSR with its arrays copied to size, sharing the index
-    arrays of ``P`` when it has the same pattern.  The CSR sum leaves its
-    result in buffers sized for nnz(A) + nnz(B), twice the matrix here;
-    the pattern is shared by the elastic, viscous and displacement
-    matrices of every mesh from ``build_mesh``."""
+    arrays of ``P`` when the patterns match.  A CSR sum leaves its result
+    in buffers sized for nnz(A) + nnz(B), twice the matrix here."""
     A = A.tocsr()
     if not (np.array_equal(A.indptr, P.indptr)
             and np.array_equal(A.indices, P.indices)):
@@ -203,12 +202,12 @@ def _adiabatic_data(pr: MechPhaseProblem):
                                      pr.m_prev.shape).copy()
 
 
-def _m_smooth_grad(pr, ops, m, Bu, sa_node):
+def _m_smooth_grad(pr, ops, m, Am, Bu, sa_node):
+    """Gradient of the smooth part of the m-functional, given Am = A_m @ m."""
     mat = pr.mat
-    return (mat.grad_coeff * (ops.Kscal @ m) + ops.W @ m - Bu
-            + ops.Mlump * (dphi1_dm(mat, m, pr.chi_prev)
-                           + (mat.alpha / pr.tau) * (m - pr.m_prev)
-                           + sa_node))
+    return Am - Bu + ops.Mlump * (dphi1_dm(mat, m, pr.chi_prev)
+                                  + (mat.alpha / pr.tau) * (m - pr.m_prev)
+                                  + sa_node)
 
 
 def _m_residual(g, m, m_prev, Mlump, r, lo, hi):
@@ -224,31 +223,37 @@ def _m_residual(g, m, m_prev, Mlump, r, lo, hi):
 
 
 def _solve_m_block(pr, ops, u, m_start, sa_node, tol, max_iter):
+    """FISTA with restart in the metric D = ops.lipschitz and one A_m product
+    per iteration; returns m, g(m), its nodal residual and the count."""
     mat = pr.mat
     Bu = ops.B.T @ u
-    L = ops.lipschitz
+    D = ops.lipschitz
     kappa = ops.Mlump * mat.threshold_r
     lo, hi = mat.m_lo, mat.m_hi
-    m = np.clip(m_start, lo, hi)
-    y = m.copy()
+    y = m = np.clip(m_start, lo, hi)
+    Am = ops.A_m @ m
+    g = g_y = _m_smooth_grad(pr, ops, m, Am, Bu, sa_node)
     t_acc = 1.0
     for it in range(1, max_iter + 1):
-        g_y = _m_smooth_grad(pr, ops, y, Bu, sa_node)
-        m_new = phase_nodal_prox(L, y - g_y / L, pr.m_prev, kappa, lo, hi)
-        if (y - m_new) @ (m_new - m) > 0.0:
+        m_new = phase_nodal_prox(D, y - g_y / D, pr.m_prev, kappa, lo, hi)
+        if (y - m_new) @ (D * (m_new - m)) > 0.0:
             # momentum points uphill: restart from the last iterate
             t_acc = 1.0
-            g_y = _m_smooth_grad(pr, ops, m, Bu, sa_node)
-            m_new = phase_nodal_prox(L, m - g_y / L, pr.m_prev, kappa, lo, hi)
-            y = m.copy()
+            m_new = phase_nodal_prox(D, m - g / D, pr.m_prev, kappa, lo, hi)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2))
-        y = m_new + ((t_acc - 1.0) / t_next) * (m_new - m)
-        m, t_acc = m_new, t_next
-        g = _m_smooth_grad(pr, ops, m, Bu, sa_node)
-        res = _m_residual(g, m, pr.m_prev, ops.Mlump, mat.threshold_r, lo, hi)
+        beta = (t_acc - 1.0) / t_next
+        Am_new = ops.A_m @ m_new
+        g_new = _m_smooth_grad(pr, ops, m_new, Am_new, Bu, sa_node)
+        res = _m_residual(g_new, m_new, pr.m_prev, ops.Mlump,
+                          mat.threshold_r, lo, hi)
         if np.sqrt(np.sum(res ** 2 / ops.Mlump)) <= tol:
-            return m, g, it
-    return m, g, max_iter
+            return m_new, g_new, res, it
+        y = m_new + beta * (m_new - m)
+        # A_m is linear, so A_m @ y needs no product of its own
+        g_y = _m_smooth_grad(pr, ops, y, (1.0 + beta) * Am_new - beta * Am,
+                             Bu, sa_node)
+        m, Am, g, t_acc = m_new, Am_new, g_new, t_next
+    return m, g, res, max_iter
 
 
 def _u_rhs_base(pr, ops, sa_force):
@@ -256,10 +261,9 @@ def _u_rhs_base(pr, ops, sa_force):
     b = (mat.rho / pr.tau ** 2) * ops.Mvec * (2.0 * pr.u_prev - pr.u_prev2)
     b += (ops.A_visc @ pr.u_prev) / pr.tau
     b -= sa_force
-    if pr.f is not None:
-        b = b + pr.f
-    if pr.f_s is not None:
-        b = b + pr.f_s
+    for load in (pr.f, pr.f_s):
+        if load is not None:
+            b = b + load
     return b
 
 
@@ -277,17 +281,15 @@ def incremental_objective(pr: MechPhaseProblem, u: np.ndarray,
     val = 0.5 * mat.rho / pr.tau ** 2 * np.sum(ops.Mvec * acc ** 2)
     val += 0.5 / pr.tau * (du @ (ops.A_visc @ du))
     val += 0.5 * (u @ (ops.A_el @ u)) - u @ (ops.B @ m)
-    val += 0.5 * (m @ (ops.W @ m))
-    val += 0.5 * mat.grad_coeff * (m @ (ops.Kscal @ m))
+    val += 0.5 * (m @ (ops.A_m @ m))
     val += np.sum(ops.Mlump * (phi1(mat, m, pr.chi_prev)
                                + 0.5 * mat.alpha / pr.tau * dm ** 2
                                + mat.threshold_r * np.abs(dm)
                                + sa_node * m))
     val += sa_force @ u
-    if pr.f is not None:
-        val -= pr.f @ u
-    if pr.f_s is not None:
-        val -= pr.f_s @ u
+    for load in (pr.f, pr.f_s):
+        if load is not None:
+            val -= load @ u
     return float(val)
 
 
@@ -330,12 +332,10 @@ def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
         b_u = b_base + ops.B @ m
         u, cg_it = ops.u_solver.solve(b_u, u, pr.cg_tol)
         cg_total += cg_it
-        m, g, fista_it = _solve_m_block(pr, ops, u, m, sa_node,
-                                        0.5 * tol_eff, pr.fista_max)
+        m, g, r_m, fista_it = _solve_m_block(pr, ops, u, m, sa_node,
+                                             0.5 * tol_eff, pr.fista_max)
         prox_total += fista_it
         r_u = ops.A_u @ u - (b_base + ops.B @ m)
-        r_m = _m_residual(g, m, pr.m_prev, ops.Mlump, mat.threshold_r,
-                          mat.m_lo, mat.m_hi)
         residual = float(np.sqrt(np.sum(r_u ** 2 / ops.Mvec)
                                  + np.sum(r_m ** 2 / ops.Mlump)))
         if residual <= tol_eff:

@@ -81,3 +81,36 @@ def reference_vtk(mesh, mat, st):
         lines += ["SCALARS %s double 1" % name, "LOOKUP_TABLE default"]
         lines += ["%.17g" % v for v in vals]
     return "\n".join(lines) + "\n"
+
+
+def scalar_fista(grad, lipschitz, m_prev, kappa, lo, hi, m0, converged,
+                 max_iter=100000):
+    """FISTA (Beck & Teboulle 2009) with one scalar step 1/L and the
+    gradient restart of O'Donoghue & Candes (2015), minimizing
+    f(m) + sum kappa |m - m_prev| over the box [lo, hi].
+
+    ``grad`` is the gradient of the smooth part f and ``lipschitz`` a
+    scalar bound on its Hessian.  The prox is the closed-form soft
+    threshold toward ``m_prev`` followed by clipping.  Stops at the first
+    iterate with ``converged(m, grad(m))``; returns it and the count.
+    """
+    def prox(v):
+        d = v - m_prev
+        shift = kappa / lipschitz
+        shrunk = m_prev + np.sign(d) * np.maximum(np.abs(d) - shift, 0.0)
+        return np.clip(shrunk, lo, hi)
+
+    m = np.clip(m0, lo, hi)
+    y = m.copy()
+    t = 1.0
+    for it in range(1, max_iter + 1):
+        m_new = prox(y - grad(y) / lipschitz)
+        if (y - m_new) @ (m_new - m) > 0.0:
+            t = 1.0
+            m_new = prox(m - grad(m) / lipschitz)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = m_new + ((t - 1.0) / t_next) * (m_new - m)
+        m, t = m_new, t_next
+        if converged(m, grad(m)):
+            return m, it
+    raise AssertionError("scalar FISTA did not converge")

@@ -217,10 +217,20 @@ def test_selftest_passes(monkeypatch, capsys):
     ("validate", "[domain]\nresolution = 12.9\n", None, "resolution"),
     ("validate", "[solver]\npicard_max = 2.5\n", None, "picard_max"),
     ("validate", "[solver]\nopt_max = 3.9\n", None, "opt_max"),
+    # a step whose tau^2 leaves the floats (rho/tau^2 divided by zero, or
+    # tau^2 overflowed) stops at parse time, not in build_operators
+    ("simulate", "[time]\nT = 1e-300\ntau = 1e-300\n", "out", "tau"),
+    ("simulate", "[time]\nT = 1e200\ntau = 1e200\n", "out", "tau"),
+    # a spacing whose P1 operators are not finite stops at parse time,
+    # not in the first enthalpy solve
+    ("simulate", "[domain]\nlengths = 1e-300\n", "out", "spacing"),
+    ("simulate", "[domain]\ndim = 2\nlengths = 1e-300 1e-300\n"
+     "resolution = 5 5\n", "out", "spacing"),
 ], ids=["missing-file", "picard_max-0", "opt_max-0", "picard_tol-negative",
         "cg_tol-zero", "out-is-file", "out-under-file", "every_n-2.5",
         "every_n-0.5", "every_n-negative", "dim-1.7", "resolution-12.9",
-        "picard_max-2.5", "opt_max-3.9"])
+        "picard_max-2.5", "opt_max-3.9", "tau-1e-300", "tau-1e200",
+        "lengths-1e-300", "lengths-1e-300-2d"])
 def test_main_maps_config_errors_to_exit_2(tmp_path, monkeypatch, capsys,
                                            command, text, out, match):
     path = "/no/such/file.ini" if text is None else write_cfg(tmp_path, text)
@@ -232,6 +242,22 @@ def test_main_maps_config_errors_to_exit_2(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert "error:" in err
     assert match in err
+
+
+def test_time_ramped_side_sources_run(tmp_path, monkeypatch):
+    # h_s and q_s ramps in t: the hydrogen gained in step k is the influx
+    # tau * h_s(k tau) through the left end
+    text = ("[domain]\nresolution = 12\n\n[time]\nT = 0.004\ntau = 1e-3\n\n"
+            "[sources]\nh_s = left: 0.5 + 2*t\nq_s = right: 0.2 + 1*t\n")
+    path = write_cfg(tmp_path, text)
+    cfg = parse_config(path)
+    traj = cli.run(cfg)
+    gain = np.diff([row.mass_chi for row in traj.rows])
+    influx = [traj.tau * (0.5 + 2.0 * k * traj.tau)
+              for k in range(1, traj.n_steps + 1)]
+    assert gain == pytest.approx(influx, abs=1e-12)
+    assert run_main(monkeypatch, "simulate", path,
+                    "--out", str(tmp_path / "out")) == 0
 
 
 def test_constant_ramp_collapses_to_float(tmp_path):

@@ -50,6 +50,19 @@ def test_oversized_step_rejected_with_threshold(double_well, T, tau):
         run(cfg)
 
 
+@pytest.mark.parametrize("overrides, match", [
+    (dict(lengths=(1e-300,)), "spacing"),
+    (dict(dim=2, lengths=(1e-300, 1.0), resolution=(4, 4)), "spacing"),
+    (dict(T=1e-300, tau=1e-300), "tau"),
+], ids=["lengths-1d", "lengths-2d", "tau"])
+def test_out_of_range_scales_rejected_before_step_one(overrides, match):
+    # library callers get the same ConfigError as the INI parser, not a
+    # ZeroDivisionError or a failed first solve
+    cfg = desk_default_config(**{"resolution": (8,), "T": 0.002, **overrides})
+    with pytest.raises(ConfigError, match=match):
+        run(cfg)
+
+
 def test_initial_enthalpy_from_temperature():
     cfg = desk_default_config(resolution=(8,), T=0.002, theta0=3.0,
                               h_s=None)

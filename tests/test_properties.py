@@ -13,6 +13,14 @@ from hydrisim.constitutive import desk_default_material  # noqa: E402
 from hydrisim.driver import _write_snapshot, _write_vtk  # noqa: E402
 from hydrisim.grid import build_mesh  # noqa: E402
 from hydrisim.heat import build_heat_operator  # noqa: E402
+from hydrisim.mech_phase import (  # noqa: E402
+    MechPhaseProblem,
+    _adiabatic_data,
+    _m_residual,
+    _m_smooth_grad,
+    _solve_m_block,
+    tau_max,
+)
 from hydrisim.state import State  # noqa: E402
 
 from _oracles import reference_snapshot, reference_vtk  # noqa: E402
@@ -45,6 +53,46 @@ def test_enthalpy_solve_on_any_tensor_grid(nx, ny, lx, ly, k0, tau, seed):
     ref = spla.spsolve(op.A.tocsc(), b)
     assert np.linalg.norm(x - ref) <= 10.0 * np.linalg.cond(A) * backward \
         * np.linalg.norm(ref) + 1e-15 * np.linalg.norm(ref)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(
+    dim=st.integers(1, 2), nx=st.integers(2, 8), ny=st.integers(2, 8),
+    r=st.floats(0.0, 5.0), k=st.floats(0.0, 50.0), a1=st.floats(0.0, 3.0),
+    double_well=st.sampled_from([0.0, 0.5, 5.0]),
+    tau_frac=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 16))
+def test_phase_block_meets_its_residual(dim, nx, ny, r, k, a1, double_well,
+                                        tau_frac, seed):
+    # whatever the mesh, threshold, chemical driving, double well and
+    # step, the prox block returns an m whose first-order residual,
+    # recomputed from scratch, meets the tolerance it was given
+    res = (nx,) if dim == 1 else (nx, ny)
+    mesh = build_mesh(dim, (1.0,) * dim, res)
+    n = mesh.n_nodes
+    mat = dataclasses.replace(desk_default_material(dim), threshold_r=r,
+                              coupling_k=k, a1=a1, double_well=double_well)
+    tau = tau_frac * tau_max(mat, 0.1)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(0.0, 0.1, dim * n)
+    pr = MechPhaseProblem(mesh=mesh, mat=mat, tau=tau, u_prev=u, u_prev2=u,
+                          m_prev=rng.uniform(0.0, 1.0, n),
+                          chi_prev=rng.uniform(0.0, 1.5, n),
+                          w_prev=rng.uniform(0.0, 1.0, n))
+    ops = pr.operators()
+    _, sa_node = _adiabatic_data(pr)
+    # relative to the gradient scale: the metric applied to a unit m, in
+    # the lumped dual norm the residual is measured in
+    tol = 1e-9 * (1.0 + float(np.sqrt(np.sum(ops.lipschitz ** 2
+                                             / ops.Mlump))))
+    m, _, _, iters = _solve_m_block(pr, ops, u, pr.m_prev, sa_node, tol,
+                                    pr.fista_max)
+    assert iters < pr.fista_max
+    assert np.all((m >= mat.m_lo) & (m <= mat.m_hi))
+    g = _m_smooth_grad(pr, ops, m, ops.A_m.toarray() @ m, ops.B.T @ u,
+                       sa_node)
+    resid = _m_residual(g, m, pr.m_prev, ops.Mlump, r, mat.m_lo, mat.m_hi)
+    assert np.sqrt(np.sum(resid ** 2 / ops.Mlump)) <= tol * (1.0 + 1e-4)
 
 
 # values whose %.17g text is easy to get wrong: signed zero, subnormals,
