@@ -104,9 +104,14 @@ def _element_coeffs(mat: MaterialModel, m_e: np.ndarray, chi_e: np.ndarray):
             mat.M0 * d2phi1_dmchi(mat, m_e, chi_e))
 
 
-def _solve(mesh: Mesh, A, rhs: np.ndarray) -> np.ndarray:
+def _solve(mesh: Mesh, coeff, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (K(coeff) + diag(diag)) chi = rhs, K the scalar stiffness.
+    The banded path fills its band from the assembled values; only
+    SuperLU needs the matrix in CSR."""
     if mesh.half_bandwidth <= _BAND_MAX:
-        return solve_stiffness_banded(mesh, A, rhs, "concentration solve")
+        return solve_stiffness_banded(mesh, coeff, diag, rhs,
+                                      "concentration solve")
+    A = stiffness_with_diag(mesh, coeff, diag)
     # SuperLU only warns on a NaN-poisoned matrix and returns NaN
     x = spla.spsolve(A, rhs, permc_spec="MMD_AT_PLUS_A")
     if not np.isfinite(x).all():
@@ -124,16 +129,18 @@ def solve_chi_step(pr: DiffusionProblem) -> DiffusionSolution:
     if pr.h_s is not None:
         rhs_fixed = rhs_fixed + pr.h_s
 
+    # m is fixed for the whole step
     m_e = elem_mean(mesh, pr.m)
+    grad_m = grad_field(mesh, pr.m)
+    diag = Ml / pr.tau
     chi_lin = pr.chi_prev.copy()
     chi_new = chi_lin
     update = np.inf
     last_update = None
     for it in range(1, pr.picard_max + 1):
         M1, M2 = _element_coeffs(mat, m_e, elem_mean(mesh, chi_lin))
-        A = stiffness_with_diag(mesh, M1, Ml / pr.tau)
-        rhs = rhs_fixed - grad_stiffness_vector(mesh, M2, pr.m)
-        chi_new = _solve(mesh, A, rhs)
+        rhs = rhs_fixed - grad_stiffness_vector(mesh, M2, grad_m)
+        chi_new = _solve(mesh, M1, diag, rhs)
         update = float(np.sqrt(np.sum(Ml * (chi_new - chi_lin) ** 2)))
         if update <= pr.picard_tol:
             break

@@ -474,7 +474,14 @@ def run(config: RunConfig) -> Trajectory:
 
         new = State(k=k, t=t, u=sol.u, u_prev=state.u, m=sol.m,
                     chi=dsol.chi, w=hsol.w, mu=dsol.mu, xi=sol.xi)
-        row = ledger_step(mesh, mat, state, new, cfg.tau, src, hsol.produced)
+        # the stage arrays, not copies; the adiabatic data is read off pr,
+        # not bound to a local, so it is freed when the next step replaces
+        # pr and does not stay live through that step's stages
+        row = ledger_step(mesh, mat, state, new, cfg.tau, src, hsol.produced,
+                          grad_mu=dsol.grad_mu,
+                          sigma_a_prev=pr.adiabatic().sigma,
+                          s_a_prev=pr.adiabatic().s_node,
+                          strain_rate=hsol.strain_rate)
         gap = slack(rows[-1], row)
         scale = max(1.0, abs(row.energy), abs(row.thermal))
         if gap < -SLACK_TOL * scale:

@@ -10,6 +10,15 @@ whose residual is pure solver noise, the mixed inequality (nu=1/2) whose
 slack collects the scheme's intrinsic numerical dissipation and convexity
 gaps and must stay nonnegative, and the total-energy defect (nu=1) which
 is first order in the step size.
+
+The ledger row of a step reads the arrays its stages already built
+instead of computing them again from the states: the chemical-potential
+gradient of the concentration solve, sigma_a and s_a at the previous
+state from the displacement/phase solve, and the strain rate of the
+enthalpy solve.  The audit stays exact because these are the very
+arrays the stages balanced their own equations with, from the same
+formulas; a recomputation from the states gives the same bits, at the
+cost of a second evaluation per step.
 """
 
 from __future__ import annotations
@@ -27,8 +36,6 @@ from .constitutive import (
     apply_viscosity,
     dphi1_dm,
     phi1,
-    s_a,
-    sigma_a_tensor,
 )
 from .diffusion import assemble_mu
 from .grid import (
@@ -86,26 +93,35 @@ class LedgerRow:
         return self.kinetic + self.stored + self.gradient
 
 
+def _elastic_strain(mesh: Mesh, mat: MaterialModel, st: State) -> np.ndarray:
+    """Element strain eps(u) - mean(m) eps_tr of ``st``."""
+    return (strain(mesh, st.u)
+            - elem_mean(mesh, st.m)[:, None, None] * mat.eps_tr_mat)
+
+
 def _energies(mesh: Mesh, mat: MaterialModel, st: State, tau: float):
+    """Kinetic, stored, gradient and thermal energy of ``st``, then the
+    elastic strain and the nodal phi1(m, chi) they were built from, for
+    ``ledger_step`` to reuse."""
     Ml = lumped_mass(mesh)
     Mv = vector_lumped_mass(mesh)
     v = st.velocity(tau)
     kinetic = 0.5 * mat.rho * float(np.sum(Mv * v ** 2))
-    eps = strain(mesh, st.u)
-    a = eps - elem_mean(mesh, st.m)[:, None, None] * mat.eps_tr_mat
+    a = _elastic_strain(mesh, mat, st)
     elastic = 0.5 * float(np.einsum("eij,eij,e->", apply_elastic(mat, a), a,
                                     mesh.volumes))
-    chem = float(np.sum(Ml * phi1(mat, st.m, st.chi)))
+    phi = phi1(mat, st.m, st.chi)
+    chem = float(np.sum(Ml * phi))
     gm = grad_field(mesh, st.m)
     gradient = 0.5 * mat.grad_coeff * float(
         np.einsum("ei,ei,e->", gm, gm, mesh.volumes))
     thermal = float(np.sum(Ml * st.w))
-    return kinetic, elastic + chem, gradient, thermal
+    return (kinetic, elastic + chem, gradient, thermal), a, phi
 
 
 def initial_row(mesh: Mesh, mat: MaterialModel, st: State,
                 tau: float) -> LedgerRow:
-    kin, sto, grad, th = _energies(mesh, mat, st, tau)
+    (kin, sto, grad, th), _, _ = _energies(mesh, mat, st, tau)
     Ml = lumped_mass(mesh)
     return LedgerRow(t=st.t, kinetic=kin, stored=sto, gradient=grad,
                      thermal=th, mass_chi=float(np.sum(Ml * st.chi)),
@@ -113,28 +129,33 @@ def initial_row(mesh: Mesh, mat: MaterialModel, st: State,
 
 
 def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
-                tau: float, sources: dict, heat_produced: dict) -> LedgerRow:
+                tau: float, sources: dict, heat_produced: dict, *,
+                grad_mu: np.ndarray, sigma_a_prev: np.ndarray,
+                s_a_prev: np.ndarray, strain_rate: np.ndarray) -> LedgerRow:
     """Assemble one audit row from two consecutive states.
 
     ``sources`` holds the assembled per-step load vectors under the keys
     f, f_s, h_s (None for absent ones); ``heat_produced`` is the enthalpy
-    solver's integrated right-hand-side breakdown.
+    solver's integrated right-hand-side breakdown.  The keyword inputs
+    are arrays the stages of the step already built, taken as they are:
+    ``grad_mu`` the element gradient of the chemical potential at ``cur``
+    (``DiffusionSolution.grad_mu``, ``assemble_mu(mesh, mat, cur.m,
+    cur.chi)[1]``), ``sigma_a_prev`` the element sigma_a and ``s_a_prev``
+    the nodal s_a at the midpoint and nodal m, w of ``prev``
+    (``MechPhaseProblem.adiabatic()``), and ``strain_rate`` the element
+    strain of ``cur.velocity(tau)`` (``HeatSolution.strain_rate``).
     """
     Ml = lumped_mass(mesh)
     Mv = vector_lumped_mass(mesh)
     vol = mesh.volumes
-    kin, sto, grad, th = _energies(mesh, mat, cur, tau)
+    (kin, sto, grad, th), a_k, phi_k = _energies(mesh, mat, cur, tau)
 
     du = cur.velocity(tau)
     du_prev = prev.velocity(tau)
     dm = cur.m - prev.m
     dchi = cur.chi - prev.chi
 
-    eps_k = strain(mesh, cur.u)
-    eps_p = strain(mesh, prev.u)
-    a_k = eps_k - elem_mean(mesh, cur.m)[:, None, None] * mat.eps_tr_mat
-    a_p = eps_p - elem_mean(mesh, prev.m)[:, None, None] * mat.eps_tr_mat
-    da = a_k - a_p
+    da = a_k - _elastic_strain(mesh, mat, prev)
     numdiss = 0.5 * mat.rho * float(np.sum(Mv * (du - du_prev) ** 2))
     numdiss += 0.5 * float(np.einsum("eij,eij,e->",
                                      apply_elastic(mat, da), da, vol))
@@ -142,32 +163,28 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
     numdiss += 0.5 * mat.grad_coeff * float(
         np.einsum("ei,ei,e->", gdm, gdm, vol))
 
+    # phi1 at the new phase and the previous concentration enters both gaps
+    phi_mix = phi1(mat, cur.m, prev.chi)
     gap_m = float(np.sum(Ml * (dphi1_dm(mat, cur.m, prev.chi) * dm
-                               - phi1(mat, cur.m, prev.chi)
+                               - phi_mix
                                + phi1(mat, prev.m, prev.chi))))
-    gap_chi = float(np.sum(Ml * (cur.mu * dchi
-                                 - phi1(mat, cur.m, cur.chi)
-                                 + phi1(mat, cur.m, prev.chi))))
+    gap_chi = float(np.sum(Ml * (cur.mu * dchi - phi_k + phi_mix)))
     xi_term = float(np.sum(Ml * cur.xi * dm))
 
-    rate = strain(mesh, du)
     diss_viscous = tau * float(np.einsum(
-        "eij,eij,e->", apply_viscosity(mat, rate), rate, vol))
+        "eij,eij,e->", apply_viscosity(mat, strain_rate), strain_rate, vol))
     diss_phase = mat.alpha / tau * float(np.sum(Ml * dm ** 2))
     diss_activation = mat.threshold_r * float(np.sum(Ml * np.abs(dm)))
 
     hs = sources.get("h_s")
     hs_work = tau * float(hs @ cur.mu) if hs is not None else 0.0
     diss_diffusion_dual = hs_work - float(np.sum(Ml * dchi * cur.mu))
-    _, gmu = assemble_mu(mesh, mat, cur.m, cur.chi)
     diss_diffusion = tau * float(np.einsum(
-        "ei,ei,e,e->", gmu, gmu, np.full(mesh.n_elems, mat.M0), vol))
+        "ei,ei,e,e->", grad_mu, grad_mu, np.full(mesh.n_elems, mat.M0), vol))
 
-    m_e = elem_mean(mesh, prev.m)
-    w_e = elem_mean(mesh, prev.w)
-    sig = sigma_a_tensor(mat, m_e, w_e)
-    adiab_expl = tau * float(np.einsum("eij,eij,e->", sig, rate, vol))
-    adiab_expl += float(np.sum(Ml * s_a(mat, prev.m, prev.w) * dm))
+    adiab_expl = tau * float(np.einsum("eij,eij,e->", sigma_a_prev,
+                                       strain_rate, vol))
+    adiab_expl += float(np.sum(Ml * s_a_prev * dm))
 
     work_mech = hs_work
     f = sources.get("f")

@@ -9,9 +9,10 @@ keeps every scalar stiffness matrix an M-matrix, which the discrete
 maximum principles for concentration and enthalpy rely on.  The direct
 solves live here too: in natural node order every scalar P1 matrix is
 banded (half bandwidth 1 on a segment, ny + 1 on an nx x ny grid), so
-``solve_stiffness_banded`` solves one exactly by LAPACK banded Cholesky,
-and ``SPDSolver`` keeps a banded Cholesky factor of a tridiagonal
-run-constant operator for the whole run.  Other run-constant operators
+``solve_stiffness_banded`` assembles one straight into a LAPACK band
+and solves it exactly by banded Cholesky, and ``SPDSolver`` keeps a
+banded Cholesky factor of a tridiagonal run-constant operator for the
+whole run.  Other run-constant operators
 go through preconditioned CG.  A 2D grid is a tensor product of two
 segments (``Mesh.shape`` holds the nodes per axis), so
 ``tensor_grid_inverse`` inverts a tensor-product model of its scalar
@@ -61,6 +62,7 @@ __all__ = [
     "grad_field",
     "elastic_stiffness",
     "coupling_force_matrix",
+    "vector_grad_op",
     "mean_coupling_matrix",
     "boundary_functional",
     "solve_stiffness_banded",
@@ -360,28 +362,36 @@ def stiffness(mesh: Mesh, coeff=1.0) -> sp.csr_matrix:
                          shape=(mesh.n_nodes, mesh.n_nodes))
 
 
+def _stiff_data_with_diag(mesh: Mesh, coeff, diag: np.ndarray) -> np.ndarray:
+    """The CSR values of ``stiffness_with_diag``, in the slot order of
+    the cached stiffness pattern."""
+    data = _stiff_data(mesh, coeff)
+    data[mesh._stiff_csr[4]] += diag
+    return data
+
+
 def stiffness_with_diag(mesh: Mesh, coeff, diag: np.ndarray) -> sp.csr_matrix:
     """Stiffness plus a nodal diagonal, assembled in one pass.
 
     Equivalent to ``diags(diag) + stiffness(mesh, coeff)`` but without
-    building and merging two sparse matrices; the concentration solver
-    calls this once per Picard iteration.
+    building and merging two sparse matrices.
     """
-    indptr, indices, _, _, diag_slots = mesh._stiff_csr
-    data = _stiff_data(mesh, coeff)
-    data[diag_slots] += diag
-    return sp.csr_matrix((data, indices, indptr),
+    indptr, indices, _, _, _ = mesh._stiff_csr
+    return sp.csr_matrix((_stiff_data_with_diag(mesh, coeff, diag),
+                          indices, indptr),
                          shape=(mesh.n_nodes, mesh.n_nodes))
 
 
-def grad_stiffness_vector(mesh: Mesh, coeff, nodal: np.ndarray) -> np.ndarray:
-    """Assemble the load f_i = sum_e vol_e c_e grad(nodal)_e . grad N_i.
+def grad_stiffness_vector(mesh: Mesh, coeff, grad: np.ndarray) -> np.ndarray:
+    """Assemble the load f_i = sum_e vol_e c_e grad_e . grad N_i.
 
-    This is the action of a stiffness with coefficient ``coeff`` without
-    building the matrix; used for the cross-gradient fluxes.
+    ``grad`` is an element vector field of shape (ne, dim), typically
+    ``grad_field(mesh, nodal)``; then this is the action of a stiffness
+    with coefficient ``coeff`` on ``nodal`` without building the matrix,
+    used for the cross-gradient fluxes.  Taking the gradient lets a
+    caller with a fixed ``nodal`` compute it once.
     """
-    flux = np.asarray(coeff, float)[:, None] * grad_field(mesh, nodal) \
-        * mesh.volumes[:, None]
+    flux = np.asarray(coeff, float)[:, None] * grad * mesh.volumes[:, None]
     return mesh.grad_op_t @ flux.ravel()
 
 
@@ -435,16 +445,20 @@ def _element_form(mesh: Mesh, left, local, right) -> sp.csr_matrix:
     return (left.T @ W @ right).tocsr()
 
 
-def _vector_grad_op(mesh: Mesh) -> sp.csr_matrix:
+def vector_grad_op(mesh: Mesh) -> sp.csr_matrix:
     """kron(grad_op, I_dim): flat (n*dim,) displacement to gradient
-    entries, row (e*dim + d)*dim + c holding d u_c / d x_d."""
+    entries, row (e*dim + d)*dim + c holding d u_c / d x_d.  Only set-up
+    reads it, so it is not cached on ``Mesh``; a caller assembling
+    several displacement forms builds it once and passes it in."""
     if mesh.dim == 1:
         return mesh.grad_op
     return sp.kron(mesh.grad_op, sp.identity(mesh.dim), format="csr")
 
 
-def elastic_stiffness(mesh: Mesh, pair) -> sp.csr_matrix:
-    """Vector stiffness of an isotropic 4th-order modulus (Lame pair)."""
+def elastic_stiffness(mesh: Mesh, pair, G: sp.csr_matrix | None = None
+                      ) -> sp.csr_matrix:
+    """Vector stiffness of an isotropic 4th-order modulus (Lame pair).
+    ``G`` is ``vector_grad_op(mesh)``, built here when not given."""
     lam, mu = pair
     eye = np.eye(mesh.dim)
     # local[(d, c), (p, q)] pairs du_c/dx_d with dv_q/dx_p:
@@ -452,18 +466,21 @@ def elastic_stiffness(mesh: Mesh, pair) -> sp.csr_matrix:
     local = (lam * np.einsum("dc,pq->dcpq", eye, eye)
              + mu * np.einsum("dp,cq->dcpq", eye, eye)
              + mu * np.einsum("dq,cp->dcpq", eye, eye))
-    G = _vector_grad_op(mesh)
+    G = vector_grad_op(mesh) if G is None else G
     return _element_form(mesh, G, local.reshape((mesh.dim ** 2,) * 2), G)
 
 
-def coupling_force_matrix(mesh: Mesh, sig_unit: np.ndarray) -> sp.csr_matrix:
+def coupling_force_matrix(mesh: Mesh, sig_unit: np.ndarray,
+                          G: sp.csr_matrix | None = None) -> sp.csr_matrix:
     """Sparse map m -> B^T (sig_unit mean(m) vol), shape (n*dim, n).
 
     ``sig_unit`` is the constant stress per unit phase fraction, for the
-    transformation coupling C eps_tr.
+    transformation coupling C eps_tr.  ``G`` is ``vector_grad_op(mesh)``,
+    built here when not given.
     """
     local = np.asarray(sig_unit, float).T.reshape(-1, 1)
-    return _element_form(mesh, _vector_grad_op(mesh), local, mesh.mean_op)
+    G = vector_grad_op(mesh) if G is None else G
+    return _element_form(mesh, G, local, mesh.mean_op)
 
 
 def mean_coupling_matrix(mesh: Mesh, scale: float) -> sp.csr_matrix:
@@ -515,18 +532,21 @@ def _banded(stage: str, routine, *args, **kwargs) -> np.ndarray:
     return out
 
 
-def solve_stiffness_banded(mesh: Mesh, A: sp.csr_matrix, b: np.ndarray,
-                           stage: str) -> np.ndarray:
-    """Solve A x = b exactly by banded Cholesky in natural node order.
+def solve_stiffness_banded(mesh: Mesh, coeff, diag: np.ndarray,
+                           b: np.ndarray, stage: str) -> np.ndarray:
+    """Solve A x = b exactly by banded Cholesky in natural node order,
+    for A = ``stiffness_with_diag(mesh, coeff, diag)``.
 
-    ``A`` must be symmetric positive definite and carry the scalar
-    stiffness pattern of ``mesh``, as ``stiffness`` and
-    ``stiffness_with_diag`` return it; only its upper triangle is read.
-    The band holds (half_bandwidth + 1) * n doubles.
+    A must be symmetric positive definite.  The band is filled straight
+    from the assembled values of A's upper triangle, with no sparse
+    matrix built; it holds (half_bandwidth + 1) * n doubles.
     """
     kd, upper, pos = mesh._stiff_band
+    # assemble before the band, the solve's largest array, is allocated:
+    # the other order raised the peak RSS of an 8-step 40x40 run by 0.3 MB
+    vals = _stiff_data_with_diag(mesh, coeff, diag)[upper]
     ab = np.zeros((kd + 1) * mesh.n_nodes)
-    ab[pos] = A.data[upper]
+    ab[pos] = vals
     return _banded(stage, solveh_banded,
                    ab.reshape((kd + 1, -1), order="F"), b, overwrite_ab=True)
 

@@ -38,6 +38,7 @@ from .grid import (
     Mesh,
     SPDSolver,
     elem_mean,
+    grad_field,
     grad_stiffness_vector,
     lump_elements,
     lumped_mass,
@@ -106,6 +107,7 @@ class HeatSolution:
     cg_iterations: int  # inner PCG iterations, summed; 0 if tridiagonal
     update_norm: float
     produced: dict  # integrated right-hand-side terms, by name
+    strain_rate: np.ndarray  # element strain of (u - u_prev)/tau
 
 
 def dissipation_rhs(pr: HeatProblem, w_lin: np.ndarray) -> dict:
@@ -191,7 +193,8 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
             L = mat.K0 * dtheta_dm(mat, m_e,
                                    np.maximum(elem_mean(mesh, w_lin), 0.0))
             if np.any(L != 0.0):
-                rhs = rhs - grad_stiffness_vector(mesh, L, pr.m)
+                rhs = rhs - grad_stiffness_vector(
+                    mesh, L, grad_field(mesh, pr.m))
         w_new, cg_it = op.solve(rhs, w_lin, pr.cg_tol)
         cg_total += cg_it
         update = float(np.sqrt(np.sum(Ml * (w_new - w_lin) ** 2)))
@@ -209,4 +212,5 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
             f"negative enthalpy {np.min(w_new):.3e}; check mesh structure "
             "and source signs")
     return HeatSolution(w=w_new, iterations=it, cg_iterations=cg_total,
-                        update_norm=update, produced=produced)
+                        update_norm=update, produced=produced,
+                        strain_rate=fixed[0])

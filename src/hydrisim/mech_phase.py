@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +44,7 @@ from .grid import (
     mean_coupling_matrix,
     stiffness,
     strain_adjoint,
+    vector_grad_op,
     vector_lumped_mass,
 )
 
@@ -111,9 +113,13 @@ def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators
     Mvec = vector_lumped_mass(mesh)
     K = stiffness(mesh, mat.grad_coeff)
     A_m = _on_pattern(K + mean_coupling_matrix(mesh, mat.eps_tr_C_eps_tr), K)
-    A_el = elastic_stiffness(mesh, mat.lame)
-    A_visc = elastic_stiffness(mesh, mat.visc)
-    B = coupling_force_matrix(mesh, _transformation_stress(mat))
+    # one kron(grad_op, I_dim) for the three displacement forms, dropped
+    # before A_u is summed and never kept past set-up
+    G = vector_grad_op(mesh)
+    A_el = elastic_stiffness(mesh, mat.lame, G)
+    A_visc = elastic_stiffness(mesh, mat.visc, G)
+    B = coupling_force_matrix(mesh, _transformation_stress(mat), G)
+    del G
     A_u = sp.diags(mat.rho / tau ** 2 * Mvec) + A_visc / tau + A_el
     A_visc, A_u = (_on_pattern(A, A_el) for A in (A_visc, A_u))
     # Gershgorin row sums D of the phase-block Hessian H leave D - H diagonally
@@ -144,6 +150,14 @@ def _transformation_stress(mat: MaterialModel) -> np.ndarray:
     return lam * np.trace(eps_tr) * np.eye(mat.dim) + 2.0 * mu * eps_tr
 
 
+class AdiabaticData(NamedTuple):
+    """The adiabatic couplings frozen at the previous state of a step."""
+
+    sigma: np.ndarray   # element sigma_a at midpoint m_prev, w_prev
+    force: np.ndarray   # its nodal force, strain_adjoint(sigma)
+    s_node: np.ndarray  # nodal s_a(m_prev, w_prev)
+
+
 @dataclass
 class MechPhaseProblem:
     """Frozen data of one displacement/phase increment.
@@ -153,6 +167,12 @@ class MechPhaseProblem:
     assembled matrices across steps.  ``opt_tol`` bounds the first-order
     residual relative to 1 + the dual norm of the step forcing, which
     coincides with an absolute bound for steps starting from rest.
+
+    ``adiabatic()`` evaluates the ``AdiabaticData`` of the previous state
+    on its first call and keeps it, so the solve and every
+    ``incremental_objective`` of the step share one evaluation, and the
+    driver hands the same sigma_a and s_a to the energy ledger.  The
+    previous-state fields must not change after that call.
     """
 
     mesh: Mesh
@@ -170,11 +190,18 @@ class MechPhaseProblem:
     opt_max: int = 200
     fista_max: int = 5000
     ops: MechOperators | None = field(default=None, repr=False)
+    adiab: AdiabaticData | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     def operators(self) -> MechOperators:
         if self.ops is None or self.ops.tau != self.tau:
             self.ops = build_operators(self.mesh, self.mat, self.tau)
         return self.ops
+
+    def adiabatic(self) -> AdiabaticData:
+        if self.adiab is None:
+            self.adiab = _adiabatic_data(self)
+        return self.adiab
 
 
 @dataclass(frozen=True)
@@ -190,16 +217,17 @@ class MechPhaseSolution:
     objective: float
 
 
-def _adiabatic_data(pr: MechPhaseProblem):
-    """Element sigma_a force and nodal s_a values at the previous state."""
+def _adiabatic_data(pr: MechPhaseProblem) -> AdiabaticData:
+    """Element sigma_a, its nodal force and nodal s_a at the previous
+    state; ``MechPhaseProblem.adiabatic`` keeps the result."""
     mesh, mat = pr.mesh, pr.mat
     m_e = elem_mean(mesh, pr.m_prev)
     w_e = elem_mean(mesh, pr.w_prev)
     sig = sigma_a_tensor(mat, m_e, w_e)
-    sa_force = strain_adjoint(mesh, sig)
     sa_node = s_a(mat, pr.m_prev, pr.w_prev)
-    return sa_force, np.broadcast_to(np.asarray(sa_node, float),
-                                     pr.m_prev.shape).copy()
+    return AdiabaticData(sig, strain_adjoint(mesh, sig),
+                         np.broadcast_to(np.asarray(sa_node, float),
+                                         pr.m_prev.shape).copy())
 
 
 def _m_smooth_grad(pr, ops, m, Am, Bu, sa_node):
@@ -274,7 +302,7 @@ def incremental_objective(pr: MechPhaseProblem, u: np.ndarray,
     ops = pr.operators()
     if np.any(m < mat.m_lo) or np.any(m > mat.m_hi):
         return np.inf
-    sa_force, sa_node = _adiabatic_data(pr)
+    _, sa_force, sa_node = pr.adiabatic()
     acc = u - 2.0 * pr.u_prev + pr.u_prev2
     du = u - pr.u_prev
     dm = m - pr.m_prev
@@ -314,7 +342,7 @@ def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
     check_step_size(mat, pr.tau)
 
     ops = pr.operators()
-    sa_force, sa_node = _adiabatic_data(pr)
+    _, sa_force, sa_node = pr.adiabatic()
     b_base = _u_rhs_base(pr, ops, sa_force)
 
     # stopping is relative to the forcing magnitude: the inertial part of

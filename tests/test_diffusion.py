@@ -15,6 +15,7 @@ from hydrisim.errors import InvariantViolation, StepFailure
 from hydrisim.grid import (
     build_mesh,
     elem_mean,
+    grad_field,
     grad_stiffness_vector,
     lumped_mass,
     stiffness,
@@ -142,7 +143,7 @@ def fixed_point_residual(pr, chi):
     A = sp.diags(Ml / pr.tau) + stiffness(
         mesh, mat.M0 * d2phi1_dchichi(mat, m_e, chi_e))
     rhs = Ml * pr.chi_prev / pr.tau - grad_stiffness_vector(
-        mesh, mat.M0 * d2phi1_dmchi(mat, m_e, chi_e), pr.m)
+        mesh, mat.M0 * d2phi1_dmchi(mat, m_e, chi_e), grad_field(mesh, pr.m))
     res = A @ chi - rhs
     return float(np.sqrt(np.sum(res ** 2 / Ml)))
 

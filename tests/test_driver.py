@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from hydrisim import diffusion, driver, energy_audit, mech_phase
 from hydrisim.constitutive import desk_default_material, theta_of_w
 from hydrisim.driver import (
     RunConfig,
@@ -93,6 +94,33 @@ def test_desk_run_invariants():
     assert all(np.all((s.m >= 0.0) & (s.m <= 1.0)) for s in traj.states)
     # a few undamped concentration Picard sweeps per step
     assert traj.meta["iterations"]["picard_chi"] <= 4 * traj.n_steps
+
+
+def test_each_step_quantity_is_evaluated_once(monkeypatch):
+    # the objective gate, the solve and the ledger share one adiabatic
+    # evaluation; the ledger takes grad mu from the concentration solve;
+    # the banded concentration loop fills its band without a CSR
+    counts = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(mech_phase, "_adiabatic_data")
+    for module in (driver, diffusion, energy_audit):
+        count(module, "assemble_mu")
+    count(diffusion, "stiffness_with_diag")
+    n = 4
+    traj = run(desk_default_config(resolution=(20,), n_steps=n))
+    assert traj.n_steps == n
+    assert traj.mesh.half_bandwidth <= diffusion._BAND_MAX
+    assert counts.get("_adiabatic_data") == n
+    assert counts.get("assemble_mu") == n + 1
+    assert counts.get("stiffness_with_diag", 0) == 0
 
 
 def test_charging_scenario_moves_phase():

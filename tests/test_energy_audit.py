@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hydrisim.constitutive import desk_default_material
-from hydrisim.driver import desk_default_config, run
+from hydrisim.constitutive import desk_default_material, s_a, sigma_a_tensor
+from hydrisim.diffusion import assemble_mu
+from hydrisim import driver
+from hydrisim.driver import RunConfig, desk_default_config, run
 from hydrisim.energy_audit import (
     CSV_COLUMNS,
     apriori_monitor,
@@ -14,7 +16,7 @@ from hydrisim.energy_audit import (
     ledger_step,
     write_energy_csv,
 )
-from hydrisim.grid import build_mesh, lumped_mass
+from hydrisim.grid import build_mesh, elem_mean, lumped_mass, strain
 from hydrisim.state import State, Trajectory
 
 
@@ -36,6 +38,22 @@ ZERO_HEAT = {name: 0.0 for name in
               "diffusional", "source", "boundary")}
 
 
+def stage_arrays(mesh, mat, prev, cur, tau):
+    """The stage results ledger_step takes, rebuilt from the two states
+    by the public functions."""
+    return dict(
+        grad_mu=assemble_mu(mesh, mat, cur.m, cur.chi)[1],
+        sigma_a_prev=sigma_a_tensor(mat, elem_mean(mesh, prev.m),
+                                    elem_mean(mesh, prev.w)),
+        s_a_prev=s_a(mat, prev.m, prev.w),
+        strain_rate=strain(mesh, cur.velocity(tau)))
+
+
+def ledger(mesh, mat, prev, cur, tau, sources, heat_produced):
+    return ledger_step(mesh, mat, prev, cur, tau, sources, heat_produced,
+                       **stage_arrays(mesh, mat, prev, cur, tau))
+
+
 def test_static_trajectory_all_residuals_zero():
     mesh = build_mesh(1, (1.0,), 9)
     mat = desk()
@@ -43,7 +61,7 @@ def test_static_trajectory_all_residuals_zero():
     s0 = make_state(mesh, 0, tau)
     s1 = make_state(mesh, 1, tau)
     rows = [initial_row(mesh, mat, s0, tau),
-            ledger_step(mesh, mat, s0, s1, tau, {}, ZERO_HEAT)]
+            ledger(mesh, mat, s0, s1, tau, {}, ZERO_HEAT)]
     traj = Trajectory(mesh=mesh, mat=mat, tau=tau, states=[s0, s1],
                       rows=rows, meta={})
     for nu in (0.0, 0.5, 1.0):
@@ -59,7 +77,7 @@ def test_single_element_viscous_hand_value():
     s0 = make_state(mesh, 0, tau)
     s1 = make_state(mesh, 1, tau, u=np.array([0.0, 0.01]),
                     u_prev=np.zeros(2))
-    row = ledger_step(mesh, mat, s0, s1, tau, {}, ZERO_HEAT)
+    row = ledger(mesh, mat, s0, s1, tau, {}, ZERO_HEAT)
     # strain rate = 0.01 / (1 * 0.1) = 0.1; increment = tau * D * rate^2
     assert row.diss_viscous == pytest.approx(0.1 * 1.0 * 0.1 ** 2,
                                              abs=1e-16)
@@ -73,7 +91,7 @@ def test_activation_increment_is_threshold_times_travel():
     Ml = lumped_mass(mesh)
     s0 = make_state(mesh, 0, tau, m=rng.uniform(0, 1, 5))
     s1 = make_state(mesh, 1, tau, m=rng.uniform(0, 1, 5))
-    row = ledger_step(mesh, mat, s0, s1, tau, {}, ZERO_HEAT)
+    row = ledger(mesh, mat, s0, s1, tau, {}, ZERO_HEAT)
     expect = mat.threshold_r * float(np.sum(Ml * np.abs(s1.m - s0.m)))
     assert row.diss_activation == pytest.approx(expect, abs=1e-15)
     assert row.diss_activation >= 0.0
@@ -87,10 +105,38 @@ def test_diffusion_dissipation_scales_with_mobility():
     s0 = make_state(mesh, 0, tau, chi=chi)
     s1 = make_state(mesh, 1, tau, chi=chi)
     base, scaled = (
-        ledger_step(mesh, desk(M0=M0), s0, s1, tau, {}, ZERO_HEAT)
+        ledger(mesh, desk(M0=M0), s0, s1, tau, {}, ZERO_HEAT)
         .diss_diffusion for M0 in (1.0, 2.5))
     assert base > 0.0
     assert scaled == pytest.approx(2.5 * base, rel=1e-14)
+
+
+def test_driver_hands_the_ledger_its_stage_arrays(monkeypatch):
+    # a phase change with the box active: m sticks at 0 where chi is near
+    # 0 (xi != 0) and grows where chi is near 1 (gap_m != 0); theta0 > 0
+    # makes the adiabatic couplings nonzero from the first step
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return ledger_step(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "ledger_step", recording)
+    traj = run(RunConfig(dim=2, lengths=(1.0, 1.0), resolution=(6, 5),
+                         tau=1e-3, n_steps=3, chi0=lambda c: 1.2 * c[:, 0],
+                         theta0=0.1, h_s={"left": 0.5}))
+    mesh, mat, tau = traj.mesh, traj.mat, traj.tau
+    assert len(calls) == traj.n_steps
+    for k, args in enumerate(calls, start=1):
+        prev, cur = traj.states[k - 1], traj.states[k]
+        assert args[2] is prev and args[3] is cur
+        got = traj.rows[k]
+        assert np.any(cur.xi != 0.0)
+        assert got.gap_m != 0.0 and got.adiab_expl != 0.0
+        # the same sources and enthalpy breakdown, the stage arrays rebuilt
+        ref = ledger_step(*args, **stage_arrays(mesh, mat, prev, cur, tau))
+        for f in dataclasses.fields(got):
+            assert getattr(ref, f.name) == getattr(got, f.name), f.name
 
 
 def test_dissipation_columns_nonnegative_on_run():

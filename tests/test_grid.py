@@ -159,8 +159,8 @@ def test_grad_stiffness_vector_duality(square3):
     m = rng.uniform(0, 1, 9)
     v = rng.standard_normal(9)
     coeff = rng.uniform(0.5, 2.0, 8)
-    f = grad_stiffness_vector(square3, coeff, m)
     gm = grad_field(square3, m)
+    f = grad_stiffness_vector(square3, coeff, gm)
     gv = grad_field(square3, v)
     ref = np.einsum("e,ei,ei,e->", coeff, gm, gv, square3.volumes)
     assert f @ v == pytest.approx(ref, rel=1e-13)
@@ -228,13 +228,14 @@ def test_concentration_solve_matches_spsolve(monkeypatch, dim, res, kd,
     mesh = build_mesh(dim, (1.0,) * dim, res)
     assert mesh.half_bandwidth == kd
     rng = np.random.default_rng(3)
-    A = stiffness_with_diag(mesh, rng.uniform(0.5, 2.0, mesh.n_elems),
-                            lumped_mass(mesh) / 1e-3)
+    coeff = rng.uniform(0.5, 2.0, mesh.n_elems)
+    diag = lumped_mass(mesh) / 1e-3
+    A = stiffness_with_diag(mesh, coeff, diag)
     b = rng.normal(size=mesh.n_nodes)
     banded_solve, calls = diffusion.solve_stiffness_banded, []
     monkeypatch.setattr(diffusion, "solve_stiffness_banded",
                         lambda *args: calls.append(1) or banded_solve(*args))
-    x = diffusion._solve(mesh, A, b)
+    x = diffusion._solve(mesh, coeff, diag, b)
     assert bool(calls) is banded
     ref = spla.spsolve(A.tocsc(), b)
     solutions = [x]
@@ -247,14 +248,15 @@ def test_concentration_solve_matches_spsolve(monkeypatch, dim, res, kd,
         assert np.linalg.norm(A @ y - b) <= 1e-12 * np.linalg.norm(b)
 
 
+# each returns the (coefficient, diagonal) of a stiffness_with_diag system
 def _negative_diagonal(mesh):
-    return stiffness_with_diag(mesh, 1.0, -10.0 * lumped_mass(mesh) / 1e-3)
+    return 1.0, -10.0 * lumped_mass(mesh) / 1e-3
 
 
 def _nan_coefficient(mesh):
     coeff = np.ones(mesh.n_elems)
     coeff[mesh.n_elems // 2] = np.nan
-    return stiffness_with_diag(mesh, coeff, lumped_mass(mesh) / 1e-3)
+    return coeff, lumped_mass(mesh) / 1e-3
 
 
 @pytest.mark.parametrize("make", [_negative_diagonal, _nan_coefficient],
@@ -262,19 +264,20 @@ def _nan_coefficient(mesh):
 def test_failed_banded_cholesky_is_step_failure(make):
     line = build_mesh(1, (1.0,), 20)
     with pytest.raises(StepFailure, match="enthalpy solve: banded Cholesky"):
-        SPDSolver(make(line), "enthalpy solve")
+        SPDSolver(stiffness_with_diag(line, *make(line)), "enthalpy solve")
     square = build_mesh(2, (1.0, 1.0), (6, 5))
     b = np.ones(square.n_nodes)
     with pytest.raises(StepFailure,
                        match="concentration solve: banded Cholesky"):
-        diffusion._solve(square, make(square), b)
+        diffusion._solve(square, *make(square), b)
 
 
 @pytest.mark.parametrize("make", [_negative_diagonal, _nan_coefficient],
                          ids=["negative-diagonal", "nan-coefficient"])
 def test_failed_pcg_is_step_failure(make):
     # a 2D matrix is not tridiagonal: it goes through Jacobi-PCG
-    solver = SPDSolver(make(build_mesh(2, (1.0, 1.0), (6, 5))),
+    square = build_mesh(2, (1.0, 1.0), (6, 5))
+    solver = SPDSolver(stiffness_with_diag(square, *make(square)),
                        "enthalpy solve")
     assert not solver.direct
     b = np.ones(solver.A.shape[0])
@@ -390,7 +393,8 @@ def test_nan_enthalpy_coefficient_is_step_failure(field):
     with pytest.raises(StepFailure, match="enthalpy solve: CG stalled"):
         op.solve(b, np.zeros_like(b), 1e-12)
     # a NaN element coefficient in the matrix, a finite preconditioner
-    solver = SPDSolver(_nan_coefficient(mesh), "enthalpy solve",
+    solver = SPDSolver(stiffness_with_diag(mesh, *_nan_coefficient(mesh)),
+                       "enthalpy solve",
                        tensor_grid_inverse(mesh, 1.0, 1e3))
     with pytest.raises(StepFailure, match="enthalpy solve: CG stalled"):
         solver.solve(b, np.zeros_like(b), 1e-12)
@@ -567,7 +571,7 @@ def test_operator_kernels_match_einsum_oracles(dim, lengths, res):
     check(elem_mean(mesh, nodal), _oracle_elem_mean(mesh, nodal))
     check(lump_elements(mesh, coeff), _oracle_lump_elements(mesh, coeff))
     check(lumped_mass(mesh), _oracle_lump_elements(mesh, np.ones(ne)))
-    check(grad_stiffness_vector(mesh, coeff, nodal),
+    check(grad_stiffness_vector(mesh, coeff, grad_field(mesh, nodal)),
           _oracle_grad_stiffness_vector(mesh, coeff, nodal))
     check(strain(mesh, u), _oracle_strain(mesh, u))
     check(strain_adjoint(mesh, sig), _oracle_strain_adjoint(mesh, sig))

@@ -9,6 +9,7 @@ from hydrisim.errors import InvariantViolation
 from hydrisim.grid import (
     build_mesh,
     elem_mean,
+    grad_field,
     grad_stiffness_vector,
     lump_elements,
     lumped_mass,
@@ -248,7 +249,7 @@ def test_fixed_point_residual_with_cross_conduction():
         mesh, np.full(ne, 2.5 * 0.64 / (1.0 + tau * 0.64))),
         rtol=1e-14, atol=0.0)
     L = 0.7 * dtheta_dm(mat, elem_mean(mesh, m), elem_mean(mesh, sol.w))
-    cross = grad_stiffness_vector(mesh, L, m)
+    cross = grad_stiffness_vector(mesh, L, grad_field(mesh, m))
     A = sp.diags(Ml / tau) + stiffness(mesh, np.full(ne, 0.7))
     res = A @ sol.w - (Ml * w0 / tau + sum(terms.values()) - cross)
 

@@ -8,17 +8,18 @@ from hydrisim.constitutive import d2phi1_dmm, desk_default_material
 from hydrisim.errors import ConfigError, InvariantViolation
 from hydrisim.grid import (
     build_mesh,
+    coupling_force_matrix,
     elastic_stiffness,
     lumped_mass,
     vector_lumped_mass,
 )
 from hydrisim.mech_phase import (
     MechPhaseProblem,
-    _adiabatic_data,
     _m_residual,
     _m_smooth_grad,
     _on_pattern,
     _solve_m_block,
+    _transformation_stress,
     build_operators,
     incremental_objective,
     phase_nodal_prox,
@@ -317,11 +318,13 @@ def test_displacement_matrices_share_one_pattern(dim, res):
     ops = build_operators(mesh, mat, tau)
     A_el = elastic_stiffness(mesh, mat.lame)
     A_visc = elastic_stiffness(mesh, mat.visc)
+    B = coupling_force_matrix(mesh, _transformation_stress(mat))
     A_u = (sp.diags(mat.rho / tau ** 2 * vector_lumped_mass(mesh))
            + A_visc / tau + A_el)
-    # the values are those of the separately built matrices, bit for bit
+    # the values are those of the separately built matrices, each with
+    # its own vector gradient map, bit for bit
     for got, ref in ((ops.A_el, A_el), (ops.A_visc, A_visc),
-                     (ops.A_u, A_u)):
+                     (ops.B, B), (ops.A_u, A_u)):
         assert np.array_equal(got.toarray(), ref.toarray())
     # one copy of the pattern, and no buffer beyond the stored entries
     for A in (ops.A_visc, ops.A_u):
@@ -389,7 +392,7 @@ def _phase_block_case(seed=3):
 def test_phase_block_matches_scalar_fista_oracle():
     pr, u = _phase_block_case()
     mat, ops = pr.mat, pr.operators()
-    _, sa_node = _adiabatic_data(pr)
+    sa_node = pr.adiabatic().s_node
     tol = 1e-11
     m, g, _, iters = _solve_m_block(pr, ops, u, pr.m_prev, sa_node, tol,
                                     pr.fista_max)

@@ -15,7 +15,6 @@ from hydrisim.grid import build_mesh  # noqa: E402
 from hydrisim.heat import build_heat_operator  # noqa: E402
 from hydrisim.mech_phase import (  # noqa: E402
     MechPhaseProblem,
-    _adiabatic_data,
     _m_residual,
     _m_smooth_grad,
     _solve_m_block,
@@ -80,7 +79,7 @@ def test_phase_block_meets_its_residual(dim, nx, ny, r, k, a1, double_well,
                           chi_prev=rng.uniform(0.0, 1.5, n),
                           w_prev=rng.uniform(0.0, 1.0, n))
     ops = pr.operators()
-    _, sa_node = _adiabatic_data(pr)
+    sa_node = pr.adiabatic().s_node
     # relative to the gradient scale: the metric applied to a unit m, in
     # the lumped dual norm the residual is measured in
     tol = 1e-9 * (1.0 + float(np.sqrt(np.sum(ops.lipschitz ** 2
