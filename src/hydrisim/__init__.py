@@ -33,9 +33,11 @@ from .diffusion import DiffusionProblem, DiffusionSolution, assemble_mu, solve_c
 from .heat import HeatProblem, HeatSolution, dissipation_rhs, solve_w_step
 from .energy_audit import (
     LedgerRow,
+    StoredTerms,
     apriori_monitor,
     balance_residual,
     ledger_step,
+    stored_terms,
     write_energy_csv,
 )
 from .state import State, Trajectory
@@ -60,8 +62,8 @@ __all__ = [
     "solve_mech_phase_step", "tau_max",
     "DiffusionProblem", "DiffusionSolution", "assemble_mu", "solve_chi_step",
     "HeatProblem", "HeatSolution", "dissipation_rhs", "solve_w_step",
-    "LedgerRow", "apriori_monitor", "balance_residual",
-    "ledger_step", "write_energy_csv",
+    "LedgerRow", "StoredTerms", "apriori_monitor", "balance_residual",
+    "ledger_step", "stored_terms", "write_energy_csv",
     "State", "Trajectory",
     "RunConfig", "desk_default_config", "interpolant_eval", "refine_study",
     "run",

@@ -49,6 +49,7 @@ __all__ = [
     "dphi1_dm",
     "d2phi1_dchichi",
     "d2phi1_dmchi",
+    "chi_curvatures",
     "d2phi1_dmm",
     "inf_d2phi1_dmm",
     "swelling_curve",
@@ -315,11 +316,13 @@ def swelling_curve(mat: MaterialModel, chi, order: int = 0):
     raise ValueError("order must be 0, 1 or 2")
 
 
-def phi1(mat: MaterialModel, m, chi):
-    """Chemical part of the stored energy."""
+def phi1(mat: MaterialModel, m, chi, a=None):
+    """Chemical part of the stored energy.  ``a`` is the swelling curve
+    at ``chi`` when the caller has it already."""
     m = np.asarray(m, float)
     chi = np.asarray(chi, float)
-    a = swelling_curve(mat, chi)
+    if a is None:
+        a = swelling_curve(mat, chi)
     val = 0.5 * mat.coupling_k * (m - a) ** 2 + 0.5 * mat.phi1_kappa * chi**2
     if mat.double_well != 0.0:
         val = val + mat.double_well * m**2 * (1.0 - m) ** 2
@@ -335,10 +338,13 @@ def chemical_potential(mat: MaterialModel, m, chi):
     return -mat.coupling_k * (m - a) * da + mat.phi1_kappa * chi
 
 
-def dphi1_dm(mat: MaterialModel, m, chi):
-    """d phi1 / d m; reduces to k (m - a(chi)) without the double well."""
+def dphi1_dm(mat: MaterialModel, m, chi, a=None):
+    """d phi1 / d m; reduces to k (m - a(chi)) without the double well.
+    ``a`` is the swelling curve at ``chi`` when the caller has it
+    already."""
     m = np.asarray(m, float)
-    a = swelling_curve(mat, chi)
+    if a is None:
+        a = swelling_curve(mat, chi)
     val = mat.coupling_k * (m - a)
     if mat.double_well != 0.0:
         val = val + 2.0 * mat.double_well * m * (1.0 - m) * (1.0 - 2.0 * m)
@@ -346,16 +352,22 @@ def dphi1_dm(mat: MaterialModel, m, chi):
 
 
 def d2phi1_dchichi(mat: MaterialModel, m, chi):
-    a = swelling_curve(mat, chi)
-    da = swelling_curve(mat, chi, 1)
-    dda = swelling_curve(mat, chi, 2)
-    return mat.coupling_k * ((a - np.asarray(m, float)) * dda + da**2) \
-        + mat.phi1_kappa
+    return chi_curvatures(mat, m, chi)[0]
 
 
 def d2phi1_dmchi(mat: MaterialModel, m, chi):
     del m  # the mixed curvature depends on chi only
     return -mat.coupling_k * swelling_curve(mat, chi, 1)
+
+
+def chi_curvatures(mat: MaterialModel, m, chi):
+    """d2phi1/dchi2 and d2phi1/dm dchi at (m, chi), from one evaluation
+    of each order of the swelling curve."""
+    a = swelling_curve(mat, chi)
+    da = swelling_curve(mat, chi, 1)
+    dda = swelling_curve(mat, chi, 2)
+    return (mat.coupling_k * ((a - np.asarray(m, float)) * dda + da**2)
+            + mat.phi1_kappa, -mat.coupling_k * da)
 
 
 def d2phi1_dmm(mat: MaterialModel, m, chi):

@@ -26,8 +26,7 @@ import scipy.sparse.linalg as spla
 from .constitutive import (
     MaterialModel,
     chemical_potential,
-    d2phi1_dchichi,
-    d2phi1_dmchi,
+    chi_curvatures,
 )
 from .errors import InvariantViolation, StepFailure
 from .grid import (
@@ -82,26 +81,31 @@ class DiffusionSolution:
 
 
 def assemble_mu(mesh: Mesh, mat: MaterialModel, m: np.ndarray,
-                chi: np.ndarray):
+                chi: np.ndarray, *, m_e: np.ndarray | None = None,
+                grad_m: np.ndarray | None = None):
     """Nodal chemical potential and its element gradient.
 
     The gradient uses the chain rule d2cc*grad(chi) + d2cm*grad(m) with
     the curvature coefficients at element midpoint values, matching the
-    flux assembly of the solver.
+    flux assembly of the solver.  ``m_e`` and ``grad_m`` are the element
+    mean and gradient of ``m`` when the caller holds them already.
     """
     mu = chemical_potential(mat, m, chi)
-    m_e = elem_mean(mesh, m)
-    chi_e = elem_mean(mesh, chi)
-    grad_mu = (d2phi1_dchichi(mat, m_e, chi_e)[:, None] * grad_field(mesh, chi)
-               + d2phi1_dmchi(mat, m_e, chi_e)[:, None] * grad_field(mesh, m))
+    if m_e is None:
+        m_e = elem_mean(mesh, m)
+    if grad_m is None:
+        grad_m = grad_field(mesh, m)
+    d2cc, d2cm = chi_curvatures(mat, m_e, elem_mean(mesh, chi))
+    grad_mu = (d2cc[:, None] * grad_field(mesh, chi)
+               + d2cm[:, None] * grad_m)
     return mu, grad_mu
 
 
 def _element_coeffs(mat: MaterialModel, m_e: np.ndarray, chi_e: np.ndarray):
     """Mobility-weighted curvatures M0 d2phi1/dchi2 (on grad chi) and
     M0 d2phi1/dm dchi (on grad m) at element midpoint values."""
-    return (mat.M0 * d2phi1_dchichi(mat, m_e, chi_e),
-            mat.M0 * d2phi1_dmchi(mat, m_e, chi_e))
+    d2cc, d2cm = chi_curvatures(mat, m_e, chi_e)
+    return mat.M0 * d2cc, mat.M0 * d2cm
 
 
 def _solve(mesh: Mesh, coeff, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -159,6 +163,7 @@ def solve_chi_step(pr: DiffusionProblem) -> DiffusionSolution:
             f"negative concentration {np.min(chi_new):.3e}; the scheme "
             "preserves chi >= 0 only on meshes with M-matrix stiffness "
             "and admissible step sizes")
-    mu, grad_mu = assemble_mu(mesh, mat, pr.m, chi_new)
+    mu, grad_mu = assemble_mu(mesh, mat, pr.m, chi_new, m_e=m_e,
+                              grad_m=grad_m)
     return DiffusionSolution(chi=chi_new, mu=mu, grad_mu=grad_mu,
                              iterations=it, update_norm=update)

@@ -15,10 +15,10 @@ import logging
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
+from . import _snapshot
 from .constitutive import (
     MaterialModel,
     desk_default_material,
@@ -248,119 +248,105 @@ def _initial_state(mesh: Mesh, mat: MaterialModel, cfg: RunConfig) -> State:
                  mu=mu0, xi=np.zeros(mesh.n_nodes))
 
 
-def _snapshot_path(outdir: str, k: int, ext: str) -> str:
-    return os.path.join(outdir, "fields_%06d.%s" % (k, ext))
+def _mesh_text(mesh: Mesh) -> _snapshot.MeshText:
+    """The mesh text of ``mesh``, on memoryviews of its flat coordinates
+    and 8-byte element node ids."""
+    return _snapshot.MeshText(
+        mesh.dim, memoryview(np.ascontiguousarray(mesh.coords, float).ravel()),
+        memoryview(np.ascontiguousarray(mesh.elems, np.int64).ravel()))
 
 
-# rows formatted per string: bounds the transient float lists and text
-_BLOCK_ROWS = 256
-
-# the scalar fields of a snapshot, in column order after u
-_SCALARS = ("m", "chi", "mu", "w", "theta")
-
-
-def _format_rows(table: np.ndarray, line: str) -> list:
-    """``line % tuple(row)`` for each row of ``table`` (2D, or 1D for one
-    column), joined into one string per block of ``_BLOCK_ROWS`` rows."""
-    return [(line * block.shape[0]) % tuple(block.ravel().tolist())
-            for block in (table[start:start + _BLOCK_ROWS]
-                          for start in range(0, table.shape[0], _BLOCK_ROWS))]
-
-
-class _MeshText:
-    """The mesh-constant text of one run's snapshots.  Each part is
-    formatted when a snapshot first needs it and then kept, so a run
-    formats its mesh once and a CSV-only run never formats the VTK part.
-    Made per run: the text belongs to this mesh and no other."""
-
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-
-    @cached_property
-    def csv_nodes(self) -> list:
-        """The ``node,x[,y]`` columns, one string per block of rows."""
-        mesh = self.mesh
-        return _format_rows(
-            np.column_stack([np.arange(mesh.n_nodes), mesh.coords]),
-            ",".join(["%d"] + ["%.17g"] * mesh.dim) + "\n")
-
-    @cached_property
-    def vtk_mesh(self) -> str:
-        """The VTK file up to its first point-data line: header, points,
-        cells and cell types."""
-        mesh = self.mesh
-        d, n, ne = mesh.dim, mesh.n_nodes, mesh.n_elems
-        nv = d + 1
-        return "".join(
-            ["# vtk DataFile Version 3.0\nhydrisim fields\nASCII\n"
-             "DATASET UNSTRUCTURED_GRID\nPOINTS %d double\n" % n]
-            + _format_rows(np.hstack([mesh.coords, np.zeros((n, 3 - d))]),
-                           "%.17g %.17g %.17g\n")
-            + ["CELLS %d %d\n" % (ne, ne * (nv + 1))]
-            + _format_rows(np.column_stack([np.full(ne, nv), mesh.elems]),
-                           " ".join(["%d"] * (nv + 1)) + "\n")
-            + ["CELL_TYPES %d\n" % ne, ("%d\n" % (3 if d == 1 else 5)) * ne,
-               "POINT_DATA %d\nVECTORS u double\n" % n])
+def _snapshot_fields(mat: MaterialModel, st: State) -> list:
+    """u, then the nodal fields of ``_snapshot.SCALARS``, each a flat
+    contiguous float64 array."""
+    return [np.ascontiguousarray(vals, float).ravel()
+            for vals in (st.u, st.m, st.chi, st.mu, st.w, st.theta(mat))]
 
 
 def _field_text(mesh: Mesh, mat: MaterialModel, st: State) -> list:
-    """Every nodal value of ``st`` formatted once as ``%.17g``, in the
-    layout of the VTK point data: u as padded 3-vectors, then one column
-    per scalar of ``_SCALARS``, each a list of one string per block of
-    rows.  No value contains whitespace, so ``str.split`` recovers the
-    single values for the CSV rows."""
-    d = mesh.dim
-    u_line = " ".join(["%.17g"] * d + ["0"] * (3 - d)) + "\n"
-    return ([_format_rows(st.u.reshape(-1, d), u_line)]
-            + [_format_rows(vals, "%.17g\n")
-               for vals in (st.m, st.chi, st.mu, st.w, st.theta(mat))])
+    """Every nodal value of ``st`` formatted once (``_snapshot.field_text``
+    on memoryviews of the arrays, so no value list is built)."""
+    u, *scalars = map(memoryview, _snapshot_fields(mat, st))
+    return _snapshot.field_text(mesh.dim, u, scalars)
 
 
 def _write_snapshot(mesh: Mesh, mat: MaterialModel, st: State, path: str,
-                    text: _MeshText | None = None) -> list:
+                    text: _snapshot.MeshText | None = None) -> list:
     """Write the nodal fields of ``st`` as CSV: the node index, then
     ``%.17g`` coordinates, displacement and scalars, one row per node.
 
-    Each value is formatted once per snapshot: the rows are joined from
-    the strings of ``_field_text``, which are returned for ``_write_vtk``
-    to reuse.  ``text`` is the run's ``_MeshText``, so the ``node,x,y``
-    columns are formatted once per run; it is built here when not
-    given."""
-    d = mesh.dim
+    Each value is formatted once per snapshot; the strings are returned
+    for ``_write_vtk`` to reuse.  ``text`` is the run's mesh text, so the
+    ``node,x,y`` columns are formatted once per run; it is built here
+    when not given."""
     fields = _field_text(mesh, mat, st)
-    if text is None:
-        text = _MeshText(mesh)
-    cols = ["node"] + ["x", "y"][:d] + ["u%s" % ax for ax in "xy"[:d]]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols + list(_SCALARS)) + "\n")
-        for b, nodes in enumerate(text.csv_nodes):
-            u = fields[0][b].split()
-            values = [u[c::3] for c in range(d)]
-            values += [col[b].split() for col in fields[1:]]
-            fh.write("\n".join(map(",".join, zip(nodes.split(), *values)))
-                     + "\n")
+    _snapshot.write_csv(path, mesh.dim, fields,
+                        _mesh_text(mesh) if text is None else text)
     return fields
 
 
 def _write_vtk(mesh: Mesh, mat: MaterialModel, st: State, path: str,
-               fields: list | None = None, text: _MeshText | None = None):
+               fields: list | None = None,
+               text: _snapshot.MeshText | None = None):
     """Write the nodal fields of ``st`` as a legacy ASCII VTK
     unstructured grid with the same ``%.17g`` values as the CSV.
 
-    The point data is the strings of ``fields``, as ``_write_snapshot``
-    returns them for the same state, so no value is formatted a second
-    time; the header, points and cells come from the run's ``_MeshText``,
-    formatted once per run.  Either is built here when not given."""
-    if fields is None:
-        fields = _field_text(mesh, mat, st)
-    if text is None:
-        text = _MeshText(mesh)
-    with open(path, "w") as fh:
-        fh.write(text.vtk_mesh)
-        fh.writelines(fields[0])
-        for name, col in zip(_SCALARS, fields[1:]):
-            fh.write("SCALARS %s double 1\nLOOKUP_TABLE default\n" % name)
-            fh.writelines(col)
+    ``fields`` are the strings ``_write_snapshot`` returned for the same
+    state, so no value is formatted a second time, and ``text`` is the
+    run's mesh text; either is built here when not given."""
+    _snapshot.write_vtk(path,
+                        _field_text(mesh, mat, st) if fields is None
+                        else fields,
+                        _mesh_text(mesh) if text is None else text)
+
+
+class _Snapshots:
+    """The due snapshots of one run: step 0, step n and, with ``every_n``
+    > 0, every multiple of it.
+
+    When some snapshot falls strictly between step 0 and step n, every
+    snapshot before step n goes to a ``_snapshot.Writer`` process, which
+    formats and writes it on another core while the run goes on.  Step n,
+    and every snapshot of a run without a writer, is written here by the
+    same functions while the writer drains its pipe.
+    """
+
+    def __init__(self, mesh: Mesh, mat: MaterialModel, cfg: RunConfig,
+                 n: int):
+        self.mesh, self.mat, self.cfg, self.n = mesh, mat, cfg, n
+        self.text = _mesh_text(mesh)
+        self.writer = None
+
+    def take(self, st: State):
+        cfg, k = self.cfg, st.k
+        due = (cfg.every_n > 0 and k % cfg.every_n == 0) or k in (0, self.n)
+        if not (cfg.outdir and due):
+            return
+        if k == 0 and 0 < cfg.every_n < self.n:
+            self.writer = _snapshot.Writer.start(
+                cfg.outdir, self.mesh.dim, self.text.coords,
+                self.text.elems, cfg.vtk)
+        if self.writer is not None and k < self.n:
+            u, *scalars = _snapshot_fields(self.mat, st)
+            self.writer.send(k, u, scalars)
+            return
+        if self.writer is not None:
+            self.writer.end()
+        fields = _write_snapshot(
+            self.mesh, self.mat, st,
+            _snapshot.snapshot_path(cfg.outdir, k, "csv"), text=self.text)
+        if cfg.vtk:
+            _write_vtk(self.mesh, self.mat, st,
+                       _snapshot.snapshot_path(cfg.outdir, k, "vtk"), fields,
+                       self.text)
+        if self.writer is not None:
+            self.writer.join()
+
+    def abort(self):
+        """Close the writer's pipe and reap it, so every snapshot handed
+        over reaches the disk; its own failure is not raised."""
+        if self.writer is not None:
+            self.writer.abort()
 
 
 def _manifest(cfg: RunConfig, mat: MaterialModel, mesh: Mesh, n: int,
@@ -411,7 +397,8 @@ def run(config: RunConfig) -> Trajectory:
         1e-10 if cfg.dim == 1 else 1e-8)
 
     state = _initial_state(mesh, mat, cfg)
-    rows = [initial_row(mesh, mat, state, cfg.tau)]
+    row, terms = initial_row(mesh, mat, state, cfg.tau)
+    rows = [row]
     states = [state]
     sources = _SourceAssembler(mesh, cfg)
     ops = build_operators(mesh, mat, cfg.tau)
@@ -424,79 +411,74 @@ def run(config: RunConfig) -> Trajectory:
         except OSError as exc:
             raise ConfigError("output directory %r cannot be created: %s"
                               % (outdir, exc.strerror)) from None
-    mesh_text = _MeshText(mesh)
-
-    def maybe_snapshot(st):
-        if not outdir:
-            return
-        due = (cfg.every_n > 0 and st.k % cfg.every_n == 0) or st.k in (0, n)
-        if not due:
-            return
-        fields = _write_snapshot(mesh, mat, st,
-                                 _snapshot_path(outdir, st.k, "csv"),
-                                 text=mesh_text)
-        if cfg.vtk:
-            _write_vtk(mesh, mat, st, _snapshot_path(outdir, st.k, "vtk"),
-                       fields, mesh_text)
-
-    maybe_snapshot(state)
+    snaps = _Snapshots(mesh, mat, cfg, n)
     totals = {"outer": 0, "cg": 0, "prox": 0, "picard_chi": 0, "picard_w": 0,
               "cg_w": 0}
-    for k in range(1, n + 1):
-        t = k * cfg.tau
-        src = sources.at(t)
-        pr = MechPhaseProblem(
-            mesh=mesh, mat=mat, tau=cfg.tau, u_prev=state.u,
-            u_prev2=state.u_prev, m_prev=state.m, chi_prev=state.chi,
-            w_prev=state.w, f=src["f"], f_s=src["f_s"], cg_tol=cfg.cg_tol,
-            opt_tol=opt_tol, opt_max=cfg.opt_max, ops=ops)
-        j_prev = incremental_objective(pr, state.u, state.m)
-        sol = solve_mech_phase_step(pr)
-        if sol.objective > j_prev + OBJECTIVE_TOL * (1.0 + abs(j_prev)):
-            raise InvariantViolation(
-                "step %d: incremental objective increased (%.6g -> %.6g)"
-                % (k, j_prev, sol.objective))
-        if np.any(sol.m < mat.m_lo) or np.any(sol.m > mat.m_hi):
-            raise InvariantViolation("step %d: phase left the box" % k)
+    # any failure, interrupt included, first reaps the snapshot writer,
+    # so every snapshot handed over is on disk when the error propagates
+    try:
+        snaps.take(state)
+        for k in range(1, n + 1):
+            t = k * cfg.tau
+            src = sources.at(t)
+            pr = MechPhaseProblem(
+                mesh=mesh, mat=mat, tau=cfg.tau, u_prev=state.u,
+                u_prev2=state.u_prev, m_prev=state.m, chi_prev=state.chi,
+                w_prev=state.w, f=src["f"], f_s=src["f_s"],
+                cg_tol=cfg.cg_tol, opt_tol=opt_tol, opt_max=cfg.opt_max,
+                ops=ops)
+            j_prev = incremental_objective(pr, state.u, state.m)
+            sol = solve_mech_phase_step(pr)
+            if sol.objective > j_prev + OBJECTIVE_TOL * (1.0 + abs(j_prev)):
+                raise InvariantViolation(
+                    "step %d: incremental objective increased "
+                    "(%.6g -> %.6g)" % (k, j_prev, sol.objective))
+            if np.any(sol.m < mat.m_lo) or np.any(sol.m > mat.m_hi):
+                raise InvariantViolation("step %d: phase left the box" % k)
 
-        dpr = DiffusionProblem(
-            mesh=mesh, mat=mat, tau=cfg.tau, m=sol.m, chi_prev=state.chi,
-            h_s=src["h_s"], picard_tol=cfg.picard_tol,
-            picard_max=cfg.picard_max)
-        dsol = solve_chi_step(dpr)
+            dpr = DiffusionProblem(
+                mesh=mesh, mat=mat, tau=cfg.tau, m=sol.m,
+                chi_prev=state.chi, h_s=src["h_s"],
+                picard_tol=cfg.picard_tol, picard_max=cfg.picard_max)
+            dsol = solve_chi_step(dpr)
 
-        hpr = HeatProblem(
-            mesh=mesh, mat=mat, tau=cfg.tau, u=sol.u, u_prev=state.u,
-            m=sol.m, m_prev=state.m, grad_mu=dsol.grad_mu,
-            w_prev=state.w, q=src["q"], q_s=src["q_s"], cg_tol=cfg.cg_tol,
-            picard_tol=cfg.picard_tol, picard_max=cfg.picard_max, op=heat_op)
-        hsol = solve_w_step(hpr)
+            hpr = HeatProblem(
+                mesh=mesh, mat=mat, tau=cfg.tau, u=sol.u, u_prev=state.u,
+                m=sol.m, m_prev=state.m, grad_mu=dsol.grad_mu,
+                w_prev=state.w, q=src["q"], q_s=src["q_s"],
+                cg_tol=cfg.cg_tol, picard_tol=cfg.picard_tol,
+                picard_max=cfg.picard_max, op=heat_op)
+            hsol = solve_w_step(hpr)
 
-        new = State(k=k, t=t, u=sol.u, u_prev=state.u, m=sol.m,
-                    chi=dsol.chi, w=hsol.w, mu=dsol.mu, xi=sol.xi)
-        # the stage arrays, not copies; the adiabatic data is read off pr,
-        # not bound to a local, so it is freed when the next step replaces
-        # pr and does not stay live through that step's stages
-        row = ledger_step(mesh, mat, state, new, cfg.tau, src, hsol.produced,
-                          grad_mu=dsol.grad_mu,
-                          sigma_a_prev=pr.adiabatic().sigma,
-                          s_a_prev=pr.adiabatic().s_node,
-                          strain_rate=hsol.strain_rate)
-        gap = slack(rows[-1], row)
-        scale = max(1.0, abs(row.energy), abs(row.thermal))
-        if gap < -SLACK_TOL * scale:
-            raise InvariantViolation(
-                "step %d: energy-inequality slack %.3e negative" % (k, gap))
-        totals["outer"] += sol.outer_iterations
-        totals["cg"] += sol.cg_iterations
-        totals["prox"] += sol.prox_iterations
-        totals["picard_chi"] += dsol.iterations
-        totals["picard_w"] += hsol.iterations
-        totals["cg_w"] += hsol.cg_iterations
-        rows.append(row)
-        states.append(new)
-        state = new
-        maybe_snapshot(new)
+            new = State(k=k, t=t, u=sol.u, u_prev=state.u, m=sol.m,
+                        chi=dsol.chi, w=hsol.w, mu=dsol.mu, xi=sol.xi)
+            # the stage arrays, not copies; the adiabatic data is read off
+            # pr, not bound to a local, so it is freed when the next step
+            # replaces pr and does not stay live through that step's stages
+            row, terms = ledger_step(
+                mesh, mat, state, new, cfg.tau, src, hsol.produced,
+                grad_mu=dsol.grad_mu, sigma_a_prev=pr.adiabatic().sigma,
+                s_a_prev=pr.adiabatic().s_node, strain_rate=hsol.strain_rate,
+                prev_terms=terms)
+            gap = slack(rows[-1], row)
+            scale = max(1.0, abs(row.energy), abs(row.thermal))
+            if gap < -SLACK_TOL * scale:
+                raise InvariantViolation(
+                    "step %d: energy-inequality slack %.3e negative"
+                    % (k, gap))
+            totals["outer"] += sol.outer_iterations
+            totals["cg"] += sol.cg_iterations
+            totals["prox"] += sol.prox_iterations
+            totals["picard_chi"] += dsol.iterations
+            totals["picard_w"] += hsol.iterations
+            totals["cg_w"] += hsol.cg_iterations
+            rows.append(row)
+            states.append(new)
+            state = new
+            snaps.take(new)
+    except BaseException:
+        snaps.abort()
+        raise
 
     traj = Trajectory(mesh=mesh, mat=mat, tau=cfg.tau, states=states,
                       rows=rows, meta={"n_steps": n, "T_effective": n * cfg.tau,

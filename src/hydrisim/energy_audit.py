@@ -14,11 +14,12 @@ is first order in the step size.
 The ledger row of a step reads the arrays its stages already built
 instead of computing them again from the states: the chemical-potential
 gradient of the concentration solve, sigma_a and s_a at the previous
-state from the displacement/phase solve, and the strain rate of the
-enthalpy solve.  The audit stays exact because these are the very
-arrays the stages balanced their own equations with, from the same
-formulas; a recomputation from the states gives the same bits, at the
-cost of a second evaluation per step.
+state from the displacement/phase solve, the strain rate of the
+enthalpy solve, and the elastic strain and phi1 of the previous state
+from the previous step's ledger.  The audit stays exact because these
+are the very arrays the stages balanced their own equations with, from
+the same formulas; a recomputation from the states gives the same bits,
+at the cost of a second evaluation per step.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .constitutive import (
     apply_viscosity,
     dphi1_dm,
     phi1,
+    swelling_curve,
 )
 from .diffusion import assemble_mu
 from .grid import (
@@ -93,46 +95,62 @@ class LedgerRow:
         return self.kinetic + self.stored + self.gradient
 
 
-def _elastic_strain(mesh: Mesh, mat: MaterialModel, st: State) -> np.ndarray:
-    """Element strain eps(u) - mean(m) eps_tr of ``st``."""
-    return (strain(mesh, st.u)
-            - elem_mean(mesh, st.m)[:, None, None] * mat.eps_tr_mat)
+@dataclass(frozen=True)
+class StoredTerms:
+    """The arrays one state's stored energy is built from, which the
+    ledger of the next step reads again: the element elastic strain
+    eps(u) - mean(m) eps_tr and the nodal phi1(m, chi)."""
+
+    elastic_strain: np.ndarray
+    phi1: np.ndarray
+
+
+def stored_terms(mesh: Mesh, mat: MaterialModel, st: State) -> StoredTerms:
+    """The ``StoredTerms`` of ``st``, evaluated from the state."""
+    return StoredTerms(
+        elastic_strain=(strain(mesh, st.u)
+                        - elem_mean(mesh, st.m)[:, None, None]
+                        * mat.eps_tr_mat),
+        phi1=phi1(mat, st.m, st.chi))
 
 
 def _energies(mesh: Mesh, mat: MaterialModel, st: State, tau: float):
     """Kinetic, stored, gradient and thermal energy of ``st``, then the
-    elastic strain and the nodal phi1(m, chi) they were built from, for
-    ``ledger_step`` to reuse."""
+    ``StoredTerms`` they were built from, for the next step's ledger."""
     Ml = lumped_mass(mesh)
     Mv = vector_lumped_mass(mesh)
     v = st.velocity(tau)
     kinetic = 0.5 * mat.rho * float(np.sum(Mv * v ** 2))
-    a = _elastic_strain(mesh, mat, st)
+    terms = stored_terms(mesh, mat, st)
+    a = terms.elastic_strain
     elastic = 0.5 * float(np.einsum("eij,eij,e->", apply_elastic(mat, a), a,
                                     mesh.volumes))
-    phi = phi1(mat, st.m, st.chi)
-    chem = float(np.sum(Ml * phi))
+    chem = float(np.sum(Ml * terms.phi1))
     gm = grad_field(mesh, st.m)
     gradient = 0.5 * mat.grad_coeff * float(
         np.einsum("ei,ei,e->", gm, gm, mesh.volumes))
     thermal = float(np.sum(Ml * st.w))
-    return (kinetic, elastic + chem, gradient, thermal), a, phi
+    return (kinetic, elastic + chem, gradient, thermal), terms
 
 
-def initial_row(mesh: Mesh, mat: MaterialModel, st: State,
-                tau: float) -> LedgerRow:
-    (kin, sto, grad, th), _, _ = _energies(mesh, mat, st, tau)
+def initial_row(mesh: Mesh, mat: MaterialModel, st: State, tau: float):
+    """The ledger row of the initial state, and its ``StoredTerms`` for
+    the first ``ledger_step``."""
+    (kin, sto, grad, th), terms = _energies(mesh, mat, st, tau)
     Ml = lumped_mass(mesh)
-    return LedgerRow(t=st.t, kinetic=kin, stored=sto, gradient=grad,
-                     thermal=th, mass_chi=float(np.sum(Ml * st.chi)),
-                     min_chi=float(np.min(st.chi)), min_w=float(np.min(st.w)))
+    row = LedgerRow(t=st.t, kinetic=kin, stored=sto, gradient=grad,
+                    thermal=th, mass_chi=float(np.sum(Ml * st.chi)),
+                    min_chi=float(np.min(st.chi)), min_w=float(np.min(st.w)))
+    return row, terms
 
 
 def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
                 tau: float, sources: dict, heat_produced: dict, *,
                 grad_mu: np.ndarray, sigma_a_prev: np.ndarray,
-                s_a_prev: np.ndarray, strain_rate: np.ndarray) -> LedgerRow:
-    """Assemble one audit row from two consecutive states.
+                s_a_prev: np.ndarray, strain_rate: np.ndarray,
+                prev_terms: StoredTerms):
+    """Assemble one audit row from two consecutive states; returns the
+    row and the ``StoredTerms`` of ``cur`` for the next step.
 
     ``sources`` holds the assembled per-step load vectors under the keys
     f, f_s, h_s (None for absent ones); ``heat_produced`` is the enthalpy
@@ -143,19 +161,21 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
     cur.chi)[1]``), ``sigma_a_prev`` the element sigma_a and ``s_a_prev``
     the nodal s_a at the midpoint and nodal m, w of ``prev``
     (``MechPhaseProblem.adiabatic()``), and ``strain_rate`` the element
-    strain of ``cur.velocity(tau)`` (``HeatSolution.strain_rate``).
+    strain of ``cur.velocity(tau)`` (``HeatSolution.strain_rate``), and
+    ``prev_terms`` the ``StoredTerms`` of ``prev`` (what ``initial_row``
+    or the previous ``ledger_step`` returned with its row).
     """
     Ml = lumped_mass(mesh)
     Mv = vector_lumped_mass(mesh)
     vol = mesh.volumes
-    (kin, sto, grad, th), a_k, phi_k = _energies(mesh, mat, cur, tau)
+    (kin, sto, grad, th), terms = _energies(mesh, mat, cur, tau)
 
     du = cur.velocity(tau)
     du_prev = prev.velocity(tau)
     dm = cur.m - prev.m
     dchi = cur.chi - prev.chi
 
-    da = a_k - _elastic_strain(mesh, mat, prev)
+    da = terms.elastic_strain - prev_terms.elastic_strain
     numdiss = 0.5 * mat.rho * float(np.sum(Mv * (du - du_prev) ** 2))
     numdiss += 0.5 * float(np.einsum("eij,eij,e->",
                                      apply_elastic(mat, da), da, vol))
@@ -164,11 +184,12 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
         np.einsum("ei,ei,e->", gdm, gdm, vol))
 
     # phi1 at the new phase and the previous concentration enters both gaps
-    phi_mix = phi1(mat, cur.m, prev.chi)
-    gap_m = float(np.sum(Ml * (dphi1_dm(mat, cur.m, prev.chi) * dm
+    a_prev = swelling_curve(mat, prev.chi)
+    phi_mix = phi1(mat, cur.m, prev.chi, a=a_prev)
+    gap_m = float(np.sum(Ml * (dphi1_dm(mat, cur.m, prev.chi, a=a_prev) * dm
                                - phi_mix
-                               + phi1(mat, prev.m, prev.chi))))
-    gap_chi = float(np.sum(Ml * (cur.mu * dchi - phi_k + phi_mix)))
+                               + prev_terms.phi1)))
+    gap_chi = float(np.sum(Ml * (cur.mu * dchi - terms.phi1 + phi_mix)))
     xi_term = float(np.sum(Ml * cur.xi * dm))
 
     diss_viscous = tau * float(np.einsum(
@@ -198,7 +219,7 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
                            + heat_produced.get("boundary", 0.0))
     heat_total = tau * float(sum(heat_produced.values()))
 
-    return LedgerRow(
+    row = LedgerRow(
         t=cur.t, kinetic=kin, stored=sto, gradient=grad, thermal=th,
         diss_viscous=diss_viscous, diss_phase=diss_phase,
         diss_activation=diss_activation, diss_diffusion=diss_diffusion,
@@ -208,6 +229,7 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
         heat_supplied=heat_supplied, heat_total=heat_total,
         mass_chi=float(np.sum(Ml * cur.chi)),
         min_chi=float(np.min(cur.chi)), min_w=float(np.min(cur.w)))
+    return row, terms
 
 
 def _dissipation(row: LedgerRow) -> float:

@@ -358,7 +358,8 @@ def _assert_snapshots_match_states(traj, outdir):
 
 
 def test_run_snapshots_reuse_mesh_text(tmp_path):
-    # every snapshot after the first writes the run's cached mesh text
+    # the run formats its mesh text once, in the writer process for the
+    # snapshots before the last and in-process for the last
     cfg = RunConfig(dim=2, lengths=(1.0, 1.0), resolution=(5, 4), T=0.003,
                     tau=1e-3, h_s={"left": 0.5}, every_n=1, vtk=True,
                     outdir=str(tmp_path))

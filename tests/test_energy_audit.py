@@ -14,6 +14,7 @@ from hydrisim.energy_audit import (
     initial_row,
     ledger_columns,
     ledger_step,
+    stored_terms,
     write_energy_csv,
 )
 from hydrisim.grid import build_mesh, elem_mean, lumped_mass, strain
@@ -46,12 +47,14 @@ def stage_arrays(mesh, mat, prev, cur, tau):
         sigma_a_prev=sigma_a_tensor(mat, elem_mean(mesh, prev.m),
                                     elem_mean(mesh, prev.w)),
         s_a_prev=s_a(mat, prev.m, prev.w),
-        strain_rate=strain(mesh, cur.velocity(tau)))
+        strain_rate=strain(mesh, cur.velocity(tau)),
+        prev_terms=stored_terms(mesh, mat, prev))
 
 
 def ledger(mesh, mat, prev, cur, tau, sources, heat_produced):
-    return ledger_step(mesh, mat, prev, cur, tau, sources, heat_produced,
-                       **stage_arrays(mesh, mat, prev, cur, tau))
+    row, _ = ledger_step(mesh, mat, prev, cur, tau, sources, heat_produced,
+                         **stage_arrays(mesh, mat, prev, cur, tau))
+    return row
 
 
 def test_static_trajectory_all_residuals_zero():
@@ -60,7 +63,7 @@ def test_static_trajectory_all_residuals_zero():
     tau = 1e-2
     s0 = make_state(mesh, 0, tau)
     s1 = make_state(mesh, 1, tau)
-    rows = [initial_row(mesh, mat, s0, tau),
+    rows = [initial_row(mesh, mat, s0, tau)[0],
             ledger(mesh, mat, s0, s1, tau, {}, ZERO_HEAT)]
     traj = Trajectory(mesh=mesh, mat=mat, tau=tau, states=[s0, s1],
                       rows=rows, meta={})
@@ -81,6 +84,23 @@ def test_single_element_viscous_hand_value():
     # strain rate = 0.01 / (1 * 0.1) = 0.1; increment = tau * D * rate^2
     assert row.diss_viscous == pytest.approx(0.1 * 1.0 * 0.1 ** 2,
                                              abs=1e-16)
+
+
+def test_single_element_numerical_dissipation_hand_value():
+    # one element of volume 1 and E = 1; the backward-difference squares
+    # of the velocity, the elastic strain and the phase gradient
+    mesh = build_mesh(1, (1.0,), 2)
+    mat = desk()                      # rho 1, eps_tr 0.1, grad_coeff 0.01
+    tau = 0.1
+    s0 = make_state(mesh, 0, tau, m=np.array([0.2, 0.2]))
+    s1 = make_state(mesh, 1, tau, u=np.array([0.0, 0.01]),
+                    m=np.array([0.2, 0.6]))
+    row = ledger(mesh, mat, s0, s1, tau, {}, ZERO_HEAT)
+    # velocity 0.1 at a node of lumped mass 1/2; elastic strain
+    # -0.1 * 0.2 -> 0.01 - 0.1 * 0.4; phase gradient 0 -> 0.4
+    expect = (0.5 * 0.5 * 0.1 ** 2 + 0.5 * (-0.03 + 0.02) ** 2
+              + 0.5 * 0.01 * 0.4 ** 2)
+    assert row.numdiss == pytest.approx(expect, rel=1e-12)
 
 
 def test_activation_increment_is_threshold_times_travel():
@@ -118,8 +138,9 @@ def test_driver_hands_the_ledger_its_stage_arrays(monkeypatch):
     calls = []
 
     def recording(*args, **kwargs):
-        calls.append(args)
-        return ledger_step(*args, **kwargs)
+        out = ledger_step(*args, **kwargs)
+        calls.append((args, kwargs["prev_terms"], out[1]))
+        return out
 
     monkeypatch.setattr(driver, "ledger_step", recording)
     traj = run(RunConfig(dim=2, lengths=(1.0, 1.0), resolution=(6, 5),
@@ -127,14 +148,23 @@ def test_driver_hands_the_ledger_its_stage_arrays(monkeypatch):
                          theta0=0.1, h_s={"left": 0.5}))
     mesh, mat, tau = traj.mesh, traj.mat, traj.tau
     assert len(calls) == traj.n_steps
-    for k, args in enumerate(calls, start=1):
+    for k, (args, prev_terms, terms) in enumerate(calls, start=1):
         prev, cur = traj.states[k - 1], traj.states[k]
         assert args[2] is prev and args[3] is cur
+        # each step hands the next the terms it built, bit for bit the
+        # ones the state gives
+        if k > 1:
+            assert prev_terms is calls[k - 2][2]
+        for built, ref in ((prev_terms, stored_terms(mesh, mat, prev)),
+                           (terms, stored_terms(mesh, mat, cur))):
+            assert np.array_equal(built.elastic_strain, ref.elastic_strain)
+            assert np.array_equal(built.phi1, ref.phi1)
         got = traj.rows[k]
         assert np.any(cur.xi != 0.0)
         assert got.gap_m != 0.0 and got.adiab_expl != 0.0
         # the same sources and enthalpy breakdown, the stage arrays rebuilt
-        ref = ledger_step(*args, **stage_arrays(mesh, mat, prev, cur, tau))
+        ref, _ = ledger_step(*args,
+                             **stage_arrays(mesh, mat, prev, cur, tau))
         for f in dataclasses.fields(got):
             assert getattr(ref, f.name) == getattr(got, f.name), f.name
 

@@ -9,8 +9,14 @@ import scipy.sparse.linalg as spla
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from hydrisim import _snapshot  # noqa: E402
 from hydrisim.constitutive import desk_default_material  # noqa: E402
-from hydrisim.driver import _write_snapshot, _write_vtk  # noqa: E402
+from hydrisim.driver import (  # noqa: E402
+    _mesh_text,
+    _snapshot_fields,
+    _write_snapshot,
+    _write_vtk,
+)
 from hydrisim.grid import build_mesh  # noqa: E402
 from hydrisim.heat import build_heat_operator  # noqa: E402
 from hydrisim.mech_phase import (  # noqa: E402
@@ -142,3 +148,14 @@ def test_snapshot_writers_match_oracles(tmp_path_factory, resolution, lengths,
         assert (out / "f.csv").read_text() == reference_snapshot(mesh, mat,
                                                                  state)
         assert (out / "f.vtk").read_text() == reference_vtk(mesh, mat, state)
+        u, *scalars = _snapshot_fields(mat, state)
+    # the writer process, fed the raw values, writes the same bytes
+    text = _mesh_text(mesh)
+    writer = _snapshot.Writer.start(str(out), dim, text.coords, text.elems,
+                                    True)
+    writer.send(seed, u, scalars)
+    writer.end()
+    writer.join()
+    for ext in ("csv", "vtk"):
+        assert ((out / ("fields_%06d.%s" % (seed, ext))).read_bytes()
+                == (out / ("f." + ext)).read_bytes())
