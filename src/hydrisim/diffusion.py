@@ -5,13 +5,20 @@ is a lumped P1 system whose mobility-weighted coefficients depend on the
 unknown concentration itself.  An undamped Picard loop freezes those
 coefficients at the previous iterate; the bound (3.1a) keeps the mobility
 away from zero and infinity, so the map contracts.  Each inner system is
-a symmetric M-matrix solved exactly: by banded Cholesky in natural node
-order when the mesh's half bandwidth is at most ``_BAND_MAX`` (every 1D
-mesh, and 2D grids with up to 127 nodes along the second axis), by
-sparse LU otherwise.  The returned iterate is the raw output of the
-final solve, so testing the system with the constant function gives
-the discrete hydrogen balance to solver precision: the lumped mass of chi
-moves by exactly tau times the boundary influx.  Non-negativity of chi is
+a symmetric M-matrix.  On a 2D grid it goes first to CG from the last
+iterate, preconditioned by ``grid.tensor_grid_inverse`` at the median
+element coefficient, to the relative residual ``cg_tol``; the stiffness
+annihilates constants, so one constant shift of the CG solution then sets
+the sum of its residual to 0.  Every other system, and a 2D one whose CG
+solution stalls or comes within ``_PCG_MARGIN`` of zero at some node, is
+solved exactly: by banded Cholesky in natural node order when the mesh's
+half bandwidth is at most ``_BAND_MAX`` (every 1D mesh, and 2D grids with
+up to 127 nodes along the second axis), by sparse LU otherwise.  Either
+way the residual of the final solve sums to 0 up to round-off, so testing
+the system with the constant function gives the discrete hydrogen balance
+to solver precision: the lumped mass of chi moves by exactly tau times
+the boundary influx.  The exact solve of an M-matrix keeps chi >= 0,
+which is why an iterate near zero goes to it.  Non-negativity of chi is
 asserted, never clipped - clipping would falsify that balance.
 """
 
@@ -31,12 +38,14 @@ from .constitutive import (
 from .errors import InvariantViolation, StepFailure
 from .grid import (
     Mesh,
+    SPDSolver,
     elem_mean,
     grad_field,
     grad_stiffness_vector,
     lumped_mass,
     solve_stiffness_banded,
     stiffness_with_diag,
+    tensor_grid_inverse,
 )
 
 log = logging.getLogger(__name__)
@@ -51,6 +60,11 @@ NEG_TOL = 1e-12
 # 137 ms, 62 vs 30.5 MB.  Past kd = 128 the time gain shrinks while the
 # band's memory, (kd + 1) * n doubles, keeps growing.
 _BAND_MAX = 128
+
+# A 2D CG solution with a node at or below this value is replaced by the
+# exact solve, whose M-matrix structure guarantees chi >= 0; CG's error at
+# cg_tol lies far below it on the concentrations that pass.
+_PCG_MARGIN = 1e-6
 
 
 @dataclass
@@ -69,6 +83,7 @@ class DiffusionProblem:
     h_s: np.ndarray | None = None
     picard_tol: float = 1e-10
     picard_max: int = 200
+    cg_tol: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,8 @@ class DiffusionSolution:
     grad_mu: np.ndarray
     iterations: int
     update_norm: float
+    cg_iterations: int  # 2D PCG iterations, summed over Picard solves
+    exact_solves: int   # 2D Picard solves that fell back to _solve
 
 
 def assemble_mu(mesh: Mesh, mat: MaterialModel, m: np.ndarray,
@@ -124,6 +141,28 @@ def _solve(mesh: Mesh, coeff, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _solve_pcg(pr: DiffusionProblem, coeff, diag: np.ndarray,
+               rhs: np.ndarray, x0: np.ndarray):
+    """CG on the system of ``_solve`` from ``x0`` to ``pr.cg_tol``,
+    preconditioned by the tensor model (median coeff, median coeff,
+    1/tau), its solution then shifted by tau sum(r) / sum(Ml), which sets
+    the sum of its residual r to 0.  Returns (chi, CG iterations); chi is
+    None, for the exact solve to take over, when CG stalls (a non-finite
+    coefficient stops it at once) or chi has a node at or below
+    ``_PCG_MARGIN``."""
+    mesh, tau = pr.mesh, pr.tau
+    k = float(np.median(coeff))
+    A = stiffness_with_diag(mesh, coeff, diag)
+    solver = SPDSolver(A, "concentration solve",
+                       tensor_grid_inverse(mesh, (k, k, 1.0 / tau)))
+    try:
+        chi, iters = solver.solve(rhs, x0, pr.cg_tol)
+    except StepFailure:
+        return None, 0
+    chi += tau * np.sum(rhs - A @ chi) / np.sum(lumped_mass(mesh))
+    return (chi if np.min(chi) > _PCG_MARGIN else None), iters
+
+
 def solve_chi_step(pr: DiffusionProblem) -> DiffusionSolution:
     mesh, mat = pr.mesh, pr.mat
     if np.min(pr.chi_prev) < -NEG_TOL:
@@ -141,10 +180,18 @@ def solve_chi_step(pr: DiffusionProblem) -> DiffusionSolution:
     chi_new = chi_lin
     update = np.inf
     last_update = None
+    on_grid = len(mesh.shape) == 2
+    cg_total = exact = 0
     for it in range(1, pr.picard_max + 1):
         M1, M2 = _element_coeffs(mat, m_e, elem_mean(mesh, chi_lin))
         rhs = rhs_fixed - grad_stiffness_vector(mesh, M2, grad_m)
-        chi_new = _solve(mesh, M1, diag, rhs)
+        chi_new = None
+        if on_grid:
+            chi_new, cg_it = _solve_pcg(pr, M1, diag, rhs, chi_lin)
+            cg_total += cg_it
+            exact += chi_new is None
+        if chi_new is None:
+            chi_new = _solve(mesh, M1, diag, rhs)
         update = float(np.sqrt(np.sum(Ml * (chi_new - chi_lin) ** 2)))
         if update <= pr.picard_tol:
             break
@@ -166,4 +213,5 @@ def solve_chi_step(pr: DiffusionProblem) -> DiffusionSolution:
     mu, grad_mu = assemble_mu(mesh, mat, pr.m, chi_new, m_e=m_e,
                               grad_m=grad_m)
     return DiffusionSolution(chi=chi_new, mu=mu, grad_mu=grad_mu,
-                             iterations=it, update_norm=update)
+                             iterations=it, update_norm=update,
+                             cg_iterations=cg_total, exact_solves=exact)

@@ -412,8 +412,8 @@ def run(config: RunConfig) -> Trajectory:
             raise ConfigError("output directory %r cannot be created: %s"
                               % (outdir, exc.strerror)) from None
     snaps = _Snapshots(mesh, mat, cfg, n)
-    totals = {"outer": 0, "cg": 0, "prox": 0, "picard_chi": 0, "picard_w": 0,
-              "cg_w": 0}
+    totals = {"outer": 0, "cg": 0, "prox": 0, "picard_chi": 0, "cg_chi": 0,
+              "chi_exact": 0, "picard_w": 0, "cg_w": 0}
     # any failure, interrupt included, first reaps the snapshot writer,
     # so every snapshot handed over is on disk when the error propagates
     try:
@@ -439,7 +439,8 @@ def run(config: RunConfig) -> Trajectory:
             dpr = DiffusionProblem(
                 mesh=mesh, mat=mat, tau=cfg.tau, m=sol.m,
                 chi_prev=state.chi, h_s=src["h_s"],
-                picard_tol=cfg.picard_tol, picard_max=cfg.picard_max)
+                picard_tol=cfg.picard_tol, picard_max=cfg.picard_max,
+                cg_tol=cfg.cg_tol)
             dsol = solve_chi_step(dpr)
 
             hpr = HeatProblem(
@@ -470,6 +471,8 @@ def run(config: RunConfig) -> Trajectory:
             totals["cg"] += sol.cg_iterations
             totals["prox"] += sol.prox_iterations
             totals["picard_chi"] += dsol.iterations
+            totals["cg_chi"] += dsol.cg_iterations
+            totals["chi_exact"] += dsol.exact_solves
             totals["picard_w"] += hsol.iterations
             totals["cg_w"] += hsol.cg_iterations
             rows.append(row)

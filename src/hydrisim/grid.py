@@ -16,8 +16,9 @@ whole run.  Other run-constant operators
 go through preconditioned CG.  A 2D grid is a tensor product of two
 segments (``Mesh.shape`` holds the nodes per axis), so
 ``tensor_grid_inverse`` inverts a tensor-product model of its scalar
-matrices with one closed-form cosine basis per axis; that preconditioner
-takes the enthalpy CG to at most 5 iterations.
+matrices, or of each component of an interleaved vector field, with
+one closed-form cosine basis per axis, cached on ``Mesh``; it
+preconditions every 2D solve of the scheme.
 
 Two sparse linear maps, cached on ``Mesh``, carry every element kernel:
 ``grad_op`` takes nodal values to element gradients and ``mean_op``
@@ -191,6 +192,16 @@ class Mesh:
         offset = cols - rows[upper]
         kd = int(offset.max())
         return kd, upper, cols * (kd + 1) + kd - offset
+
+    @cached_property
+    def cosine_modes(self) -> tuple:
+        """Per axis of ``shape``, the cosine basis V of ``_cosine_modes``,
+        its transpose copied to C order and the eigenvalues: the data of
+        ``tensor_grid_inverse``, built once per mesh and shared by every
+        solve it preconditions."""
+        return tuple((V, np.ascontiguousarray(V.T), lam)
+                     for V, lam in (_cosine_modes(n, length) for n, length
+                                    in zip(self.shape, self.lengths)))
 
     @property
     def half_bandwidth(self) -> int:
@@ -566,39 +577,40 @@ def _cosine_modes(n: int, length: float):
     return V / np.sqrt(norm2), lam
 
 
-def tensor_grid_inverse(mesh: Mesh, k: float, c: float):
-    """Exact inverse of k (Kx (x) Dy + Dx (x) Ky) + c Dx (x) Dy on the
-    2D grid of ``mesh``, as a callable on nodal vectors, or None when the
+def tensor_grid_inverse(mesh: Mesh, *models):
+    """Exact inverse of a block-diagonal tensor-product model on the 2D
+    grid of ``mesh``, as a callable on nodal vectors, or None when the
     mesh is not a 2D grid from ``build_mesh``.
 
-    Kx, Dx are the 1D P1 stiffness and lumped mass along x (Ky, Dy along
-    y); on the grid the scalar P1 stiffness equals Kx (x) Dy + Dx (x) Ky
-    to round-off, and the lumped mass is Dx (x) Dy except at the 4
-    corners.  Both axes are diagonalized by their cosine modes (the fast
-    diagonalization method of Lynch, Rice & Thomas, 1964), so the inverse
-    is Vx ((Vx^T R Vy) / (k (lam_x + lam_y) + c)) Vy^T for the nodal
-    values R as an (nx, ny) array: 4 dense products of one axis' size,
-    and the bases hold nx^2 + ny^2 doubles.  Requires k >= 0 and c > 0.
-
-    The products run through ``np.einsum``, not BLAS: the first BLAS
-    matrix product of a process maps in OpenBLAS buffer pages, which
-    raised the peak RSS of a 30x30, 10-step run by 0.2 MB, while einsum
-    kept it 0.1 MB below Jacobi-PCG's.  einsum costs 176 against 27 us
-    per apply at 40x40 (one thread, 2-core Xeon); that is still a small
-    share of a solve.
+    ``models`` holds one triple (kx, ky, c) per component of a nodal
+    vector interleaved node-major (entry node * ncomp + comp, as the
+    displacement is stored), and component comp is inverted under
+    kx Kx (x) Dy + ky Dx (x) Ky + c Dx (x) Dy.  Kx, Dx are the 1D P1
+    stiffness and lumped mass along x (Ky, Dy along y); on the grid the
+    scalar P1 stiffness equals Kx (x) Dy + Dx (x) Ky to round-off, and the
+    lumped mass is Dx (x) Dy except at the 4 corners.  Both axes are
+    diagonalized by their cosine modes (the fast diagonalization method of
+    Lynch, Rice & Thomas, 1964), so the inverse of one component is
+    Vx ((Vx^T R Vy) / (kx lam_x + ky lam_y + c)) Vy^T for its nodal
+    values R as an (nx, ny) array: 4 BLAS matrix products of one axis'
+    size, on the bases that ``Mesh.cosine_modes`` keeps.  Requires
+    kx, ky >= 0 and c > 0.
     """
     if len(mesh.shape) != 2:
         return None
-    (vx, lx), (vy, ly) = (_cosine_modes(n, length)
-                          for n, length in zip(mesh.shape, mesh.lengths))
-    denom = k * (lx[:, None] + ly[None, :]) + c
-    shape = mesh.shape
+    (vx, vxt, lx), (vy, vyt, ly) = mesh.cosine_modes
+    denoms = [kx * lx[:, None] + ky * ly[None, :] + c
+              for kx, ky, c in models]
+    shape = mesh.shape + (len(models),)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        modal = np.einsum("ia,ij->aj", vx, r.reshape(shape))
-        modal = np.einsum("aj,jb->ab", modal, vy) / denom
-        nodal = np.einsum("ia,ab->ib", vx, modal)
-        return np.einsum("ib,jb->ij", nodal, vy).ravel()
+        r = r.reshape(shape)
+        out = np.empty_like(r)
+        for comp, denom in enumerate(denoms):
+            modal = vxt @ np.ascontiguousarray(r[..., comp]) @ vy
+            modal /= denom
+            out[..., comp] = vx @ modal @ vyt
+        return out.ravel()
 
     return apply
 
@@ -614,7 +626,7 @@ class SPDSolver:
     factor: a sparse factor of the 2D operators would stay resident for
     the whole run.  ``precond`` maps a residual to the preconditioned
     residual; it should be the inverse of a nearby SPD model matrix, such
-    as ``tensor_grid_inverse`` gives for the 2D enthalpy matrix, and
+    as ``tensor_grid_inverse`` gives for every 2D system on a grid, and
     defaults to Jacobi (division by the diagonal).  A factorization that
     fails, or CG that stalls or meets a non-finite value, is a
     ``StepFailure`` naming ``stage``.
@@ -625,19 +637,24 @@ class SPDSolver:
         self.A = A.tocsr()
         self.stage = stage
         n = self.A.shape[0]
-        rows = np.repeat(np.arange(n), np.diff(self.A.indptr))
-        self.direct = bool(np.all(np.abs(rows - self.A.indices) <= 1))
-        diag = self.A.diagonal()
+        counts = np.diff(self.A.indptr)
+        rows = np.repeat(np.arange(n), counts)
+        # a row of more than 3 entries rules out a tridiagonal matrix
+        # before every entry's column is compared with its row
+        self.direct = bool(counts.max(initial=0) <= 3
+                           and np.all(np.abs(rows - self.A.indices) <= 1))
         self.max_iter = 200 + 10 * n
         if self.direct:
             band = np.zeros((2, n))
             band[0, 1:] = self.A.diagonal(1)
-            band[1] = diag
+            band[1] = self.A.diagonal()
             self.factor = _banded(stage, cholesky_banded, band)
         else:
             self.a_norm = np.bincount(rows, np.abs(self.A.data), n).max()
-            self.precond = ((lambda r: r / diag) if precond is None
-                            else precond)
+            self.precond = precond
+            if precond is None:
+                diag = self.A.diagonal()
+                self.precond = lambda r: r / diag
 
     def solve(self, b: np.ndarray, x0: np.ndarray, rel_tol: float):
         """Return (x, CG iterations).  ``x0`` and ``rel_tol`` (relative to

@@ -9,9 +9,10 @@ lumped M-matrix system this keeps the new enthalpy nonnegative, which is
 asserted.  The system matrix is a run constant, solved by
 ``grid.SPDSolver``: a banded Cholesky factor computed once per run when
 the matrix is tridiagonal (every segment mesh), and on a 2D grid CG
-preconditioned by the exact inverse of its tensor-product model
-(``grid.tensor_grid_inverse``), which converges in at most 5
-iterations.  The adiabatic terms are implicit in w, handled by a plain
+preconditioned by ``grid.tensor_grid_inverse`` with the one-component
+model (K0, K0, 1/tau), which is the matrix up to the lumped mass of the
+4 corner nodes, so CG converges in at most 5 iterations.  The adiabatic
+terms are implicit in w, handled by a plain
 fixed-point loop; the production terms that do not depend on w are
 computed once per step, before it.  The returned breakdown of the
 right-hand side is the one the final linear solve actually saw, so ledger
@@ -89,7 +90,7 @@ def build_heat_operator(mesh: Mesh, mat: MaterialModel,
 
     The conductivity is the material constant K0, independent of the
     state, so the matrix is fixed for the whole run.  On a 2D grid the
-    matrix differs from the tensor-product model that
+    matrix differs from the tensor-product model (K0, K0, 1/tau) that
     ``tensor_grid_inverse`` inverts only in the lumped mass of the 4
     corner nodes, so CG preconditioned by that inverse converges in at
     most 5 iterations.
@@ -97,7 +98,7 @@ def build_heat_operator(mesh: Mesh, mat: MaterialModel,
     return SPDSolver(stiffness_with_diag(mesh, mat.K0,
                                          lumped_mass(mesh) / tau),
                      "enthalpy solve",
-                     tensor_grid_inverse(mesh, mat.K0, 1.0 / tau))
+                     tensor_grid_inverse(mesh, (mat.K0, mat.K0, 1.0 / tau)))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ differences, the rate-independent activation cost r|m - m_prev| and the box
 constraint on m, plus the adiabatic couplings sigma_a, s_a frozen at the
 previous phase/enthalpy pair.  The solver alternates an SPD displacement
 solve (``grid.SPDSolver``: a banded Cholesky factor computed once when
-the operator is tridiagonal, as on every segment mesh, and
-Jacobi-preconditioned CG otherwise) with an accelerated proximal-gradient
+the operator is tridiagonal, as on every segment mesh, and on a 2D grid
+CG preconditioned by the block-diagonal tensor model of
+``_displacement_models``) with an accelerated proximal-gradient
 pass on m (FISTA with restart) in a diagonal metric: each node steps by
 its own Gershgorin row sum of the phase Hessian, so the nonsmooth part
 stays an exact nodal prox.  It stops on the joint first-order residual
@@ -32,6 +33,7 @@ from .constitutive import (
     phi1,
     s_a,
     sigma_a_tensor,
+    swelling_curve,
 )
 from .errors import ConfigError, InvariantViolation, StepFailure
 from .grid import (
@@ -44,6 +46,7 @@ from .grid import (
     mean_coupling_matrix,
     stiffness,
     strain_adjoint,
+    tensor_grid_inverse,
     vector_grad_op,
     vector_lumped_mass,
 )
@@ -128,8 +131,23 @@ def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators
     curv_max = mat.coupling_k + 26.0 * mat.double_well
     H = A_m + sp.diags(Mlump * (mat.alpha / tau + curv_max))
     lipschitz = np.asarray(abs(H).sum(axis=1)).ravel()
+    u_solver = SPDSolver(A_u, "displacement solve", tensor_grid_inverse(
+        mesh, *_displacement_models(mat, tau)))
     return MechOperators(tau, Mlump, Mvec, A_m, A_el, A_visc, B, A_u,
-                         SPDSolver(A_u, "displacement solve"), lipschitz)
+                         u_solver, lipschitz)
+
+
+def _displacement_models(mat: MaterialModel, tau: float):
+    """The (kx, ky, c) of u_x and of u_y in the block-diagonal tensor model
+    of A_u = rho/tau^2 M + A_visc/tau + A_el on a 2D grid: each component
+    keeps its own normal stiffness, (lam + 2 mu) along its axis and mu
+    across it (viscous pair likewise, over tau), and the model drops the
+    (lam + mu) cross-derivative coupling of u_x and u_y."""
+    (lam, mu), (lam_v, mu_v) = mat.lame, mat.visc
+    k_along = (lam + 2.0 * mu) + (lam_v + 2.0 * mu_v) / tau
+    k_across = mu + mu_v / tau
+    c = mat.rho / tau ** 2
+    return (k_along, k_across, c), (k_across, k_along, c)
 
 
 def _on_pattern(A: sp.spmatrix, P: sp.csr_matrix) -> sp.csr_matrix:
@@ -171,8 +189,10 @@ class MechPhaseProblem:
     ``adiabatic()`` evaluates the ``AdiabaticData`` of the previous state
     on its first call and keeps it, so the solve and every
     ``incremental_objective`` of the step share one evaluation, and the
-    driver hands the same sigma_a and s_a to the energy ledger.  The
-    previous-state fields must not change after that call.
+    driver hands the same sigma_a and s_a to the energy ledger.
+    ``swelling()`` keeps the swelling curve a(chi_prev) the same way for
+    every phi1 and dphi1/dm of the step.  The previous-state fields must
+    not change after either call.
     """
 
     mesh: Mesh
@@ -192,6 +212,8 @@ class MechPhaseProblem:
     ops: MechOperators | None = field(default=None, repr=False)
     adiab: AdiabaticData | None = field(default=None, init=False,
                                         repr=False, compare=False)
+    a_prev: np.ndarray | None = field(default=None, init=False,
+                                      repr=False, compare=False)
 
     def operators(self) -> MechOperators:
         if self.ops is None or self.ops.tau != self.tau:
@@ -202,6 +224,11 @@ class MechPhaseProblem:
         if self.adiab is None:
             self.adiab = _adiabatic_data(self)
         return self.adiab
+
+    def swelling(self) -> np.ndarray:
+        if self.a_prev is None:
+            self.a_prev = swelling_curve(self.mat, self.chi_prev)
+        return self.a_prev
 
 
 @dataclass(frozen=True)
@@ -233,7 +260,8 @@ def _adiabatic_data(pr: MechPhaseProblem) -> AdiabaticData:
 def _m_smooth_grad(pr, ops, m, Am, Bu, sa_node):
     """Gradient of the smooth part of the m-functional, given Am = A_m @ m."""
     mat = pr.mat
-    return Am - Bu + ops.Mlump * (dphi1_dm(mat, m, pr.chi_prev)
+    return Am - Bu + ops.Mlump * (dphi1_dm(mat, m, pr.chi_prev,
+                                           a=pr.swelling())
                                   + (mat.alpha / pr.tau) * (m - pr.m_prev)
                                   + sa_node)
 
@@ -310,7 +338,7 @@ def incremental_objective(pr: MechPhaseProblem, u: np.ndarray,
     val += 0.5 / pr.tau * (du @ (ops.A_visc @ du))
     val += 0.5 * (u @ (ops.A_el @ u)) - u @ (ops.B @ m)
     val += 0.5 * (m @ (ops.A_m @ m))
-    val += np.sum(ops.Mlump * (phi1(mat, m, pr.chi_prev)
+    val += np.sum(ops.Mlump * (phi1(mat, m, pr.chi_prev, a=pr.swelling())
                                + 0.5 * mat.alpha / pr.tau * dm ** 2
                                + mat.threshold_r * np.abs(dm)
                                + sa_node * m))

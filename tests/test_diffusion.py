@@ -251,3 +251,79 @@ def test_non_finite_sparse_lu_solve_fails_at_once(monkeypatch):
                        match="concentration solve: sparse LU gave non-finite"):
         solve_chi_step(pr)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the 2D PCG path and its exact fallback
+
+
+def _grid_system(res=(12, 9), tau=1e-3, seed=5):
+    """A Picard system of a 2D rectangle grid: mobility-like coefficients
+    within 1% of each other, a positive concentration and its right-hand
+    side, as the concentration step builds them."""
+    mesh = build_mesh(2, (1.5, 1.0), res)
+    rng = np.random.default_rng(seed)
+    coeff = 0.4 * rng.uniform(0.995, 1.005, mesh.n_elems)
+    chi = 0.3 + 0.1 * rng.uniform(size=mesh.n_nodes)
+    diag = lumped_mass(mesh) / tau
+    rhs = diag * chi + 1e-2 * rng.normal(size=mesh.n_nodes)
+    pr = make_problem(mesh, desk_default_material(2), tau, chi)
+    return pr, coeff, diag, rhs
+
+
+@pytest.mark.parametrize("cg_tol", [1e-12, 1e-6])
+def test_grid_pcg_matches_exact_solve_and_closes_the_balance(cg_tol):
+    pr, coeff, diag, rhs = _grid_system()
+    pr.cg_tol = cg_tol
+    x, iters = diffusion._solve_pcg(pr, coeff, diag, rhs, pr.chi_prev)
+    assert x is not None and 1 <= iters <= 10
+    ref = diffusion._solve(pr.mesh, coeff, diag, rhs)
+    assert np.linalg.norm(x - ref) <= 10 * cg_tol * np.linalg.norm(ref)
+    A = sp.diags(diag) + stiffness(pr.mesh, coeff)
+    r = rhs - A @ x
+    # the constant shift moves the residual by at most its own size ...
+    assert np.linalg.norm(r) <= 2 * cg_tol * np.linalg.norm(rhs)
+    # ... and leaves its sum at round-off, even where CG stopped early:
+    # the hydrogen balance of the step
+    assert abs(r.sum()) <= 64 * np.finfo(float).eps * np.abs(rhs).sum()
+
+
+def test_grid_step_uses_pcg_and_agrees_with_the_exact_step(monkeypatch):
+    mesh = build_mesh(2, (1.0, 1.0), (10, 10))
+    mat = desk_default_material(2)
+    chi = 0.4 + 0.2 * np.cos(np.pi * mesh.coords[:, 0])
+    h_s = 0.5 * lumped_mass(mesh) * (mesh.coords[:, 0] == 0.0)
+    pr = make_problem(mesh, mat, 1e-3, chi, h_s=h_s)
+    sol = solve_chi_step(pr)
+    assert sol.cg_iterations > 0 and sol.exact_solves == 0
+    monkeypatch.setattr(diffusion, "_solve_pcg", lambda *a: (None, 0))
+    ref = solve_chi_step(pr)
+    assert ref.exact_solves == ref.iterations
+    assert np.linalg.norm(sol.chi - ref.chi) <= 1e-10 * np.linalg.norm(ref.chi)
+    Ml = lumped_mass(mesh)
+    for s in (sol, ref):
+        gain = np.sum(Ml * (s.chi - chi)) - 1e-3 * h_s.sum()
+        assert abs(gain) <= 1e-13
+
+
+def test_grid_step_from_zero_falls_back_and_stays_nonnegative():
+    mesh = build_mesh(2, (1.0, 1.0), (10, 8))
+    h_s = 0.5 * lumped_mass(mesh) * (mesh.coords[:, 0] == 0.0)
+    pr = make_problem(mesh, desk_default_material(2), 1e-3,
+                      np.zeros(mesh.n_nodes), h_s=h_s)
+    sol = solve_chi_step(pr)
+    assert sol.exact_solves >= 1
+    assert np.min(sol.chi) >= 0.0
+
+
+def test_nan_coefficient_on_a_grid_fails_in_the_exact_solve():
+    # CG stops at once and hands the system to the banded solve, which
+    # names the stage; test_non_finite_sparse_lu_solve_fails_at_once
+    # covers the SuperLU side
+    mesh = build_mesh(2, (1.0, 1.0), (6, 5))
+    m = np.zeros(mesh.n_nodes)
+    m[mesh.n_nodes // 2] = np.nan
+    chi = 0.5 + 0.2 * mesh.coords[:, 0]
+    pr = make_problem(mesh, desk_default_material(2), 1e-3, chi, m=m)
+    with pytest.raises(StepFailure, match="concentration solve: banded"):
+        solve_chi_step(pr)

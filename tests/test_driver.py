@@ -287,13 +287,15 @@ def test_outputs_written_and_deterministic(tmp_path):
     assert manifest["mesh"]["nodes"] == 15
     assert "defaulted" in manifest
     iters = manifest["iterations"]
-    assert set(iters) == {"outer", "cg", "prox", "picard_chi", "picard_w",
-                          "cg_w"}
+    assert set(iters) == {"outer", "cg", "prox", "picard_chi", "cg_chi",
+                          "chi_exact", "picard_w", "cg_w"}
     assert all(isinstance(v, int) and v >= 0 for v in iters.values())
     assert iters["picard_chi"] >= manifest["n_steps"]
     assert iters["picard_w"] >= manifest["n_steps"]
-    # both 1D operators are tridiagonal and solved directly, without PCG
-    assert iters["cg"] == iters["cg_w"] == 0
+    # both 1D operators are tridiagonal and solved directly, without PCG,
+    # and every 1D concentration system is solved exactly, not as a fallback
+    assert iters["cg"] == iters["cg_w"] == iters["cg_chi"] == 0
+    assert iters["chi_exact"] == 0
     assert iters == json.loads(
         (tmp_path / "b" / "run_manifest.json").read_text())["iterations"]
 

@@ -29,6 +29,7 @@ from hydrisim.grid import (
 )
 from hydrisim import diffusion
 from hydrisim.heat import build_heat_operator
+from hydrisim.mech_phase import _displacement_models, build_operators
 from hydrisim.constitutive import apply_elastic, desk_default_material
 from hydrisim.errors import ConfigError, StepFailure
 
@@ -317,14 +318,15 @@ def test_pcg_stops_at_the_rounding_floor():
     assert iters <= 5
 
 
-def _tensor_model(mesh, k, c):
-    """k (Kx (x) Dy + Dx (x) Ky) + c Dx (x) Dy from the 1D meshes' own
+def _tensor_model(mesh, kx, ky, c):
+    """kx Kx (x) Dy + ky Dx (x) Ky + c Dx (x) Dy from the 1D meshes' own
     stiffness and lumped mass."""
     (Kx, Dx), (Ky, Dy) = (
         (stiffness(line), sp.diags(lumped_mass(line)))
         for line in (build_mesh(1, (length,), n)
                      for n, length in zip(mesh.shape, mesh.lengths)))
-    return k * (sp.kron(Kx, Dy) + sp.kron(Dx, Ky)) + c * sp.kron(Dx, Dy)
+    return (kx * sp.kron(Kx, Dy) + ky * sp.kron(Dx, Ky)
+            + c * sp.kron(Dx, Dy)).tocsc()
 
 
 TENSOR_GRIDS = [((1.0, 1.0), (9, 9)), ((2.0, 0.5), (12, 5)),
@@ -338,27 +340,55 @@ TENSOR_IDS = ["square9", "rect12x5", "rect5x12", "rect2x7", "rect6x2",
 def test_tensor_grid_inverse_inverts_the_model(lengths, res):
     mesh = build_mesh(2, lengths, res)
     assert mesh.shape == res
-    model = _tensor_model(mesh, 0.7, 1e3)
+    model = _tensor_model(mesh, 0.7, 0.7, 1e3)
     # the grid's stiffness is the model's; its lumped mass differs from
     # Dx (x) Dy at the 4 corners only
-    assert abs(stiffness(mesh) - _tensor_model(mesh, 1.0, 0.0)).max() \
+    assert abs(stiffness(mesh) - _tensor_model(mesh, 1.0, 1.0, 0.0)).max() \
         <= 1e-12 * abs(stiffness(mesh)).max()
-    mass_gap = lumped_mass(mesh) - _tensor_model(mesh, 0.0, 1.0).diagonal()
+    mass_gap = lumped_mass(mesh) - _tensor_model(mesh, 0.0, 0.0,
+                                                 1.0).diagonal()
     corners = [0, res[1] - 1, mesh.n_nodes - res[1], mesh.n_nodes - 1]
     assert np.all(mass_gap[corners] != 0.0)
     assert np.allclose(np.delete(mass_gap, corners), 0.0, rtol=0.0,
                        atol=1e-15 * lumped_mass(mesh).max())
     r = np.random.default_rng(7).standard_normal(mesh.n_nodes)
-    ref = spla.spsolve(model.tocsc(), r)
-    got = tensor_grid_inverse(mesh, 0.7, 1e3)(r)
+    ref = spla.spsolve(model, r)
+    got = tensor_grid_inverse(mesh, (0.7, 0.7, 1e3))(r)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("lengths, res", TENSOR_GRIDS, ids=TENSOR_IDS)
+def test_tensor_grid_inverse_per_axis_and_per_component(lengths, res):
+    # kx != ky, and a swapped pair on the second of two interleaved
+    # components: an x/y mix-up shows on every grid, square ones included
+    mesh = build_mesh(2, lengths, res)
+    models = [(0.3, 2.9, 1e3), (2.9, 0.3, 4e2)]
+    rng = np.random.default_rng(9)
+    r = rng.standard_normal(mesh.n_nodes)
+    ref = spla.spsolve(_tensor_model(mesh, *models[0]), r)
+    got = tensor_grid_inverse(mesh, models[0])(r)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    swapped = spla.spsolve(_tensor_model(mesh, *models[1][:2], 1e3), r)
+    assert np.linalg.norm(got - swapped) > 1e-3 * np.linalg.norm(ref)
+    r2 = rng.standard_normal(2 * mesh.n_nodes)
+    got2 = tensor_grid_inverse(mesh, *models)(r2)
+    for comp, model in enumerate(models):
+        ref = spla.spsolve(_tensor_model(mesh, *model), r2[comp::2])
+        assert np.linalg.norm(got2[comp::2] - ref) \
+            <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_tensor_grid_inverse_needs_a_2d_grid():
-    assert tensor_grid_inverse(build_mesh(1, (1.0,), 9), 1.0, 1.0) is None
+    model = (1.0, 1.0, 1.0)
+    assert tensor_grid_inverse(build_mesh(1, (1.0,), 9), model) is None
     square = build_mesh(2, (1.0, 1.0), (4, 4))
     hand_built = dataclasses.replace(square, shape=())
-    assert tensor_grid_inverse(hand_built, 1.0, 1.0) is None
+    assert tensor_grid_inverse(hand_built, model) is None
+    # the bases are built once per mesh, transposes in C order
+    (vx, vxt, _), (vy, vyt, _) = square.cosine_modes
+    assert square.cosine_modes[0][0] is vx
+    assert vxt.flags.c_contiguous and np.array_equal(vxt, vx.T)
+    assert vyt.flags.c_contiguous and np.array_equal(vyt, vy.T)
 
 
 @pytest.mark.parametrize("lengths, res", TENSOR_GRIDS, ids=TENSOR_IDS)
@@ -380,6 +410,33 @@ def test_enthalpy_solve_on_tensor_grid_matches_spsolve(lengths, res):
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("lengths, res", TENSOR_GRIDS, ids=TENSOR_IDS)
+def test_displacement_solve_on_tensor_grid_matches_spsolve(lengths, res):
+    mesh = build_mesh(2, lengths, res)
+    mat = dataclasses.replace(desk_default_material(2), lame=(0.9, 0.2))
+    tau = 1e-3
+    ops = build_operators(mesh, mat, tau)
+    solver = ops.u_solver
+    assert not solver.direct
+    # each component's block of A_u is its model; the dropped
+    # cross-derivative terms couple u_x to u_y only
+    corners = [0, res[1] - 1, mesh.n_nodes - res[1], mesh.n_nodes - 1]
+    for comp, model in enumerate(_displacement_models(mat, tau)):
+        gap = (ops.A_u[comp::2, comp::2]
+               - _tensor_model(mesh, *model)).toarray()
+        # the model's mass differs at the 4 corner nodes only
+        gap[corners, corners] = 0.0
+        assert abs(gap).max() <= 1e-12 * abs(ops.A_u).max()
+    rng = np.random.default_rng(13)
+    b = rng.normal(size=2 * mesh.n_nodes)
+    ref = spla.spsolve(ops.A_u.tocsc(), b)
+    for x0 in (np.zeros_like(b), rng.normal(size=b.size)):
+        x, iters = solver.solve(b, x0, 1e-12)
+        assert iters >= 1
+        assert np.linalg.norm(ops.A_u @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("field", ["K0", "tau"])
 def test_nan_enthalpy_coefficient_is_step_failure(field):
     mesh = build_mesh(2, (1.0, 1.0), (6, 5))
@@ -395,7 +452,7 @@ def test_nan_enthalpy_coefficient_is_step_failure(field):
     # a NaN element coefficient in the matrix, a finite preconditioner
     solver = SPDSolver(stiffness_with_diag(mesh, *_nan_coefficient(mesh)),
                        "enthalpy solve",
-                       tensor_grid_inverse(mesh, 1.0, 1e3))
+                       tensor_grid_inverse(mesh, (1.0, 1.0, 1e3)))
     with pytest.raises(StepFailure, match="enthalpy solve: CG stalled"):
         solver.solve(b, np.zeros_like(b), 1e-12)
 

@@ -203,6 +203,28 @@ def test_objective_decreases_from_previous_state():
     assert sol.objective <= j_prev + 1e-12 * (1.0 + abs(j_prev))
 
 
+def test_swelling_curve_is_evaluated_once_per_step(monkeypatch):
+    # phi1 and dphi1/dm take a(chi_prev) from the problem; neither
+    # evaluates the curve on its own
+    from hydrisim import constitutive, mech_phase
+    calls = []
+    real = constitutive.swelling_curve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    for module in (constitutive, mech_phase):
+        monkeypatch.setattr(module, "swelling_curve", counted)
+    mesh = build_mesh(1, (1.0,), 20)
+    n = mesh.n_nodes
+    pr = make_problem(mesh, desk(), 1e-3, chi_prev=np.linspace(0.0, 2.0, n),
+                      w_prev=0.5 * np.ones(n))
+    incremental_objective(pr, pr.u_prev, pr.m_prev)
+    sol = solve_mech_phase_step(pr)
+    assert sol.prox_iterations >= 1
+    assert len(calls) == 1
+
+
 def test_multiplier_complementarity():
     # strong chemical driving pushes m to the upper bound somewhere
     mesh = build_mesh(1, (1.0,), 15)
