@@ -9,17 +9,20 @@ a symmetric M-matrix.  On a 2D grid it goes first to CG from the last
 iterate, preconditioned by ``grid.tensor_grid_inverse`` at the median
 element coefficient, to the relative residual ``cg_tol``; the stiffness
 annihilates constants, so one constant shift of the CG solution then sets
-the sum of its residual to 0.  Every other system, and a 2D one whose CG
-solution stalls or comes within ``_PCG_MARGIN`` of zero at some node, is
-solved exactly: by banded Cholesky in natural node order when the mesh's
-half bandwidth is at most ``_BAND_MAX`` (every 1D mesh, and 2D grids with
-up to 127 nodes along the second axis), by sparse LU otherwise.  Either
-way the residual of the final solve sums to 0 up to round-off, so testing
-the system with the constant function gives the discrete hydrogen balance
-to solver precision: the lumped mass of chi moves by exactly tau times
-the boundary influx.  The exact solve of an M-matrix keeps chi >= 0,
-which is why an iterate near zero goes to it.  Non-negativity of chi is
-asserted, never clipped - clipping would falsify that balance.
+the sum of its residual to 0.  A 2D system goes to the exact solve
+instead when its start or its CG solution has a node within
+``_PCG_MARGIN`` of zero, when CG stalls, or when CG ends without an
+iteration; the rest of that step is then solved exactly too.  The exact
+solve, which every other system takes, is banded Cholesky in natural
+node order when the mesh's half bandwidth is at most ``_BAND_MAX`` (every
+1D mesh, and 2D grids with up to 127 nodes along the second axis), and
+sparse LU otherwise.  Either way the residual of the final solve sums to
+0 up to round-off, so testing the system with the constant function gives
+the discrete hydrogen balance to solver precision: the lumped mass of chi
+moves by exactly tau times the boundary influx.  The exact solve of an
+M-matrix keeps chi >= 0, which is why an iterate near zero goes to it.
+Non-negativity of chi is asserted, never clipped - clipping would falsify
+that balance.
 """
 
 from __future__ import annotations
@@ -61,9 +64,10 @@ NEG_TOL = 1e-12
 # band's memory, (kd + 1) * n doubles, keeps growing.
 _BAND_MAX = 128
 
-# A 2D CG solution with a node at or below this value is replaced by the
-# exact solve, whose M-matrix structure guarantees chi >= 0; CG's error at
-# cg_tol lies far below it on the concentrations that pass.
+# A 2D Picard system whose start or CG solution has a node at or below
+# this value goes to the exact solve, whose M-matrix structure guarantees
+# chi >= 0; CG's error at cg_tol lies far below it on the concentrations
+# that pass.
 _PCG_MARGIN = 1e-6
 
 
@@ -94,7 +98,7 @@ class DiffusionSolution:
     iterations: int
     update_norm: float
     cg_iterations: int  # 2D PCG iterations, summed over Picard solves
-    exact_solves: int   # 2D Picard solves that fell back to _solve
+    exact_solves: int   # 2D Picard solves done by _solve
 
 
 def assemble_mu(mesh: Mesh, mat: MaterialModel, m: np.ndarray,
@@ -145,22 +149,32 @@ def _solve_pcg(pr: DiffusionProblem, coeff, diag: np.ndarray,
                rhs: np.ndarray, x0: np.ndarray):
     """CG on the system of ``_solve`` from ``x0`` to ``pr.cg_tol``,
     preconditioned by the tensor model (median coeff, median coeff,
-    1/tau), its solution then shifted by tau sum(r) / sum(Ml), which sets
+    1/tau), its solution then shifted by sum(r) / sum(diag), which sets
     the sum of its residual r to 0.  Returns (chi, CG iterations); chi is
     None, for the exact solve to take over, when CG stalls (a non-finite
-    coefficient stops it at once) or chi has a node at or below
-    ``_PCG_MARGIN``."""
-    mesh, tau = pr.mesh, pr.tau
+    coefficient stops it at once), ends without an iteration, or leaves a
+    node at or below ``_PCG_MARGIN``."""
     k = float(np.median(coeff))
-    A = stiffness_with_diag(mesh, coeff, diag)
+    A = stiffness_with_diag(pr.mesh, coeff, diag)
     solver = SPDSolver(A, "concentration solve",
-                       tensor_grid_inverse(mesh, (k, k, 1.0 / tau)))
+                       tensor_grid_inverse(pr.mesh, (k, k, 1.0 / pr.tau)))
     try:
         chi, iters = solver.solve(rhs, x0, pr.cg_tol)
-    except StepFailure:
+    except StepFailure as exc:
+        log.debug("%s; solving exactly", exc)
+        return None, exc.iterations
+    if iters == 0:
+        # x0 meets cg_tol against |rhs|, which the mass term dominates:
+        # a step's diffusion can lie below that, and a Picard update of
+        # the shift alone would end the loop without it
+        log.debug("concentration PCG: start within cg_tol; solving exactly")
         return None, 0
-    chi += tau * np.sum(rhs - A @ chi) / np.sum(lumped_mass(mesh))
-    return (chi if np.min(chi) > _PCG_MARGIN else None), iters
+    chi += np.sum(rhs - A @ chi) / np.sum(diag)
+    low = np.min(chi)
+    if low <= _PCG_MARGIN:
+        log.debug("concentration PCG: node at %.3e; solving exactly", low)
+        return None, iters
+    return chi, iters
 
 
 def solve_chi_step(pr: DiffusionProblem) -> DiffusionSolution:
@@ -181,16 +195,20 @@ def solve_chi_step(pr: DiffusionProblem) -> DiffusionSolution:
     update = np.inf
     last_update = None
     on_grid = len(mesh.shape) == 2
+    pcg = on_grid
     cg_total = exact = 0
     for it in range(1, pr.picard_max + 1):
         M1, M2 = _element_coeffs(mat, m_e, elem_mean(mesh, chi_lin))
         rhs = rhs_fixed - grad_stiffness_vector(mesh, M2, grad_m)
         chi_new = None
-        if on_grid:
+        if pcg and np.min(chi_lin) > _PCG_MARGIN:
             chi_new, cg_it = _solve_pcg(pr, M1, diag, rhs, chi_lin)
             cg_total += cg_it
-            exact += chi_new is None
         if chi_new is None:
+            # a start near zero or a failed CG would likely recur on the
+            # next Picard system, so the rest of the step is solved exactly
+            pcg = False
+            exact += on_grid
             chi_new = _solve(mesh, M1, diag, rhs)
         update = float(np.sqrt(np.sum(Ml * (chi_new - chi_lin) ** 2)))
         if update <= pr.picard_tol:

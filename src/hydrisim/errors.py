@@ -22,9 +22,16 @@ class MaterialError(ConfigError):
 
 
 class StepFailure(HydrisimError):
-    """An incremental solver failed to produce an acceptable state."""
+    """An incremental solver failed to produce an acceptable state.
+
+    ``iterations`` is what an iterative solver spent before it gave up.
+    """
 
     exit_code = 3
+
+    def __init__(self, message: str, iterations: int = 0):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class InvariantViolation(HydrisimError):

@@ -629,7 +629,8 @@ class SPDSolver:
     as ``tensor_grid_inverse`` gives for every 2D system on a grid, and
     defaults to Jacobi (division by the diagonal).  A factorization that
     fails, or CG that stalls or meets a non-finite value, is a
-    ``StepFailure`` naming ``stage``.
+    ``StepFailure`` naming ``stage``; a CG one carries the iterations
+    spent.
     """
 
     def __init__(self, A: sp.spmatrix, stage: str = "SPD solve",
@@ -712,4 +713,5 @@ def _pcg(A, b, x0, precond, rel_tol, max_iter, stage, a_norm):
             break
     res = np.sqrt(r @ r)
     raise StepFailure(
-        f"{stage}: CG stalled at residual {res:.3e} (target {stop:.3e})")
+        f"{stage}: CG stalled at residual {res:.3e} (target {stop:.3e})",
+        iterations=it)

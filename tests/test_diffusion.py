@@ -296,8 +296,7 @@ def test_grid_step_uses_pcg_and_agrees_with_the_exact_step(monkeypatch):
     pr = make_problem(mesh, mat, 1e-3, chi, h_s=h_s)
     sol = solve_chi_step(pr)
     assert sol.cg_iterations > 0 and sol.exact_solves == 0
-    monkeypatch.setattr(diffusion, "_solve_pcg", lambda *a: (None, 0))
-    ref = solve_chi_step(pr)
+    ref = _exact_step(monkeypatch, pr)
     assert ref.exact_solves == ref.iterations
     assert np.linalg.norm(sol.chi - ref.chi) <= 1e-10 * np.linalg.norm(ref.chi)
     Ml = lumped_mass(mesh)
@@ -312,8 +311,60 @@ def test_grid_step_from_zero_falls_back_and_stays_nonnegative():
     pr = make_problem(mesh, desk_default_material(2), 1e-3,
                       np.zeros(mesh.n_nodes), h_s=h_s)
     sol = solve_chi_step(pr)
-    assert sol.exact_solves >= 1
+    # a start at zero spends nothing on CG: every Picard system is exact
+    assert sol.cg_iterations == 0 and sol.exact_solves == sol.iterations
     assert np.min(sol.chi) >= 0.0
+
+
+def _exact_step(monkeypatch, pr):
+    with monkeypatch.context() as mp:
+        mp.setattr(diffusion, "_solve_pcg", lambda *a: (None, 0))
+        return solve_chi_step(pr)
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1e-4, 1e-5])
+def test_grid_step_at_a_loose_cg_tol_matches_the_exact_step(monkeypatch, tau):
+    # |rhs| is mostly Ml chi / tau, so at cg_tol 1e-4 the second Picard
+    # system's start already meets the tolerance; a Picard update of the
+    # balance shift alone would end the loop short of its fixed point
+    mesh = build_mesh(2, (1.0, 1.0), (40, 40))
+    x, y = mesh.coords[:, 0], mesh.coords[:, 1]
+    chi = 0.4 + 0.2 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    h_s = 0.5 * lumped_mass(mesh) * (x == 0.0)
+    pr = make_problem(mesh, desk_default_material(2), tau, chi, h_s=h_s,
+                      cg_tol=1e-4)
+    sol = solve_chi_step(pr)
+    ref = _exact_step(monkeypatch, pr)
+    assert sol.cg_iterations > 0 and sol.exact_solves > 0
+    change = ref.chi - chi
+    assert (np.linalg.norm(sol.chi - chi - change)
+            <= 1e-9 * np.linalg.norm(change))
+
+
+def test_stalled_grid_pcg_counts_its_iterations_and_solves_exactly(
+        monkeypatch, caplog):
+    class OneIteration(diffusion.SPDSolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.max_iter = 1
+
+    mesh = build_mesh(2, (1.0, 1.0), (10, 10))
+    chi = 0.4 + 0.2 * np.cos(np.pi * mesh.coords[:, 0])
+    h_s = 0.5 * lumped_mass(mesh) * (mesh.coords[:, 0] == 0.0)
+    pr = make_problem(mesh, desk_default_material(2), 1e-3, chi, h_s=h_s)
+    ref = _exact_step(monkeypatch, pr)
+    monkeypatch.setattr(diffusion, "SPDSolver", OneIteration)
+    with caplog.at_level("DEBUG", logger="hydrisim.diffusion"):
+        sol = solve_chi_step(pr)
+    # the first system stalls after its one iteration; the rest of the
+    # step is exact without trying CG again
+    assert sol.cg_iterations == 1
+    assert sol.exact_solves == sol.iterations == ref.iterations
+    fallbacks = [r.message for r in caplog.records
+                 if r.message.endswith("solving exactly")]
+    assert len(fallbacks) == 1
+    assert fallbacks[0].startswith("concentration solve: CG stalled")
+    assert np.array_equal(sol.chi, ref.chi)
 
 
 def test_nan_coefficient_on_a_grid_fails_in_the_exact_solve():
