@@ -21,7 +21,7 @@ import numpy as np
 
 from .constitutive import desk_default_material, validate_material
 from .driver import RunConfig, desk_default_config, refine_study, run
-from .errors import ConfigError, HydrisimError
+from .errors import NEG_TOL, ConfigError, HydrisimError
 from .grid import check_spacing
 from .mech_phase import check_step_size, tau_max
 
@@ -72,9 +72,6 @@ class Ramp:
     @property
     def is_constant(self):
         return self.cx == self.cy == self.ct == 0.0
-
-    def spatial_only(self):
-        return self.ct == 0.0
 
 
 def parse_ramp(text: str, allowed: str, context: str) -> Ramp:
@@ -427,8 +424,8 @@ def _selftest_suites():
     def suite_invariants():
         cfg = desk_default_config(resolution=(30,), T=0.02)
         traj = run(cfg)
-        yield "chi nonnegative", min(r.min_chi for r in traj.rows) >= -1e-12
-        yield "w nonnegative", min(r.min_w for r in traj.rows) >= -1e-12
+        yield "chi nonnegative", min(r.min_chi for r in traj.rows) >= -NEG_TOL
+        yield "w nonnegative", min(r.min_w for r in traj.rows) >= -NEG_TOL
         slack = balance_residual(traj, 0.5)
         yield "energy slack", float(slack.min()) >= -1e-9
         nu0 = balance_residual(traj, 0.0)

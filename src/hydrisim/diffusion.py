@@ -38,7 +38,7 @@ from .constitutive import (
     chemical_potential,
     chi_curvatures,
 )
-from .errors import InvariantViolation, StepFailure
+from .errors import NEG_TOL, InvariantViolation, StepFailure
 from .grid import (
     Mesh,
     SPDSolver,
@@ -52,8 +52,6 @@ from .grid import (
 )
 
 log = logging.getLogger(__name__)
-
-NEG_TOL = 1e-12
 
 # Widest band solved by banded Cholesky; wider ones go to SuperLU.  One
 # solve on a square grid, 2-core Xeon, one BLAS thread, banded against

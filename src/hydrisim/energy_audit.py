@@ -28,8 +28,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .constitutive import (
     MaterialModel,
@@ -42,10 +40,12 @@ from .constitutive import (
 from .diffusion import assemble_mu
 from .grid import (
     Mesh,
+    SPDSolver,
     elem_mean,
     grad_field,
     lumped_mass,
     stiffness,
+    stiffness_with_diag,
     strain,
     vector_lumped_mass,
 )
@@ -363,21 +363,20 @@ def apriori_monitor(traj: Trajectory) -> dict:
         acc += tau * float(np.sum(vol * np.linalg.norm(gw, axis=1) ** r))
     out["w_grad_l98"] = acc ** (1.0 / r)
 
-    # dual-norm surrogates through the lumped Riesz map (mass + stiffness)
-    R = (sp.diags(Ml) + stiffness(mesh, 1.0)).tocsc()
-    solve = spla.factorized(R)
+    # dual-norm surrogates through the lumped Riesz map (mass + stiffness),
+    # factored exactly: with no preconditioner SPDSolver takes the band
+    riesz = SPDSolver(stiffness_with_diag(mesh, 1.0, Ml), "Riesz map")
+
+    def dual_sq(v):
+        load = Ml * v
+        return float(load @ riesz.solve(load, None, 0.0)[0])
 
     def dual_scalar(v):
-        load = Ml * v
-        return float(np.sqrt(load @ solve(load)))
+        return float(np.sqrt(dual_sq(v)))
 
     def dual_vector(v):
         v = v.reshape(-1, mesh.dim)
-        total = 0.0
-        for c in range(mesh.dim):
-            load = Ml * v[:, c]
-            total += float(load @ solve(load))
-        return np.sqrt(total)
+        return np.sqrt(sum(dual_sq(v[:, c]) for c in range(mesh.dim)))
 
     accel = [(b - a) / tau for a, b in zip(rates[:-1], rates[1:])]
     out["accel_dual_l2"] = float(np.sqrt(sum(

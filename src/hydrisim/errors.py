@@ -34,6 +34,10 @@ class StepFailure(HydrisimError):
         self.iterations = iterations
 
 
+# Round-off allowance of the nonnegativity invariants chi >= 0, w >= 0
+NEG_TOL = 1e-12
+
+
 class InvariantViolation(HydrisimError):
     """A guaranteed discrete property failed at runtime; the run aborts."""
 

@@ -6,19 +6,19 @@ here matches the ones the step solvers and the energy audit evaluate.
 The 2D mesh splits each cell of a structured rectangle grid into two
 right triangles along the same diagonal; together with 1D segments this
 keeps every scalar stiffness matrix an M-matrix, which the discrete
-maximum principles for concentration and enthalpy rely on.  The direct
-solves live here too: in natural node order every scalar P1 matrix is
-banded (half bandwidth 1 on a segment, ny + 1 on an nx x ny grid), so
-``solve_stiffness_banded`` assembles one straight into a LAPACK band
-and solves it exactly by banded Cholesky, and ``SPDSolver`` keeps a
-banded Cholesky factor of a tridiagonal run-constant operator for the
-whole run.  Other run-constant operators
-go through preconditioned CG.  A 2D grid is a tensor product of two
-segments (``Mesh.shape`` holds the nodes per axis), so
+maximum principles for concentration and enthalpy rely on.  The solves
+live here too.  In natural node order every scalar P1 matrix is banded
+(half bandwidth 1 on a segment, ny + 1 on an nx x ny grid), so
+``solve_stiffness_banded`` assembles one straight into a LAPACK band and
+solves it exactly by banded Cholesky.  A 2D grid is a tensor product of
+two segments (``Mesh.shape`` holds the nodes per axis), so
 ``tensor_grid_inverse`` inverts a tensor-product model of its scalar
-matrices, or of each component of an interleaved vector field, with
-one closed-form cosine basis per axis, cached on ``Mesh``; it
-preconditions every 2D solve of the scheme.
+matrices, or of each component of an interleaved vector field, with one
+closed-form cosine basis per axis, cached on ``Mesh``.  ``SPDSolver``
+solves one fixed SPD matrix by one rule: CG preconditioned by such an
+inverse when one is given, which is every 2D grid, and otherwise a
+banded Cholesky factor at the matrix's own half bandwidth, kept as long
+as the solver.  Both band solves share one layout, ``_band_layout``.
 
 Two sparse linear maps, cached on ``Mesh``, carry every element kernel:
 ``grad_op`` takes nodal values to element gradients and ``mean_op``
@@ -85,7 +85,6 @@ class Mesh:
     grads         (ne, dim+1, dim) constant shape-function gradients
     facets        (nf, dim) node ids per boundary facet
     facet_measure (nf,)
-    facet_normal  (nf, dim) outward unit normals
     facet_side    (nf,) integer side label, index into ``sides``
     shape         nodes per axis of a structured grid from ``build_mesh``,
                   () for any other node layout
@@ -98,7 +97,6 @@ class Mesh:
     grads: np.ndarray
     facets: np.ndarray
     facet_measure: np.ndarray
-    facet_normal: np.ndarray
     facet_side: np.ndarray
     sides: tuple[str, ...]
     lengths: tuple[float, ...]
@@ -179,19 +177,8 @@ class Mesh:
 
     @cached_property
     def _stiff_band(self):
-        """LAPACK upper band layout of the scalar stiffness pattern: the
-        half bandwidth kd, the CSR slots on or above the diagonal and
-        their flat positions in a column-major (kd+1, n) band, row
-        kd - (j - i) and column j for entry (i, j).  Column-major is
-        LAPACK's own layout, so the band reaches it without a copy."""
-        indptr, indices, _, _, _ = self._stiff_csr
-        n = self.n_nodes
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        upper = np.flatnonzero(indices >= rows)
-        cols = indices[upper].astype(np.int64)
-        offset = cols - rows[upper]
-        kd = int(offset.max())
-        return kd, upper, cols * (kd + 1) + kd - offset
+        """``_band_layout`` of the scalar stiffness pattern."""
+        return _band_layout(*self._stiff_csr[:2])
 
     @cached_property
     def cosine_modes(self) -> tuple:
@@ -272,12 +259,10 @@ def _mesh_1d(length: float, nx: int) -> Mesh:
     grads[:, 0, 0] = -1.0 / h
     grads[:, 1, 0] = 1.0 / h
     facets = np.array([[0], [nx - 1]])
-    normals = np.array([[-1.0], [1.0]])
     return Mesh(
         dim=1, coords=coords, elems=elems, volumes=h, grads=grads,
-        facets=facets, facet_measure=np.ones(2), facet_normal=normals,
-        facet_side=np.array([0, 1]), sides=SIDES_1D, lengths=(length,),
-        shape=(nx,))
+        facets=facets, facet_measure=np.ones(2), facet_side=np.array([0, 1]),
+        sides=SIDES_1D, lengths=(length,), shape=(nx,))
 
 
 def _mesh_2d(lengths, res) -> Mesh:
@@ -312,14 +297,12 @@ def _mesh_2d(lengths, res) -> Mesh:
     facets = np.concatenate([np.stack([s[:-1], s[1:]], axis=1)
                              for s in sides])
     per_side = [s.size - 1 for s in sides]
-    normals = np.repeat([(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)],
-                        per_side, axis=0)
     measures = np.linalg.norm(coords[facets[:, 1]] - coords[facets[:, 0]],
                               axis=1)
 
     return Mesh(
         dim=2, coords=coords, elems=elems, volumes=volumes, grads=grads,
-        facets=facets, facet_measure=measures, facet_normal=normals,
+        facets=facets, facet_measure=measures,
         facet_side=np.repeat(np.arange(len(sides)), per_side),
         sides=SIDES_2D, lengths=(lx, ly), shape=(nx, ny))
 
@@ -543,6 +526,28 @@ def _banded(stage: str, routine, *args, **kwargs) -> np.ndarray:
     return out
 
 
+def _band_layout(indptr: np.ndarray, indices: np.ndarray):
+    """LAPACK upper band layout of a symmetric CSR pattern with no
+    duplicate entries: the half bandwidth kd, the CSR slots on or above
+    the diagonal and their flat positions in a column-major (kd+1, n)
+    band, row kd - (j - i) and column j for entry (i, j).  Column-major
+    is LAPACK's own layout, so ``_band`` reaches it without a copy."""
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    upper = np.flatnonzero(indices >= rows)
+    cols = indices[upper].astype(np.int64)
+    offset = cols - rows[upper]
+    kd = int(offset.max())
+    return kd, upper, cols * (kd + 1) + kd - offset
+
+
+def _band(kd: int, pos: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """The (kd+1, n) band of ``_band_layout`` holding ``vals``, the
+    values of its upper slots, at their flat positions ``pos``."""
+    ab = np.zeros((kd + 1) * n)
+    ab[pos] = vals
+    return ab.reshape((kd + 1, n), order="F")
+
+
 def solve_stiffness_banded(mesh: Mesh, coeff, diag: np.ndarray,
                            b: np.ndarray, stage: str) -> np.ndarray:
     """Solve A x = b exactly by banded Cholesky in natural node order,
@@ -556,10 +561,8 @@ def solve_stiffness_banded(mesh: Mesh, coeff, diag: np.ndarray,
     # assemble before the band, the solve's largest array, is allocated:
     # the other order raised the peak RSS of an 8-step 40x40 run by 0.3 MB
     vals = _stiff_data_with_diag(mesh, coeff, diag)[upper]
-    ab = np.zeros((kd + 1) * mesh.n_nodes)
-    ab[pos] = vals
-    return _banded(stage, solveh_banded,
-                   ab.reshape((kd + 1, -1), order="F"), b, overwrite_ab=True)
+    return _banded(stage, solveh_banded, _band(kd, pos, vals, mesh.n_nodes),
+                   b, overwrite_ab=True)
 
 
 def _cosine_modes(n: int, length: float):
@@ -618,44 +621,38 @@ def tensor_grid_inverse(mesh: Mesh, *models):
 class SPDSolver:
     """Solves A x = b for one fixed symmetric positive definite matrix.
 
-    The path follows the matrix's own structure.  A tridiagonal matrix
-    (every P1 operator on a segment mesh) is factored once by banded
-    Cholesky, a factor of 2n doubles, and each ``solve`` is an exact
-    back-substitution that reports 0 iterations.  Any other matrix goes
-    through preconditioned CG from the given start vector and keeps no
-    factor: a sparse factor of the 2D operators would stay resident for
-    the whole run.  ``precond`` maps a residual to the preconditioned
-    residual; it should be the inverse of a nearby SPD model matrix, such
-    as ``tensor_grid_inverse`` gives for every 2D system on a grid, and
-    defaults to Jacobi (division by the diagonal).  A factorization that
-    fails, or CG that stalls or meets a non-finite value, is a
-    ``StepFailure`` naming ``stage``; a CG one carries the iterations
-    spent.
+    The path follows one rule, read from the arguments.  Given
+    ``precond``, a map from a residual to the preconditioned residual,
+    each ``solve`` runs preconditioned CG from its start vector and no
+    factor is kept; ``precond`` should be the inverse of a nearby SPD
+    model matrix, such as ``tensor_grid_inverse`` gives for every system
+    on a 2D grid.  Given none (``tensor_grid_inverse`` gives None off a
+    2D grid, so on every segment mesh), A is factored once by banded
+    Cholesky at its own half bandwidth kd, a factor of (kd + 1) n
+    doubles, and each ``solve`` is an exact back-substitution that
+    reports 0 iterations.  A factorization that fails, or CG that stalls
+    or meets a non-finite value, is a ``StepFailure`` naming ``stage``;
+    a CG one carries the iterations spent.
     """
 
     def __init__(self, A: sp.spmatrix, stage: str = "SPD solve",
                  precond=None):
         self.A = A.tocsr()
         self.stage = stage
+        self.precond = precond
+        self.direct = precond is None
         n = self.A.shape[0]
-        counts = np.diff(self.A.indptr)
-        rows = np.repeat(np.arange(n), counts)
-        # a row of more than 3 entries rules out a tridiagonal matrix
-        # before every entry's column is compared with its row
-        self.direct = bool(counts.max(initial=0) <= 3
-                           and np.all(np.abs(rows - self.A.indices) <= 1))
-        self.max_iter = 200 + 10 * n
         if self.direct:
-            band = np.zeros((2, n))
-            band[0, 1:] = self.A.diagonal(1)
-            band[1] = self.A.diagonal()
-            self.factor = _banded(stage, cholesky_banded, band)
+            # the band layout needs each entry once
+            self.A.sum_duplicates()
+            kd, upper, pos = _band_layout(self.A.indptr, self.A.indices)
+            self.factor = _banded(stage, cholesky_banded,
+                                  _band(kd, pos, self.A.data[upper], n),
+                                  overwrite_ab=True)
         else:
+            rows = np.repeat(np.arange(n), np.diff(self.A.indptr))
             self.a_norm = np.bincount(rows, np.abs(self.A.data), n).max()
-            self.precond = precond
-            if precond is None:
-                diag = self.A.diagonal()
-                self.precond = lambda r: r / diag
+            self.max_iter = 200 + 10 * n
 
     def solve(self, b: np.ndarray, x0: np.ndarray, rel_tol: float):
         """Return (x, CG iterations).  ``x0`` and ``rel_tol`` (relative to

@@ -7,12 +7,12 @@ denominator that caps each of them at coefficient/tau, and the adiabatic
 terms vanish identically for nonpositive enthalpy; together with the
 lumped M-matrix system this keeps the new enthalpy nonnegative, which is
 asserted.  The system matrix is a run constant, solved by
-``grid.SPDSolver``: a banded Cholesky factor computed once per run when
-the matrix is tridiagonal (every segment mesh), and on a 2D grid CG
-preconditioned by ``grid.tensor_grid_inverse`` with the one-component
-model (K0, K0, 1/tau), which is the matrix up to the lumped mass of the
-4 corner nodes, so CG converges in at most 5 iterations.  The adiabatic
-terms are implicit in w, handled by a plain
+``grid.SPDSolver`` under its one rule: on a 2D grid CG preconditioned by
+``grid.tensor_grid_inverse`` with the one-component model
+(K0, K0, 1/tau), which is the matrix up to the lumped mass of the 4
+corner nodes, so CG converges in at most 5 iterations; on any other mesh,
+every segment mesh among them, a banded Cholesky factor computed once
+per run.  The adiabatic terms are implicit in w, handled by a plain
 fixed-point loop; the production terms that do not depend on w are
 computed once per step, before it.  The returned breakdown of the
 right-hand side is the one the final linear solve actually saw, so ledger
@@ -34,7 +34,7 @@ from .constitutive import (
     s_a,
     sigma_a_tensor,
 )
-from .errors import InvariantViolation, StepFailure
+from .errors import NEG_TOL, InvariantViolation, StepFailure
 from .grid import (
     Mesh,
     SPDSolver,
@@ -47,8 +47,6 @@ from .grid import (
     strain,
     tensor_grid_inverse,
 )
-
-NEG_TOL = 1e-12
 
 
 @dataclass
@@ -105,7 +103,7 @@ def build_heat_operator(mesh: Mesh, mat: MaterialModel,
 class HeatSolution:
     w: np.ndarray
     iterations: int
-    cg_iterations: int  # inner PCG iterations, summed; 0 if tridiagonal
+    cg_iterations: int  # inner PCG iterations, summed; 0 off a 2D grid
     update_norm: float
     produced: dict  # integrated right-hand-side terms, by name
     strain_rate: np.ndarray  # element strain of (u - u_prev)/tau

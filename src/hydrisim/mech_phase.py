@@ -6,14 +6,14 @@ previous concentration, the phase-gradient term, inertia and viscosity
 differences, the rate-independent activation cost r|m - m_prev| and the box
 constraint on m, plus the adiabatic couplings sigma_a, s_a frozen at the
 previous phase/enthalpy pair.  The solver alternates an SPD displacement
-solve (``grid.SPDSolver``: a banded Cholesky factor computed once when
-the operator is tridiagonal, as on every segment mesh, and on a 2D grid
-CG preconditioned by the block-diagonal tensor model of
-``_displacement_models``) with an accelerated proximal-gradient
-pass on m (FISTA with restart) in a diagonal metric: each node steps by
-its own Gershgorin row sum of the phase Hessian, so the nonsmooth part
-stays an exact nodal prox.  It stops on the joint first-order residual
-measured in the lumped dual norm.
+solve (``grid.SPDSolver`` under its one rule: on a 2D grid CG
+preconditioned by the block-diagonal tensor model of
+``_displacement_models``; on any other mesh, every segment mesh among
+them, a banded Cholesky factor computed once) with an accelerated
+proximal-gradient pass on m (FISTA with restart) in a diagonal metric:
+each node steps by its own Gershgorin row sum of the phase Hessian, so
+the nonsmooth part stays an exact nodal prox.  It stops on the joint
+first-order residual measured in the lumped dual norm.
 The normal-cone multiplier xi is recovered from the converged m-equation.
 """
 
@@ -35,7 +35,7 @@ from .constitutive import (
     sigma_a_tensor,
     swelling_curve,
 )
-from .errors import ConfigError, InvariantViolation, StepFailure
+from .errors import NEG_TOL, ConfigError, InvariantViolation, StepFailure
 from .grid import (
     Mesh,
     SPDSolver,
@@ -51,7 +51,8 @@ from .grid import (
     vector_lumped_mass,
 )
 
-NEG_TOL = 1e-12
+# Iteration budget of one proximal-gradient pass on the phase block
+FISTA_MAX = 5000
 
 
 def tau_max(mat: MaterialModel, horizon: float) -> float:
@@ -208,7 +209,6 @@ class MechPhaseProblem:
     cg_tol: float = 1e-12
     opt_tol: float = 1e-10
     opt_max: int = 200
-    fista_max: int = 5000
     ops: MechOperators | None = field(default=None, repr=False)
     adiab: AdiabaticData | None = field(default=None, init=False,
                                         repr=False, compare=False)
@@ -389,7 +389,7 @@ def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
         u, cg_it = ops.u_solver.solve(b_u, u, pr.cg_tol)
         cg_total += cg_it
         m, g, r_m, fista_it = _solve_m_block(pr, ops, u, m, sa_node,
-                                             0.5 * tol_eff, pr.fista_max)
+                                             0.5 * tol_eff, FISTA_MAX)
         prox_total += fista_it
         r_u = ops.A_u @ u - (b_base + ops.B @ m)
         residual = float(np.sqrt(np.sum(r_u ** 2 / ops.Mvec)

@@ -271,4 +271,3 @@ def test_ramp_time_decay_callable():
     r = Ramp(const=1.0, ct=-2.0)
     assert r(None, 0.25) == 0.5
     assert not r.is_constant
-    assert not r.spatial_only()

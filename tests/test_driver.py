@@ -292,7 +292,8 @@ def test_outputs_written_and_deterministic(tmp_path):
     assert all(isinstance(v, int) and v >= 0 for v in iters.values())
     assert iters["picard_chi"] >= manifest["n_steps"]
     assert iters["picard_w"] >= manifest["n_steps"]
-    # both 1D operators are tridiagonal and solved directly, without PCG,
+    # a 1D mesh has no tensor-grid preconditioner, so both run-constant
+    # operators are factored and solved directly, without PCG,
     # and every 1D concentration system is solved exactly, not as a fallback
     assert iters["cg"] == iters["cg_w"] == iters["cg_chi"] == 0
     assert iters["chi_exact"] == 0

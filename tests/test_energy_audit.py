@@ -17,7 +17,13 @@ from hydrisim.energy_audit import (
     stored_terms,
     write_energy_csv,
 )
-from hydrisim.grid import build_mesh, elem_mean, lumped_mass, strain
+from hydrisim.grid import (
+    build_mesh,
+    elem_mean,
+    lumped_mass,
+    stiffness,
+    strain,
+)
 from hydrisim.state import State, Trajectory
 
 
@@ -257,3 +263,37 @@ def test_apriori_monitor_keys_and_finiteness():
         assert np.isfinite(mon[name])
     assert mon["chi_sup_h1"] > 0.0
     assert mon["w_grad_l98"] > 0.0
+
+
+@pytest.mark.parametrize("cfg", [
+    desk_default_config(resolution=(20,), T=0.01),
+    RunConfig(dim=2, lengths=(1.0, 0.6), resolution=(7, 5), T=0.003,
+              h_s={"left": 0.5}),
+], ids=["line20", "grid7x5"])
+def test_apriori_dual_norms_match_a_dense_riesz_solve(cfg):
+    traj = run(cfg)
+    mesh, tau, states = traj.mesh, traj.tau, traj.states
+    Ml = lumped_mass(mesh)
+    R = np.diag(Ml) + stiffness(mesh, 1.0).toarray()
+
+    def dual_sq(v):
+        load = Ml * v
+        return load @ np.linalg.solve(R, load)
+
+    rates = [s.velocity(tau) for s in states]
+    accel = [traj.mat.rho * (b - a).reshape(-1, mesh.dim) / tau
+             for a, b in zip(rates[:-1], rates[1:])]
+    steps = list(zip(states[:-1], states[1:]))
+    ref = {
+        "accel_dual_l2": np.sqrt(sum(
+            tau * sum(dual_sq(a[:, c]) for c in range(mesh.dim))
+            for a in accel)),
+        "w_rate_dual_l1": sum(
+            tau * np.sqrt(dual_sq((b.w - a.w) / tau)) for a, b in steps),
+        "chi_rate_dual_l2": np.sqrt(sum(
+            tau * dual_sq((b.chi - a.chi) / tau) for a, b in steps)),
+    }
+    mon = apriori_monitor(traj)
+    for name, val in ref.items():
+        assert val > 0.0, name
+        assert mon[name] == pytest.approx(val, rel=1e-10, abs=0.0), name

@@ -206,7 +206,8 @@ def test_spd_solver_path_and_accuracy(dim, res, direct):
     A = stiffness_with_diag(mesh, rng.uniform(0.5, 2.0, mesh.n_elems),
                             lumped_mass(mesh) / 1e-3)
     b = rng.normal(size=mesh.n_nodes)
-    solver = SPDSolver(A)
+    # the path follows the preconditioner, which exists on a 2D grid only
+    solver = SPDSolver(A, precond=tensor_grid_inverse(mesh, (1.0, 1.0, 1e3)))
     x, iters = solver.solve(b, np.zeros_like(b), 1e-12)
     assert solver.direct is direct
     assert iters == 0 if direct else iters > 0
@@ -271,15 +272,37 @@ def test_failed_banded_cholesky_is_step_failure(make):
     with pytest.raises(StepFailure,
                        match="concentration solve: banded Cholesky"):
         diffusion._solve(square, *make(square), b)
+    # without a preconditioner a 2D matrix is factored at its band too
+    grid = build_mesh(2, (1.0, 1.0), (7, 5))
+    with pytest.raises(StepFailure, match="Riesz map: banded Cholesky"):
+        SPDSolver(stiffness_with_diag(grid, *make(grid)), "Riesz map")
+
+
+def test_spd_solver_without_preconditioner_factors_a_2d_matrix():
+    # a 7x5 grid has half bandwidth ny + 1 = 6: the factor holds 7 rows
+    mesh = build_mesh(2, (1.0, 0.6), (7, 5))
+    assert mesh.half_bandwidth == 6
+    rng = np.random.default_rng(5)
+    A = stiffness_with_diag(mesh, rng.uniform(0.5, 2.0, mesh.n_elems),
+                            lumped_mass(mesh) / 1e-3)
+    solver = SPDSolver(A, "Riesz map")
+    assert solver.direct
+    assert solver.factor.shape == (7, mesh.n_nodes)
+    b = rng.normal(size=mesh.n_nodes)
+    x, iters = solver.solve(b, None, 0.0)
+    assert iters == 0
+    ref = spla.spsolve(A.tocsc(), b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("make", [_negative_diagonal, _nan_coefficient],
                          ids=["negative-diagonal", "nan-coefficient"])
 def test_failed_pcg_is_step_failure(make):
-    # a 2D matrix is not tridiagonal: it goes through Jacobi-PCG
+    # with a preconditioner a 2D matrix goes through PCG
     square = build_mesh(2, (1.0, 1.0), (6, 5))
     solver = SPDSolver(stiffness_with_diag(square, *make(square)),
-                       "enthalpy solve")
+                       "enthalpy solve",
+                       tensor_grid_inverse(square, (1.0, 1.0, 1e3)))
     assert not solver.direct
     b = np.ones(solver.A.shape[0])
     A, products = solver.A, []
@@ -470,20 +493,18 @@ def _oracle_mesh_2d(lengths, res):
             a, b = i * ny + j, (i + 1) * ny + j
             c, d = (i + 1) * ny + j + 1, i * ny + j + 1
             tris += [(a, b, c), (a, c, d)]
-    facets, measures, normals, side_ids = [], [], [], []
-    sides = [([j for j in range(ny)], (-1.0, 0.0)),
-             ([(nx - 1) * ny + j for j in range(ny)], (1.0, 0.0)),
-             ([i * ny for i in range(nx)], (0.0, -1.0)),
-             ([i * ny + ny - 1 for i in range(nx)], (0.0, 1.0))]
-    for side, (ids, normal) in enumerate(sides):
+    facets, measures, side_ids = [], [], []
+    sides = [[j for j in range(ny)],
+             [(nx - 1) * ny + j for j in range(ny)],
+             [i * ny for i in range(nx)],
+             [i * ny + ny - 1 for i in range(nx)]]
+    for side, ids in enumerate(sides):
         for a, b in zip(ids[:-1], ids[1:]):
             facets.append((a, b))
             measures.append(float(np.linalg.norm(coords[b] - coords[a])))
-            normals.append(normal)
             side_ids.append(side)
     return dict(coords=coords, elems=np.array(tris, dtype=int),
                 facets=np.array(facets), facet_measure=np.array(measures),
-                facet_normal=np.array(normals),
                 facet_side=np.array(side_ids))
 
 

@@ -14,6 +14,7 @@ from hydrisim.grid import (
     vector_lumped_mass,
 )
 from hydrisim.mech_phase import (
+    FISTA_MAX,
     MechPhaseProblem,
     _m_residual,
     _m_smooth_grad,
@@ -417,7 +418,7 @@ def test_phase_block_matches_scalar_fista_oracle():
     sa_node = pr.adiabatic().s_node
     tol = 1e-11
     m, g, _, iters = _solve_m_block(pr, ops, u, pr.m_prev, sa_node, tol,
-                                    pr.fista_max)
+                                    FISTA_MAX)
     Bu = ops.B.T @ u
 
     def grad(x):

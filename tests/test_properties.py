@@ -20,6 +20,7 @@ from hydrisim.driver import (  # noqa: E402
 from hydrisim.grid import build_mesh  # noqa: E402
 from hydrisim.heat import build_heat_operator  # noqa: E402
 from hydrisim.mech_phase import (  # noqa: E402
+    FISTA_MAX,
     MechPhaseProblem,
     _m_residual,
     _m_smooth_grad,
@@ -91,8 +92,8 @@ def test_phase_block_meets_its_residual(dim, nx, ny, r, k, a1, double_well,
     tol = 1e-9 * (1.0 + float(np.sqrt(np.sum(ops.lipschitz ** 2
                                              / ops.Mlump))))
     m, _, _, iters = _solve_m_block(pr, ops, u, pr.m_prev, sa_node, tol,
-                                    pr.fista_max)
-    assert iters < pr.fista_max
+                                    FISTA_MAX)
+    assert iters < FISTA_MAX
     assert np.all((m >= mat.m_lo) & (m <= mat.m_hi))
     g = _m_smooth_grad(pr, ops, m, ops.A_m.toarray() @ m, ops.B.T @ u,
                        sa_node)
