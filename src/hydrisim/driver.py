@@ -377,11 +377,15 @@ def _manifest(cfg: RunConfig, mat: MaterialModel, mesh: Mesh, n: int,
     }
 
 
-def run(config: RunConfig) -> Trajectory:
+def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
     """Advance the scheme from t=0 over the configured horizon.
 
-    Returns the full trajectory with one ledger row per step.  Aborts
-    with InvariantViolation the moment a guaranteed property fails.
+    Returns the trajectory with one ledger row per step and, with
+    ``keep_states``, every state.  Without it only the previous and the
+    new state are held at any time, so memory does not grow with the
+    step count; the rows, snapshots and output files are the same.
+    Aborts with InvariantViolation the moment a guaranteed property
+    fails.
     """
     cfg = config
     mat = cfg.resolved_material()
@@ -399,7 +403,7 @@ def run(config: RunConfig) -> Trajectory:
     state = _initial_state(mesh, mat, cfg)
     row, terms = initial_row(mesh, mat, state, cfg.tau)
     rows = [row]
-    states = [state]
+    states = [state] if keep_states else []
     sources = _SourceAssembler(mesh, cfg)
     ops = build_operators(mesh, mat, cfg.tau)
     heat_op = build_heat_operator(mesh, mat, cfg.tau)
@@ -476,7 +480,8 @@ def run(config: RunConfig) -> Trajectory:
             totals["picard_w"] += hsol.iterations
             totals["cg_w"] += hsol.cg_iterations
             rows.append(row)
-            states.append(new)
+            if keep_states:
+                states.append(new)
             state = new
             snaps.take(new)
     except BaseException:
@@ -525,6 +530,7 @@ def interpolant_eval(traj: Trajectory, field_name: str, kind: str,
     """
     if kind not in _KINDS:
         raise ValueError("kind must be one of %s" % (_KINDS,))
+    traj.require_states("interpolant_eval")
     tau, n = traj.tau, traj.n_steps
     T = n * tau
     if t < -1e-12 or t > T * (1.0 + 1e-12) + 1e-300:
@@ -571,6 +577,7 @@ class RefineReport:
 def _step_samples(traj: Trajectory) -> dict:
     """Backward-constant-in-time samples of the monitored fields, with
     their spatial quadrature weights."""
+    traj.require_states("refine_study")
     mesh, tau = traj.mesh, traj.tau
     Ml = lumped_mass(mesh)
     vol = mesh.volumes

@@ -322,6 +322,7 @@ def apriori_monitor(traj: Trajectory) -> dict:
     The first block is asserted stable under refinement; the dual-norm
     entries at the end use a lumped Riesz surrogate and are informational.
     """
+    traj.require_states("apriori_monitor")
     mesh, mat, tau = traj.mesh, traj.mat, traj.tau
     Ml = lumped_mass(mesh)
     Mv = vector_lumped_mass(mesh)

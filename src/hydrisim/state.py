@@ -41,7 +41,10 @@ class Trajectory:
     """A complete run: mesh, material, uniform step and the state sequence.
 
     ``rows`` carries the per-step energy-ledger rows (row 0 is the initial
-    snapshot with zero increments), filled in by the driver.
+    snapshot with zero increments), filled in by the driver.  A run that
+    keeps no states (``run(config, keep_states=False)``) leaves ``states``
+    empty; its step count and times are then read off the rows, which
+    carry the same ``t``.
     """
 
     mesh: Mesh
@@ -51,18 +54,29 @@ class Trajectory:
     rows: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
+    def _timeline(self) -> list:
+        return self.states or self.rows
+
     @property
     def n_steps(self) -> int:
-        return len(self.states) - 1
+        return len(self._timeline()) - 1
 
     @property
     def T(self) -> float:
-        return self.states[-1].t if self.states else 0.0
+        line = self._timeline()
+        return line[-1].t if line else 0.0
 
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+        return np.array([s.t for s in self._timeline()])
 
     def check_uniform(self):
         t = self.times()
         if len(t) > 1 and not np.allclose(np.diff(t), self.tau, rtol=1e-12):
             raise ValueError("trajectory timestamps are not uniform")
+
+    def require_states(self, what: str):
+        """Raise ValueError when the run kept no states for ``what`` to
+        read."""
+        if not self.states:
+            raise ValueError("%s needs the states of the run; this "
+                             "trajectory kept only its ledger rows" % what)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -164,6 +170,43 @@ def test_simulate_reruns_byte_identical(tmp_path, monkeypatch):
     run_main(monkeypatch, "simulate", cfg, "--out", str(tmp_path / "b"))
     assert ((tmp_path / "a" / "energy.csv").read_bytes()
             == (tmp_path / "b" / "energy.csv").read_bytes())
+
+
+def _simulate_peak_bytes(tmp_path, steps):
+    """The tracemalloc peak of ``hydrisim simulate`` on a 1000-node 1D
+    charge of ``steps`` steps, without snapshots between the ends."""
+    cfg = write_cfg(tmp_path, "[domain]\nresolution = 1000\n\n[time]\n"
+                    "T = %g\ntau = 1e-3\n\n[sources]\nh_s = left: 0.5\n"
+                    % (steps * 1e-3), name="mem%d.ini" % steps)
+    tracemalloc.start()
+    try:
+        assert cli.command_dispatch(
+            ["simulate", cfg, "--out", str(tmp_path / ("out%d" % steps))]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_steps(tmp_path, capsys):
+    # one state of this mesh holds about 48 KB of nodal arrays, so 45
+    # more kept states would add about 2.2 MB; 45 more ledger rows add a
+    # few tens of KB
+    _simulate_peak_bytes(tmp_path, 5)  # first-use imports and caches
+    short = _simulate_peak_bytes(tmp_path, 5)
+    long = _simulate_peak_bytes(tmp_path, 50)
+    assert "completed 50 steps" in capsys.readouterr().out
+    assert abs(long - short) < 0.5 * 2 ** 20, (short, long)
+
+
+def test_module_entry_point_runs(tmp_path):
+    cfg = write_cfg(tmp_path, "[time]\nT = 0.01\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hydrisim", "validate", cfg],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "all checks passed" in proc.stdout
 
 
 def test_validate_reports_named_checks(tmp_path, monkeypatch, capsys):

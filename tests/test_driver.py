@@ -15,6 +15,7 @@ from hydrisim.driver import (
     refine_study,
     run,
 )
+from hydrisim.energy_audit import apriori_monitor
 from hydrisim.errors import ConfigError
 from hydrisim.grid import build_mesh, lumped_mass, vector_lumped_mass
 from hydrisim.state import State
@@ -387,6 +388,58 @@ def test_mesh_text_belongs_to_its_run(tmp_path):
         vtk = (out / "fields_000000.vtk").read_text()
         points.append(vtk[vtk.index("POINTS"):vtk.index("CELLS")])
     assert len(set(points)) == 3
+
+
+# ---------------------------------------------------------------------------
+# runs that keep no states
+
+
+def _row_bits(row):
+    return [float.hex(v) for v in dataclasses.astuple(row)]
+
+
+@pytest.mark.parametrize("every_n", [0, 1])
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_run_without_states_matches_full_run(tmp_path, dim, every_n):
+    space = dict(lengths=(1.0,), resolution=(9,)) if dim == 1 else dict(
+        lengths=(1.0, 1.0), resolution=(5, 4))
+    cfg = RunConfig(dim=dim, **space, n_steps=4, tau=1e-3,
+                    chi0=lambda c: 0.3 + 0.5 * c[:, 0], theta0=0.1,
+                    h_s={"left": 0.5}, every_n=every_n, vtk=True,
+                    outdir=str(tmp_path / "full"))
+    full = run(cfg)
+    lean = run(dataclasses.replace(cfg, outdir=str(tmp_path / "lean")),
+               keep_states=False)
+    assert len(full.states) == 5 and lean.states == []
+    assert ([_row_bits(r) for r in lean.rows]
+            == [_row_bits(r) for r in full.rows])
+    assert (lean.n_steps, lean.T) == (full.n_steps, full.T) == (4, 4e-3)
+    assert lean.meta["iterations"] == full.meta["iterations"]
+    names = sorted(p.name for p in (tmp_path / "full").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "lean").iterdir())
+    assert "energy.csv" in names and "fields_000004.vtk" in names
+    manifests = []
+    for name in names:
+        full_bytes = (tmp_path / "full" / name).read_bytes()
+        lean_bytes = (tmp_path / "lean" / name).read_bytes()
+        if name == "run_manifest.json":
+            manifests = [json.loads(b) for b in (full_bytes, lean_bytes)]
+            for m in manifests:
+                del m["config"]["outdir"]
+        else:
+            assert lean_bytes == full_bytes, name
+    assert manifests[0] == manifests[1]
+
+
+def test_state_readers_reject_a_run_without_states():
+    traj = run(desk_default_config(resolution=(10,), T=0.003),
+               keep_states=False)
+    with pytest.raises(ValueError, match="apriori_monitor needs the states"):
+        apriori_monitor(traj)
+    with pytest.raises(ValueError, match="interpolant_eval needs the states"):
+        interpolant_eval(traj, "u", "affine", 0.0)
+    with pytest.raises(ValueError, match="refine_study needs the states"):
+        driver._step_samples(traj)
 
 
 # ---------------------------------------------------------------------------

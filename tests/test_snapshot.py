@@ -77,10 +77,14 @@ def test_run_snapshots_match_in_process_writers(tmp_path, writers, dim, vtk,
     assert all(proc.returncode == 0 for proc in writers)
 
 
-@pytest.mark.parametrize("fault", [StepFailure, InvariantViolation,
-                                   KeyboardInterrupt])
+@pytest.mark.parametrize("fault, keep_states", [
+    pytest.param(fault, keep,
+                 id=fault.__name__ + ("" if keep else "-rows-only"))
+    for keep in (True, False)
+    for fault in (StepFailure, InvariantViolation, KeyboardInterrupt)])
 def test_aborted_run_keeps_every_snapshot_handed_over(tmp_path, writers,
-                                                      monkeypatch, fault):
+                                                      monkeypatch, fault,
+                                                      keep_states):
     run(_config(2, tmp_path / "clean", every_n=1, vtk=True))
     real = driver.solve_chi_step
     calls = []
@@ -93,7 +97,8 @@ def test_aborted_run_keeps_every_snapshot_handed_over(tmp_path, writers,
 
     monkeypatch.setattr(driver, "solve_chi_step", failing_at_step_3)
     with pytest.raises(fault, match="injected at step 3"):
-        run(_config(2, tmp_path / "failed", every_n=1, vtk=True))
+        run(_config(2, tmp_path / "failed", every_n=1, vtk=True),
+            keep_states=keep_states)
     names = _names(range(3), vtk=True)
     assert {p.name for p in (tmp_path / "failed").glob("*")} == names
     for name in names:
