@@ -41,10 +41,9 @@ class Trajectory:
     """A complete run: mesh, material, uniform step and the state sequence.
 
     ``rows`` carries the per-step energy-ledger rows (row 0 is the initial
-    snapshot with zero increments), filled in by the driver.  A run that
-    keeps no states (``run(config, keep_states=False)``) leaves ``states``
-    empty; its step count and times are then read off the rows, which
-    carry the same ``t``.
+    snapshot with zero increments), filled in by the driver.  The rows
+    give the step count and the times, whether or not the states are kept:
+    a run with ``run(config, keep_states=False)`` leaves ``states`` empty.
     """
 
     mesh: Mesh
@@ -54,20 +53,16 @@ class Trajectory:
     rows: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def _timeline(self) -> list:
-        return self.states or self.rows
-
     @property
     def n_steps(self) -> int:
-        return len(self._timeline()) - 1
+        return len(self.rows) - 1
 
     @property
     def T(self) -> float:
-        line = self._timeline()
-        return line[-1].t if line else 0.0
+        return self.rows[-1].t if self.rows else 0.0
 
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self._timeline()])
+        return np.array([r.t for r in self.rows])
 
     def check_uniform(self):
         t = self.times()
