@@ -20,10 +20,9 @@ import sys
 import numpy as np
 
 from .constitutive import desk_default_material, validate_material
-from .driver import RunConfig, desk_default_config, refine_study, run
+from .driver import RunConfig, desk_default_config, prepare, refine_study, run
 from .errors import NEG_TOL, ConfigError, HydrisimError
-from .grid import check_spacing
-from .mech_phase import check_step_size, tau_max
+from .mech_phase import tau_max
 
 log = logging.getLogger("hydrisim.cli")
 
@@ -226,7 +225,13 @@ def _material_from(sec, dim: int):
 
 def parse_config(path: str) -> RunConfig:
     """Read an experiment description; every omitted key falls back to
-    the desk default and the fallback is logged."""
+    the desk default and the fallback is logged.
+
+    Only the text is checked here: sections, key names, number formats,
+    expressions, side tags and ``dim``, which the variables and sides of
+    the other keys depend on.  Whether the values make a valid run is
+    decided by ``driver.prepare``, which ``run`` and ``hydrisim validate``
+    both call."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     read = parser.read(path)
@@ -250,24 +255,16 @@ def parse_config(path: str) -> RunConfig:
                                  _parse_whole)
     else:
         resolution = (50,) * dim
-    if len(lengths) != dim or len(resolution) != dim:
-        raise ConfigError("[domain]: lengths/resolution must have %d "
-                          "entr%s" % (dim, "y" if dim == 1 else "ies"))
-    check_spacing(dim, lengths, resolution)
 
     tm = sec("time")
     T = _parse_float(tm["T"], "[time] T") if "T" in tm else 0.05
     tau = _parse_float(tm["tau"], "[time] tau") if "tau" in tm else 1e-3
-    if T <= 0 or tau <= 0:
-        raise ConfigError("[time]: T and tau must be positive")
 
     if parser.has_section("material"):
         mat = _material_from(parser["material"], dim)
     else:
         mat = desk_default_material(dim)
         log.info("defaulted [material] to the desk material")
-
-    check_step_size(mat, tau, T)
 
     spatial = "x" if dim == 1 else "xy"
     ini = sec("initial")
@@ -329,7 +326,6 @@ def parse_config(path: str) -> RunConfig:
     cfg = RunConfig(dim=dim, lengths=lengths, resolution=resolution,
                     material=mat, T=T, tau=tau, **init_kw, **src_kw,
                     **sol_kw, **out_kw)
-    cfg.check_solver()
     given = {k for s in parser.sections() for k in parser[s]}
     for fld in dataclasses.fields(cfg):
         if fld.name not in given and fld.name not in ("material", "n_steps"):
@@ -361,13 +357,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = parse_config(args.config)
-    report = validate_material(cfg.resolved_material())
-    for res in report.checks:
+    mat = cfg.resolved_material()
+    for res in validate_material(mat).checks:
         print(res)
+    prepare(cfg)
     print("config: dim=%d mesh=%s T=%g tau=%g (tau_max=%g)"
           % (cfg.dim, "x".join(str(r) for r in cfg.resolution), cfg.T,
-             cfg.tau, tau_max(cfg.resolved_material(), cfg.T)))
-    report.raise_for_failure()
+             cfg.tau, tau_max(mat, cfg.T)))
     print("all checks passed")
     return 0
 

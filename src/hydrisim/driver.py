@@ -32,7 +32,6 @@ from .grid import (
     Mesh,
     boundary_functional,
     build_mesh,
-    check_spacing,
     lumped_mass,
     strain,
     vector_lumped_mass,
@@ -103,18 +102,6 @@ class RunConfig:
         if self.material is not None:
             return self.material
         return desk_default_material(self.dim)
-
-    def check_solver(self):
-        """Tolerances must be finite and positive, iteration caps >= 1."""
-        for name in ("cg_tol", "picard_tol", "opt_tol"):
-            val = getattr(self, name)
-            if val is not None and not (0.0 < val < math.inf):
-                raise ConfigError("[solver] %s must be finite and > 0, got %r"
-                                  % (name, val))
-        for name in ("picard_max", "opt_max"):
-            if getattr(self, name) < 1:
-                raise ConfigError("[solver] %s must be at least 1, got %r"
-                                  % (name, getattr(self, name)))
 
     def step_count(self) -> int:
         if self.n_steps is not None:
@@ -212,8 +199,10 @@ class _SourceAssembler:
         self.Mv = vector_lumped_mass(mesh)
 
     def at(self, t: float) -> dict:
+        """The load vectors at time ``t``; ConfigError when the heat
+        source ``q`` or ``q_s`` has a negative entry."""
         mesh, cfg = self.mesh, self.cfg
-        return {
+        loads = {
             "f": None if cfg.f is None else
             self.Mv * _nodal_data(mesh, cfg.f, mesh.dim, "f", t),
             "f_s": _vector_boundary_load(mesh, self.fs_map, t),
@@ -222,6 +211,11 @@ class _SourceAssembler:
             "q": None if cfg.q is None else
             _nodal_data(mesh, cfg.q, 1, "q", t),
         }
+        for name in ("q", "q_s"):
+            if loads[name] is not None and np.min(loads[name]) < 0.0:
+                raise ConfigError("%s is negative at t = %g; a heat source "
+                                  "must be nonnegative" % (name, t))
+        return loads
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +371,51 @@ def _manifest(cfg: RunConfig, mat: MaterialModel, mesh: Mesh, n: int,
     }
 
 
+def prepare(config: RunConfig) -> tuple:
+    """Check every input of a run, in order: the material, T and tau, the
+    step size, the solver settings, the step count, the built mesh's
+    spacing, the initial state, the side names and the sources of every
+    step at k*tau, k = 1..n.  Raises ConfigError (exit 2) at the first
+    that fails.  Returns the material, step count, mesh, initial state
+    and source assembler that ``run`` starts from; ``hydrisim validate``
+    calls this too, so it passes exactly what a run accepts up to step 1.
+    """
+    cfg = config
+    mat = cfg.resolved_material()
+    validate_material(mat).raise_for_failure()
+    if not (0.0 < cfg.tau and 0.0 < cfg.T and cfg.T / cfg.tau < math.inf):
+        raise ConfigError("T and tau must be positive with a finite T/tau")
+    check_step_size(mat, cfg.tau, cfg.T)
+    for name in ("cg_tol", "picard_tol", "opt_tol"):
+        val = getattr(cfg, name)
+        if val is not None and not (0.0 < val < math.inf):
+            raise ConfigError("[solver] %s must be finite and > 0, got %r"
+                              % (name, val))
+    for name in ("picard_max", "opt_max"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError("[solver] %s must be at least 1, got %r"
+                              % (name, getattr(cfg, name)))
+    n = cfg.step_count()
+    # the mesh's own unit stiffness and lumped mass, cached for the
+    # operators; a spacing near the ends of the floats (lengths = 1e-300
+    # overflows 1/h^2) leaves them non-finite
+    with np.errstate(all="ignore"):
+        mesh = build_mesh(cfg.dim, cfg.lengths, cfg.resolution)
+        mass = mesh.lumped
+        ok = (np.isfinite(mesh._stiff_csr[2]).all() and (mass > 0).all()
+              and np.isfinite(1.0 / mass).all())
+    if not ok:
+        raise ConfigError("mesh spacing %s gives a non-finite P1 stiffness "
+                          "or lumped mass; rescale the domain lengths"
+                          % ", ".join("%g" % (v / (k - 1)) for v, k
+                                      in zip(mesh.lengths, mesh.shape)))
+    state = _initial_state(mesh, mat, cfg)
+    sources = _SourceAssembler(mesh, cfg)
+    for k in range(1, n + 1):
+        sources.at(k * cfg.tau)
+    return mat, n, mesh, state, sources
+
+
 def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
     """Advance the scheme from t=0 over the configured horizon.
 
@@ -384,27 +423,17 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
     ``keep_states``, every state.  Without it only the previous and the
     new state are held at any time, so memory does not grow with the
     step count; the rows, snapshots and output files are the same.
-    Aborts with InvariantViolation the moment a guaranteed property
-    fails.
+    ``prepare`` checks the inputs before anything is written.  Aborts
+    with InvariantViolation the moment a guaranteed property fails.
     """
     cfg = config
-    mat = cfg.resolved_material()
-    validate_material(mat).raise_for_failure()
-    if not (cfg.tau > 0.0) or not (cfg.T > 0.0):
-        raise ConfigError("T and tau must be positive")
-    check_step_size(mat, cfg.tau, cfg.T)
-    cfg.check_solver()
-    n = cfg.step_count()
-    check_spacing(cfg.dim, cfg.lengths, cfg.resolution)
-    mesh = build_mesh(cfg.dim, cfg.lengths, cfg.resolution)
+    mat, n, mesh, state, sources = prepare(cfg)
     opt_tol = cfg.opt_tol if cfg.opt_tol is not None else (
         1e-10 if cfg.dim == 1 else 1e-8)
 
-    state = _initial_state(mesh, mat, cfg)
     row, terms = initial_row(mesh, mat, state, cfg.tau)
     rows = [row]
     states = [state] if keep_states else []
-    sources = _SourceAssembler(mesh, cfg)
     ops = build_operators(mesh, mat, cfg.tau)
     heat_op = build_heat_operator(mesh, mat, cfg.tau)
 
@@ -489,8 +518,7 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
         raise
 
     traj = Trajectory(mesh=mesh, mat=mat, tau=cfg.tau, states=states,
-                      rows=rows, meta={"n_steps": n, "T_effective": n * cfg.tau,
-                                       "iterations": totals})
+                      rows=rows, meta={"iterations": totals})
     traj.check_uniform()
     if outdir:
         write_energy_csv(traj, os.path.join(outdir, "energy.csv"))
@@ -617,11 +645,12 @@ def refine_study(config: RunConfig, levels: int = 3) -> RefineReport:
 
     if levels < 2:
         raise ConfigError("refine_study needs at least 2 levels")
-    base_n = config.step_count()
-    trajs = []
-    for lvl in range(levels):
+    # level 0 runs first, so its inputs pass run's checks before the
+    # step count of the finer levels is derived from them
+    trajs = [run(replace(config, outdir=None))]
+    for lvl in range(1, levels):
         cfg = replace(config, tau=config.tau / 2 ** lvl,
-                      n_steps=base_n * 2 ** lvl, outdir=None)
+                      n_steps=trajs[0].n_steps * 2 ** lvl, outdir=None)
         trajs.append(run(cfg))
     samples = [_step_samples(tr) for tr in trajs]
     diffs = {name: [] for name in REFINE_FIELDS}

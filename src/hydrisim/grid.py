@@ -52,7 +52,6 @@ from .errors import ConfigError, StepFailure
 __all__ = [
     "Mesh",
     "build_mesh",
-    "check_spacing",
     "lumped_mass",
     "vector_lumped_mass",
     "stiffness",
@@ -208,13 +207,6 @@ def build_mesh(dim: int, lengths, resolution) -> Mesh:
     ``resolution`` counts nodes per axis (at least 2).  In 2D each grid
     cell splits into two right triangles along the same diagonal.
     """
-    lengths, res = _mesh_args(dim, lengths, resolution)
-    if dim == 1:
-        return _mesh_1d(lengths[0], res[0])
-    return _mesh_2d(lengths, res)
-
-
-def _mesh_args(dim: int, lengths, resolution):
     lengths = [float(v) for v in np.atleast_1d(lengths)]
     res = [int(v) for v in np.atleast_1d(resolution)]
     if dim not in (1, 2):
@@ -225,29 +217,9 @@ def _mesh_args(dim: int, lengths, resolution):
         raise ConfigError("domain lengths must be positive")
     if any(n < 2 for n in res):
         raise ConfigError("resolution must be at least 2 nodes per axis")
-    return lengths, res
-
-
-def check_spacing(dim: int, lengths, resolution):
-    """Raise ConfigError unless ``build_mesh(dim, lengths, resolution)``
-    gives finite P1 operators.
-
-    Every cell of the structured mesh has the same spacing, so one cell
-    decides: its unit stiffness must be finite and its lumped mass
-    positive with a finite inverse.  A spacing near the ends of the float
-    range fails this (``lengths = 1e-300`` overflows 1/h^2).
-    """
-    lengths, res = _mesh_args(dim, lengths, resolution)
-    h = [v / (n - 1) for v, n in zip(lengths, res)]
-    with np.errstate(all="ignore"):
-        cell = build_mesh(dim, h, [2] * dim)
-        mass = cell.lumped
-        ok = (np.isfinite(cell._stiff_csr[2]).all() and (mass > 0).all()
-              and np.isfinite(1.0 / mass).all())
-    if not ok:
-        raise ConfigError("mesh spacing %s gives a non-finite P1 stiffness "
-                          "or lumped mass; rescale the domain lengths"
-                          % ", ".join("%g" % v for v in h))
+    if dim == 1:
+        return _mesh_1d(lengths[0], res[0])
+    return _mesh_2d(lengths, res)
 
 
 def _mesh_1d(length: float, nx: int) -> Mesh:

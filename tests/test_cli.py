@@ -10,6 +10,7 @@ import pytest
 from hydrisim import cli
 from hydrisim.cli import Ramp, parse_config, parse_ramp
 from hydrisim.constitutive import desk_default_material
+from hydrisim.driver import prepare
 from hydrisim.errors import ConfigError
 
 
@@ -84,11 +85,13 @@ def test_missing_file_rejected():
         parse_config("/nonexistent/nowhere.ini")
 
 
-def test_config_step_bound_checked_at_parse_time(tmp_path):
-    # desk material is convex in m, so the threshold collapses to T
+def test_config_step_bound_checked_by_the_gate(tmp_path):
+    # desk material is convex in m, so the threshold collapses to T; the
+    # file parses, and the input gate of validate and run rejects it
     path = write_cfg(tmp_path, "[time]\nT = 0.01\ntau = 0.02\n")
+    cfg = parse_config(path)
     with pytest.raises(ConfigError, match=r"\(4\.6\)"):
-        parse_config(path)
+        prepare(cfg)
 
 
 def test_material_scalar_moduli_and_overrides(tmp_path):
@@ -242,9 +245,22 @@ def test_selftest_passes(monkeypatch, capsys):
     assert "suite" in text and "passed" in text
 
 
+# inputs that parse but make no valid run; validate and simulate both
+# reject each with exit 2, simulate before it writes anything
+GATED = [
+    ("[sources]\nq = -1\n", "q is negative"),
+    ("[sources]\nq_s = left: 1 - 1000*t\n", "q_s is negative"),
+    ("[initial]\nchi0 = -0.1 + x\n", "chi0"),
+    ("[initial]\nm0 = 1.5\n", "m0"),
+    ("[initial]\ntheta0 = -1\n", "theta0"),
+]
+GATED_IDS = ["q-negative", "q_s-ramp-negative", "chi0-negative",
+             "m0-outside-box", "theta0-negative"]
+
+
 @pytest.mark.parametrize("command, text, out, match", [
     ("simulate", None, None, "cannot read"),
-    # invalid [solver] settings stop at parse time, so validate sees them
+    # invalid [solver] settings stop in the input gate, so validate sees them
     ("validate", "[solver]\npicard_max = 0\n", None, "picard_max"),
     ("validate", "[solver]\nopt_max = 0\n", None, "opt_max"),
     ("validate", "[solver]\npicard_tol = -1e-10\n", None, "picard_tol"),
@@ -261,19 +277,27 @@ def test_selftest_passes(monkeypatch, capsys):
     ("validate", "[solver]\npicard_max = 2.5\n", None, "picard_max"),
     ("validate", "[solver]\nopt_max = 3.9\n", None, "opt_max"),
     # a step whose tau^2 leaves the floats (rho/tau^2 divided by zero, or
-    # tau^2 overflowed) stops at parse time, not in build_operators
+    # tau^2 overflowed) stops in the input gate, not in build_operators
     ("simulate", "[time]\nT = 1e-300\ntau = 1e-300\n", "out", "tau"),
     ("simulate", "[time]\nT = 1e200\ntau = 1e200\n", "out", "tau"),
-    # a spacing whose P1 operators are not finite stops at parse time,
+    # a horizon of more steps than a float holds, not an OverflowError
+    ("simulate", "[time]\nT = 1e300\ntau = 1e-10\n", "out", "T/tau"),
+    # a spacing whose P1 operators are not finite stops in the input gate,
     # not in the first enthalpy solve
     ("simulate", "[domain]\nlengths = 1e-300\n", "out", "spacing"),
     ("simulate", "[domain]\ndim = 2\nlengths = 1e-300 1e-300\n"
      "resolution = 5 5\n", "out", "spacing"),
+    # a heat source that goes negative on some step, or an initial state
+    # outside its bounds, fails validate as it fails simulate
+    *[(command, text, out, match) for command, out in
+      (("validate", None), ("simulate", "out")) for text, match in GATED],
 ], ids=["missing-file", "picard_max-0", "opt_max-0", "picard_tol-negative",
         "cg_tol-zero", "out-is-file", "out-under-file", "every_n-2.5",
         "every_n-0.5", "every_n-negative", "dim-1.7", "resolution-12.9",
         "picard_max-2.5", "opt_max-3.9", "tau-1e-300", "tau-1e200",
-        "lengths-1e-300", "lengths-1e-300-2d"])
+        "T-over-tau-overflow", "lengths-1e-300", "lengths-1e-300-2d",
+        *["validate-" + i for i in GATED_IDS],
+        *["simulate-" + i for i in GATED_IDS]])
 def test_main_maps_config_errors_to_exit_2(tmp_path, monkeypatch, capsys,
                                            command, text, out, match):
     path = "/no/such/file.ini" if text is None else write_cfg(tmp_path, text)
@@ -285,6 +309,8 @@ def test_main_maps_config_errors_to_exit_2(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert "error:" in err
     assert match in err
+    # the input gate runs before simulate makes its output directory
+    assert not (tmp_path / "out").exists()
 
 
 def test_time_ramped_side_sources_run(tmp_path, monkeypatch):

@@ -144,7 +144,7 @@ def test_nonmultiple_horizon_rounds_to_steps():
     cfg = desk_default_config(resolution=(8,), T=0.05, tau=4e-3, h_s=None)
     traj = run(cfg)
     assert traj.n_steps == 12
-    assert traj.meta["T_effective"] == pytest.approx(0.048)
+    assert traj.T == pytest.approx(0.048)
 
 
 def test_body_force_momentum_budget():

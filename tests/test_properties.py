@@ -9,8 +9,9 @@ import scipy.sparse.linalg as spla
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from hydrisim import _snapshot  # noqa: E402
+from hydrisim import _snapshot, cli  # noqa: E402
 from hydrisim.constitutive import desk_default_material  # noqa: E402
+from hydrisim.errors import HydrisimError  # noqa: E402
 from hydrisim.driver import (  # noqa: E402
     _mesh_text,
     _snapshot_fields,
@@ -160,3 +161,72 @@ def test_snapshot_writers_match_oracles(tmp_path_factory, resolution, lengths,
     for ext in ("csv", "vtk"):
         assert ((out / ("fields_%06d.%s" % (seed, ext))).read_bytes()
                 == (out / ("f." + ext)).read_bytes())
+
+
+def _exit_code(argv) -> int:
+    """``hydrisim`` with ``argv``, mapped to its exit code as ``cli.main``
+    maps it; any other exception escapes and fails the test."""
+    try:
+        return cli.command_dispatch(argv)
+    except HydrisimError as exc:
+        return exc.exit_code
+
+
+@st.composite
+def _ramp(draw):
+    """A constant or a t-ramp of either sign; the slope can flip the sign
+    within the few steps drawn."""
+    const = draw(st.sampled_from([0.0, 0.3, -0.2, 1.0, -1.0]))
+    slope = draw(st.sampled_from([0.0, 0.0, 50.0, -50.0, -1000.0]))
+    return "%g %+g*t" % (const, slope) if slope else "%g" % const
+
+
+@st.composite
+def _run_ini(draw):
+    shape = draw(st.one_of(st.tuples(st.integers(2, 12)),
+                           st.tuples(st.integers(2, 12), st.integers(2, 12)),
+                           st.just((3, 40))))
+    dim = len(shape)
+    # the desk material is convex in m, so check_step_size bounds tau by
+    # T: a ratio T/tau below 1 is rejected, one just under 1 within its
+    # rounding allowance passes with one step, and 2-3 steps pass
+    tau = draw(st.sampled_from([1e-4, 1e-3, 5e-3]))
+    ratio = draw(st.sampled_from([2.0, 3.0, 2.5, 1.0 - 1e-13, 0.99]))
+    lines = ["[domain]", "dim = %d" % dim,
+             "resolution = %s" % " ".join(map(str, shape)),
+             "[time]", "T = %r" % (ratio * tau), "tau = %r" % tau,
+             "[initial]",
+             "chi0 = %s" % draw(st.sampled_from(["0", "0.5", "0.2 + 0.3*x",
+                                                 "1.0"])),
+             "[sources]"]
+    for key in ("h_s", "q_s", "f_s"):
+        tags = []
+        for side in cli.SIDE_NAMES[:2 * dim]:
+            if draw(st.booleans()):
+                val = draw(_ramp())
+                if key == "f_s":
+                    val = "; ".join([val] + [draw(_ramp())
+                                             for _ in range(dim - 1)])
+                tags.append("%s: %s" % (side, val))
+        if tags:
+            lines.append("%s = %s" % (key, " ".join(tags)))
+    if draw(st.booleans()):
+        lines.append("q = %s" % draw(_ramp()))
+    return "\n".join(lines) + "\n"
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(text=_run_ini())
+def test_validate_predicts_simulate(tmp_path_factory, text):
+    # the exit-code contract of the input gate: validate passes exactly
+    # the configs simulate accepts up to step 1, so a config it rejects
+    # is rejected by simulate too, and one it passes either runs or stops
+    # in a solver (3) or an invariant (4), never on bad input (2)
+    tmp = tmp_path_factory.mktemp("gate")
+    path = tmp / "run.ini"
+    path.write_text(text)
+    validated = _exit_code(["validate", str(path)])
+    assert validated in (0, 2)
+    simulated = _exit_code(["simulate", str(path), "--out", str(tmp / "out")])
+    assert simulated in ((2,) if validated == 2 else (0, 3, 4))
