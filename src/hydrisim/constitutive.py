@@ -29,7 +29,6 @@ is what lets the heat step keep the enthalpy non-negative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -548,8 +547,13 @@ def _growth_check(name, values, w_grid, quantity):
     return CheckResult(name, status, peak, detail)
 
 
-def validate_material(mat: MaterialModel, chi_max: float = 3.0,
-                      n_samples: int = 10000) -> ValidationReport:
+# the (m, chi) sample grid of validate_material: _CHECK_GRID points per
+# axis, chi from 0 to _CHECK_CHI_MAX
+_CHECK_CHI_MAX = 3.0
+_CHECK_GRID = 100
+
+
+def validate_material(mat: MaterialModel) -> ValidationReport:
     """Sample the standing assumptions on a (m, chi) grid and a w sweep.
 
     Hard failures (non-positive stiffness, loss of convexity of phi1 in
@@ -557,9 +561,8 @@ def validate_material(mat: MaterialModel, chi_max: float = 3.0,
     ``ok`` false; growth-bound violations of the adiabatic terms only warn.
     """
     checks = []
-    ng = max(2, int(math.sqrt(n_samples)))
-    m_grid = np.linspace(mat.m_lo, mat.m_hi, ng)
-    chi_grid = np.linspace(0.0, chi_max, ng)
+    m_grid = np.linspace(mat.m_lo, mat.m_hi, _CHECK_GRID)
+    chi_grid = np.linspace(0.0, _CHECK_CHI_MAX, _CHECK_GRID)
     MM, CC = np.meshgrid(m_grid, chi_grid, indexing="ij")
 
     # (3.1a) uniform positive definiteness of C, D, transport and phi1 in chi
@@ -592,7 +595,8 @@ def validate_material(mat: MaterialModel, chi_max: float = 3.0,
         f"sup |d2phi1/dm dchi| = {mixed.max():.4g}"))
 
     # (3.1f) mixed curvature vanishes at zero concentration
-    at_zero = float(np.max(np.abs(d2phi1_dmchi(mat, m_grid, np.zeros(ng)))))
+    at_zero = float(np.max(np.abs(
+        d2phi1_dmchi(mat, m_grid, np.zeros_like(m_grid)))))
     checks.append(CheckResult(
         "(3.1f) mixed curvature vanishes at chi = 0",
         "pass" if at_zero <= 1e-12 else "fail", at_zero, ""))

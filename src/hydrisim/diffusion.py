@@ -192,7 +192,7 @@ def solve_chi_step(pr: DiffusionProblem) -> DiffusionSolution:
     chi_new = chi_lin
     update = np.inf
     last_update = None
-    on_grid = len(mesh.shape) == 2
+    on_grid = mesh.dim == 2
     pcg = on_grid
     cg_total = exact = 0
     for it in range(1, pr.picard_max + 1):

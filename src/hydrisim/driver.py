@@ -27,7 +27,7 @@ from .constitutive import (
 )
 from .diffusion import DiffusionProblem, assemble_mu, solve_chi_step
 from .energy_audit import initial_row, ledger_step, slack, write_energy_csv
-from .errors import ConfigError, InvariantViolation
+from .errors import NEG_TOL, ConfigError, InvariantViolation
 from .grid import (
     Mesh,
     boundary_functional,
@@ -265,33 +265,28 @@ def _field_text(mesh: Mesh, mat: MaterialModel, st: State) -> list:
 
 
 def _write_snapshot(mesh: Mesh, mat: MaterialModel, st: State, path: str,
-                    text: _snapshot.MeshText | None = None) -> list:
+                    text: _snapshot.MeshText) -> list:
     """Write the nodal fields of ``st`` as CSV: the node index, then
     ``%.17g`` coordinates, displacement and scalars, one row per node.
 
     Each value is formatted once per snapshot; the strings are returned
-    for ``_write_vtk`` to reuse.  ``text`` is the run's mesh text, so the
-    ``node,x,y`` columns are formatted once per run; it is built here
-    when not given."""
+    for ``_write_vtk`` to reuse.  ``text`` is the run's mesh text
+    (``_mesh_text``), so the ``node,x,y`` columns are formatted once per
+    run."""
     fields = _field_text(mesh, mat, st)
-    _snapshot.write_csv(path, mesh.dim, fields,
-                        _mesh_text(mesh) if text is None else text)
+    _snapshot.write_csv(path, mesh.dim, fields, text)
     return fields
 
 
 def _write_vtk(mesh: Mesh, mat: MaterialModel, st: State, path: str,
-               fields: list | None = None,
-               text: _snapshot.MeshText | None = None):
+               fields: list, text: _snapshot.MeshText):
     """Write the nodal fields of ``st`` as a legacy ASCII VTK
     unstructured grid with the same ``%.17g`` values as the CSV.
 
     ``fields`` are the strings ``_write_snapshot`` returned for the same
     state, so no value is formatted a second time, and ``text`` is the
-    run's mesh text; either is built here when not given."""
-    _snapshot.write_vtk(path,
-                        _field_text(mesh, mat, st) if fields is None
-                        else fields,
-                        _mesh_text(mesh) if text is None else text)
+    run's mesh text."""
+    _snapshot.write_vtk(path, fields, text)
 
 
 class _Snapshots:
@@ -328,7 +323,7 @@ class _Snapshots:
             self.writer.end()
         fields = _write_snapshot(
             self.mesh, self.mat, st,
-            _snapshot.snapshot_path(cfg.outdir, k, "csv"), text=self.text)
+            _snapshot.snapshot_path(cfg.outdir, k, "csv"), self.text)
         if cfg.vtk:
             _write_vtk(self.mesh, self.mat, st,
                        _snapshot.snapshot_path(cfg.outdir, k, "vtk"), fields,
@@ -375,10 +370,13 @@ def prepare(config: RunConfig) -> tuple:
     """Check every input of a run, in order: the material, T and tau, the
     step size, the solver settings, the step count, the built mesh's
     spacing, the initial state, the side names and the sources of every
-    step at k*tau, k = 1..n.  Raises ConfigError (exit 2) at the first
-    that fails.  Returns the material, step count, mesh, initial state
-    and source assembler that ``run`` starts from; ``hydrisim validate``
-    calls this too, so it passes exactly what a run accepts up to step 1.
+    step at k*tau, k = 1..n, with the hydrogen they leave: step k moves
+    the lumped mass sum(Ml chi) by tau sum(h_s(k tau)) to round-off, so a
+    total below -NEG_TOL sum(Ml) puts a node below the chi >= 0 invariant.
+    Raises ConfigError (exit 2) at the first that fails.  Returns the
+    material, step count, mesh, initial state and source assembler that
+    ``run`` starts from; ``hydrisim validate`` calls this too, so it
+    passes exactly what a run accepts up to step 1.
     """
     cfg = config
     mat = cfg.resolved_material()
@@ -411,8 +409,17 @@ def prepare(config: RunConfig) -> tuple:
                                       in zip(mesh.lengths, mesh.shape)))
     state = _initial_state(mesh, mat, cfg)
     sources = _SourceAssembler(mesh, cfg)
+    hydrogen = float(np.sum(mass * state.chi))
+    floor = -NEG_TOL * float(np.sum(mass))
     for k in range(1, n + 1):
-        sources.at(k * cfg.tau)
+        h_s = sources.at(k * cfg.tau)["h_s"]
+        if h_s is not None:
+            hydrogen += cfg.tau * float(np.sum(h_s))
+            if hydrogen < floor:
+                raise ConfigError(
+                    "h_s drains more hydrogen than the specimen holds: the "
+                    "lumped hydrogen mass would be %.3e at t = %g, so chi "
+                    "cannot stay nonnegative" % (hydrogen, k * cfg.tau))
     return mat, n, mesh, state, sources
 
 
@@ -464,10 +471,10 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
             sol = solve_mech_phase_step(pr)
             if sol.objective > j_prev + OBJECTIVE_TOL * (1.0 + abs(j_prev)):
                 raise InvariantViolation(
-                    "step %d: incremental objective increased "
-                    "(%.6g -> %.6g)" % (k, j_prev, sol.objective))
+                    "incremental objective increased (%.6g -> %.6g)"
+                    % (j_prev, sol.objective), step=k)
             if np.any(sol.m < mat.m_lo) or np.any(sol.m > mat.m_hi):
-                raise InvariantViolation("step %d: phase left the box" % k)
+                raise InvariantViolation("phase left the box", step=k)
 
             dpr = DiffusionProblem(
                 mesh=mesh, mat=mat, tau=cfg.tau, m=sol.m,
@@ -498,8 +505,7 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
             scale = max(1.0, abs(row.energy), abs(row.thermal))
             if gap < -SLACK_TOL * scale:
                 raise InvariantViolation(
-                    "step %d: energy-inequality slack %.3e negative"
-                    % (k, gap))
+                    "energy-inequality slack %.3e negative" % gap, step=k)
             totals["outer"] += sol.outer_iterations
             totals["cg"] += sol.cg_iterations
             totals["prox"] += sol.prox_iterations

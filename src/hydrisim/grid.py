@@ -85,8 +85,7 @@ class Mesh:
     facets        (nf, dim) node ids per boundary facet
     facet_measure (nf,)
     facet_side    (nf,) integer side label, index into ``sides``
-    shape         nodes per axis of a structured grid from ``build_mesh``,
-                  () for any other node layout
+    shape         nodes per axis of the structured grid
     """
 
     dim: int
@@ -99,7 +98,7 @@ class Mesh:
     facet_side: np.ndarray
     sides: tuple[str, ...]
     lengths: tuple[float, ...]
-    shape: tuple[int, ...] = ()
+    shape: tuple[int, ...]
 
     @property
     def n_nodes(self) -> int:
@@ -194,11 +193,6 @@ class Mesh:
         """Half bandwidth of every scalar P1 matrix in natural node order:
         1 on a segment, ny + 1 on an nx x ny grid."""
         return self._stiff_band[0]
-
-    def side_facets(self, side: str) -> np.ndarray:
-        if side not in self.sides:
-            raise ConfigError(f"unknown boundary side {side!r}; have {self.sides}")
-        return np.flatnonzero(self.facet_side == self.sides.index(side))
 
 
 def build_mesh(dim: int, lengths, resolution) -> Mesh:
@@ -421,10 +415,9 @@ def vector_grad_op(mesh: Mesh) -> sp.csr_matrix:
     return sp.kron(mesh.grad_op, sp.identity(mesh.dim), format="csr")
 
 
-def elastic_stiffness(mesh: Mesh, pair, G: sp.csr_matrix | None = None
-                      ) -> sp.csr_matrix:
+def elastic_stiffness(mesh: Mesh, pair, G: sp.csr_matrix) -> sp.csr_matrix:
     """Vector stiffness of an isotropic 4th-order modulus (Lame pair).
-    ``G`` is ``vector_grad_op(mesh)``, built here when not given."""
+    ``G`` is ``vector_grad_op(mesh)``."""
     lam, mu = pair
     eye = np.eye(mesh.dim)
     # local[(d, c), (p, q)] pairs du_c/dx_d with dv_q/dx_p:
@@ -432,20 +425,17 @@ def elastic_stiffness(mesh: Mesh, pair, G: sp.csr_matrix | None = None
     local = (lam * np.einsum("dc,pq->dcpq", eye, eye)
              + mu * np.einsum("dp,cq->dcpq", eye, eye)
              + mu * np.einsum("dq,cp->dcpq", eye, eye))
-    G = vector_grad_op(mesh) if G is None else G
     return _element_form(mesh, G, local.reshape((mesh.dim ** 2,) * 2), G)
 
 
 def coupling_force_matrix(mesh: Mesh, sig_unit: np.ndarray,
-                          G: sp.csr_matrix | None = None) -> sp.csr_matrix:
+                          G: sp.csr_matrix) -> sp.csr_matrix:
     """Sparse map m -> B^T (sig_unit mean(m) vol), shape (n*dim, n).
 
     ``sig_unit`` is the constant stress per unit phase fraction, for the
-    transformation coupling C eps_tr.  ``G`` is ``vector_grad_op(mesh)``,
-    built here when not given.
+    transformation coupling C eps_tr.  ``G`` is ``vector_grad_op(mesh)``.
     """
     local = np.asarray(sig_unit, float).T.reshape(-1, 1)
-    G = vector_grad_op(mesh) if G is None else G
     return _element_form(mesh, G, local, mesh.mean_op)
 
 
@@ -458,23 +448,12 @@ def mean_coupling_matrix(mesh: Mesh, scale: float) -> sp.csr_matrix:
 # boundary terms
 
 
-def boundary_functional(mesh: Mesh, g, side: str | None = None) -> np.ndarray:
-    """Nodal load of the surface integral int_Gamma g v dS for P1 fields.
-
-    ``g`` may be a constant or one value per boundary facet (evaluated at
-    facet midpoints).  Each facet spreads g * measure evenly over its
-    nodes, which is exact for facet-wise constant g.  With ``side`` the
-    integral runs over that named part of the boundary only.
-    """
-    if side is None:
-        idx = np.arange(mesh.facets.shape[0])
-    else:
-        idx = mesh.side_facets(side)
-    g = np.asarray(g, float)
-    if g.ndim == 0:
-        g = np.full(idx.size, float(g))
-    elif g.shape != (idx.size,):
-        raise ConfigError("g must be scalar or one value per selected facet")
+def boundary_functional(mesh: Mesh, g: float, side: str) -> np.ndarray:
+    """Nodal load of the surface integral int_side g v dS for P1 fields,
+    for a constant ``g`` on ``side``, one of ``mesh.sides`` (the input
+    gate checks the names).  Each facet spreads g * measure evenly over
+    its nodes, which is exact."""
+    idx = np.flatnonzero(mesh.facet_side == mesh.sides.index(side))
     facets = mesh.facets[idx]
     share = g * mesh.facet_measure[idx] / facets.shape[1]
     return nodal_sum(mesh.n_nodes, facets,
@@ -554,8 +533,8 @@ def _cosine_modes(n: int, length: float):
 
 def tensor_grid_inverse(mesh: Mesh, *models):
     """Exact inverse of a block-diagonal tensor-product model on the 2D
-    grid of ``mesh``, as a callable on nodal vectors, or None when the
-    mesh is not a 2D grid from ``build_mesh``.
+    grid of ``mesh``, as a callable on nodal vectors, or None on a
+    segment mesh.
 
     ``models`` holds one triple (kx, ky, c) per component of a nodal
     vector interleaved node-major (entry node * ncomp + comp, as the
@@ -571,7 +550,7 @@ def tensor_grid_inverse(mesh: Mesh, *models):
     size, on the bases that ``Mesh.cosine_modes`` keeps.  Requires
     kx, ky >= 0 and c > 0.
     """
-    if len(mesh.shape) != 2:
+    if mesh.dim != 2:
         return None
     (vx, vxt, lx), (vy, vyt, ly) = mesh.cosine_modes
     denoms = [kx * lx[:, None] + ky * ly[None, :] + c
@@ -607,8 +586,7 @@ class SPDSolver:
     a CG one carries the iterations spent.
     """
 
-    def __init__(self, A: sp.spmatrix, stage: str = "SPD solve",
-                 precond=None):
+    def __init__(self, A: sp.spmatrix, stage: str, precond=None):
         self.A = A.tocsr()
         self.stage = stage
         self.precond = precond

@@ -136,10 +136,38 @@ def test_vector_traction_components(tmp_path):
     assert np.allclose(fs(0.0), [0.1, -0.2])
 
 
+def test_vector_ramps_lame_and_output_keys(tmp_path):
+    path = write_cfg(tmp_path, (
+        "[domain]\ndim = 2\nresolution = 4, 3\n\n"
+        "[time]\nT = 0.002\ntau = 1e-3\n\n"
+        "[material]\nlame = 0.5, 0.25\n\n"
+        "[initial]\nu0 = 0.1*x; -0.2*y\nv0 = 1; 2\n\n"
+        "[sources]\nf = 0.5*t; x + y\nq_s = 0.2\n\n"
+        "[output]\ndir = results\nvtk = yes\n"))
+    cfg = parse_config(path)
+    coords = np.array([[1.0, 2.0], [0.0, 0.5]])
+    assert np.allclose(cfg.u0(coords), [[0.1, -0.4], [0.0, -0.1]])
+    assert np.allclose(cfg.v0(coords), [[1.0, 2.0], [1.0, 2.0]])
+    assert np.allclose(cfg.f(coords, 2.0), [[1.0, 3.0], [1.0, 0.5]])
+    # an untagged boundary value applies to every side of the 2D box
+    assert cfg.q_s == dict.fromkeys(("left", "right", "bottom", "top"), 0.2)
+    assert cfg.material.lame == (0.5, 0.25)
+    assert cfg.outdir == "results" and cfg.vtk is True
+    # the gate stores the displacement node-major, components interleaved
+    _, _, mesh, state, _ = prepare(cfg)
+    assert np.array_equal(state.u.reshape(-1, 2), cfg.u0(mesh.coords))
+    # one number is the E form, lam = 0 and mu = E/2
+    path = write_cfg(tmp_path, "[material]\nlame = 4.0\n\n[output]\nvtk = 0\n",
+                     "one.ini")
+    cfg = parse_config(path)
+    assert cfg.material.lame == (0.0, 2.0) and cfg.vtk is False
+
+
 def test_sided_source_bad_side_named(tmp_path):
+    # the file parses; the input gate knows the mesh's sides
     path = write_cfg(tmp_path, "[sources]\nh_s = top: 0.5\n")
-    with pytest.raises(ConfigError, match="top"):
-        parse_config(path)
+    with pytest.raises(ConfigError, match="unknown side 'top'"):
+        prepare(parse_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +277,16 @@ def test_selftest_passes(monkeypatch, capsys):
 # reject each with exit 2, simulate before it writes anything
 GATED = [
     ("[sources]\nq = -1\n", "q is negative"),
+    # the left end loses 1e-3 per step from an empty specimen, so the
+    # hydrogen budget, and with it chi >= 0, fails at t = 0.001
+    ("[domain]\nresolution = 12\n\n[time]\nT = 0.003\ntau = 0.001\n\n"
+     "[sources]\nh_s = left: -1\n", "drains more hydrogen"),
     ("[sources]\nq_s = left: 1 - 1000*t\n", "q_s is negative"),
     ("[initial]\nchi0 = -0.1 + x\n", "chi0"),
     ("[initial]\nm0 = 1.5\n", "m0"),
     ("[initial]\ntheta0 = -1\n", "theta0"),
 ]
-GATED_IDS = ["q-negative", "q_s-ramp-negative", "chi0-negative",
+GATED_IDS = ["q-negative", "h_s-drain", "q_s-ramp-negative", "chi0-negative",
              "m0-outside-box", "theta0-negative"]
 
 
@@ -274,6 +306,13 @@ GATED_IDS = ["q-negative", "q_s-ramp-negative", "chi0-negative",
     # whole-number keys are rejected, not truncated
     ("validate", "[domain]\ndim = 1.7\n", None, "dim"),
     ("validate", "[domain]\nresolution = 12.9\n", None, "resolution"),
+    ("validate", "[domain]\ndim = 3\n", None, "dim must be 1 or 2"),
+    ("validate", "[output]\nvtk = maybe\n", None, "vtk: expected a boolean"),
+    # vector data needs one component per axis
+    ("validate", "[initial]\nu0 = 0.1; 0.2\n", None,
+     "u0: expected 1 components"),
+    ("validate", "[domain]\ndim = 2\n\n[sources]\nf = 1\n", None,
+     "f: expected 2 components"),
     ("validate", "[solver]\npicard_max = 2.5\n", None, "picard_max"),
     ("validate", "[solver]\nopt_max = 3.9\n", None, "opt_max"),
     # a step whose tau^2 leaves the floats (rho/tau^2 divided by zero, or
@@ -294,6 +333,7 @@ GATED_IDS = ["q-negative", "q_s-ramp-negative", "chi0-negative",
 ], ids=["missing-file", "picard_max-0", "opt_max-0", "picard_tol-negative",
         "cg_tol-zero", "out-is-file", "out-under-file", "every_n-2.5",
         "every_n-0.5", "every_n-negative", "dim-1.7", "resolution-12.9",
+        "dim-3", "vtk-not-boolean", "u0-components", "f-components",
         "picard_max-2.5", "opt_max-3.9", "tau-1e-300", "tau-1e200",
         "T-over-tau-overflow", "lengths-1e-300", "lengths-1e-300-2d",
         *["validate-" + i for i in GATED_IDS],

@@ -7,6 +7,7 @@ import pytest
 from hydrisim.constitutive import (
     CheckResult,
     MaterialModel,
+    apply_elastic,
     chemical_potential,
     d2phi1_dchichi,
     d2phi1_dmchi,
@@ -209,6 +210,52 @@ def test_2d_sigma_a_is_isotropic_matrix():
     assert sig[0, 0] < 0
 
 
+# eps_tr and alpha_th as full symmetric matrices; the desk 2D moduli are
+# lam = 0.5, mu = 0.25, so C e = 0.5 tr(e) I + 0.5 e
+EPS_TR = ((0.1, 0.02), (0.02, 0.05))
+ALPHA_TH = ((0.1, 0.0), (0.0, 0.2))
+
+
+def test_2d_matrix_transformation_strain_and_expansion():
+    mat2 = desk_default_material(2, eps_tr=EPS_TR, alpha_th=ALPHA_TH)
+    assert np.array_equal(mat2.eps_tr_mat, EPS_TR)
+    assert not mat2.eps_tr_mat.flags.writeable
+    # C alpha_th = diag(0.2, 0.25), C eps_tr = [[0.125, 0.01], [0.01, 0.1]]
+    assert np.allclose(mat2.CA, [[0.2, 0.0], [0.0, 0.25]], rtol=0, atol=1e-15)
+    assert mat2.CA_eps_tr == pytest.approx(0.0325, rel=1e-13)
+    assert mat2.CA_alpha == pytest.approx(0.07, rel=1e-13)
+    assert mat2.eps_tr_C_eps_tr == pytest.approx(0.0179, rel=1e-13)
+    assert validate_material(mat2).ok
+
+
+@pytest.mark.parametrize("name, value, match", [
+    ("eps_tr", np.eye(3), r"eps_tr must be scalar or \(2,2\)"),
+    ("alpha_th", ((0.1, 0.02), (0.0, 0.1)), "alpha_th must be symmetric"),
+])
+def test_2d_matrix_coefficients_rejected(name, value, match):
+    mat2 = desk_default_material(2, **{name: value})
+    with pytest.raises(MaterialError, match=match):
+        getattr(mat2, name + "_mat")
+    # the input gate's material check reaches both tensors
+    with pytest.raises(MaterialError, match=match):
+        validate_material(mat2)
+
+
+def test_2d_stress_is_elastic_response_plus_adiabatic_stress():
+    mat2 = desk_default_material(2, eps_tr=EPS_TR, alpha_th=ALPHA_TH)
+    eps = np.array([[0.2, 0.1], [0.1, 0.0]])
+    # eps - eps_tr = [[0.1, 0.08], [0.08, -0.05]], trace 0.05, at w = 0
+    assert np.allclose(stress(mat2, eps, 1.0, 0.0),
+                       [[0.075, 0.04], [0.04, 0.0]], rtol=0, atol=1e-15)
+    rng = np.random.default_rng(5)
+    eps = rng.standard_normal((6, 2, 2))
+    eps = 0.5 * (eps + np.swapaxes(eps, 1, 2))
+    m, w = rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 9.0, 6)
+    ref = (apply_elastic(mat2, eps - m[:, None, None] * mat2.eps_tr_mat)
+           + sigma_a(mat2, m, w))
+    assert np.allclose(stress(mat2, eps, m, w), ref, rtol=1e-14, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # transport coefficients
 
@@ -234,7 +281,7 @@ def test_cross_conduction_appears_with_m_dependent_c0():
 
 
 def test_validator_passes_desk_default(mat):
-    report = validate_material(mat, chi_max=3.0, n_samples=10000)
+    report = validate_material(mat)
     assert report.ok
     a = next(c for c in report.checks if c.name.startswith("(3.1a)"))
     assert a.margin >= 1.0

@@ -13,6 +13,7 @@ from hydrisim.constitutive import (
 from hydrisim.diffusion import DiffusionProblem, assemble_mu, solve_chi_step
 from hydrisim.errors import InvariantViolation, StepFailure
 from hydrisim.grid import (
+    boundary_functional,
     build_mesh,
     elem_mean,
     grad_field,
@@ -365,6 +366,27 @@ def test_stalled_grid_pcg_counts_its_iterations_and_solves_exactly(
     assert len(fallbacks) == 1
     assert fallbacks[0].startswith("concentration solve: CG stalled")
     assert np.array_equal(sol.chi, ref.chi)
+
+
+def test_grid_pcg_shifted_below_the_margin_solves_exactly(caplog):
+    # the start, 2e-6 everywhere, clears _PCG_MARGIN, so CG runs; the left
+    # outflux pulls the shifted CG solution to 9.4e-7 at the left edge,
+    # below the margin, and the system goes to the exact solve
+    mesh = build_mesh(2, (1.0, 1.0), (6, 6))
+    chi = np.full(mesh.n_nodes, 2e-6)
+    assert np.min(chi) > diffusion._PCG_MARGIN
+    h_s = boundary_functional(mesh, -1e-4, "left")
+    pr = make_problem(mesh, desk_default_material(2), 1e-3, chi, h_s=h_s)
+    with caplog.at_level("DEBUG", logger="hydrisim.diffusion"):
+        sol = solve_chi_step(pr)
+    fallbacks = [r.message for r in caplog.records
+                 if r.message.endswith("solving exactly")]
+    assert fallbacks[0].startswith("concentration PCG: node at 9.4")
+    assert sol.cg_iterations > 0 and sol.exact_solves >= 1
+    assert 0.0 <= np.min(sol.chi) <= diffusion._PCG_MARGIN
+    Ml = lumped_mass(mesh)
+    gain = np.sum(Ml * (sol.chi - chi)) - 1e-3 * h_s.sum()
+    assert abs(gain) <= 1e-12 * np.sum(Ml * chi)
 
 
 def test_nan_coefficient_on_a_grid_fails_in_the_exact_solve():

@@ -8,6 +8,7 @@ from hydrisim import diffusion, driver, energy_audit, mech_phase
 from hydrisim.constitutive import desk_default_material, theta_of_w
 from hydrisim.driver import (
     RunConfig,
+    _mesh_text,
     _write_snapshot,
     _write_vtk,
     desk_default_config,
@@ -16,7 +17,7 @@ from hydrisim.driver import (
     run,
 )
 from hydrisim.energy_audit import apriori_monitor
-from hydrisim.errors import ConfigError
+from hydrisim.errors import ConfigError, InvariantViolation
 from hydrisim.grid import build_mesh, lumped_mass, vector_lumped_mass
 from hydrisim.state import State
 
@@ -63,6 +64,19 @@ def test_out_of_range_scales_rejected_before_step_one(overrides, match):
     cfg = desk_default_config(**{"resolution": (8,), "T": 0.002, **overrides})
     with pytest.raises(ConfigError, match=match):
         run(cfg)
+
+
+def test_hydrogen_budget_gate():
+    # 1.5e-3 of hydrogen in a unit segment and 1e-3 drained per step: the
+    # lumped total turns negative in the second step, at t = 0.002
+    cfg = desk_default_config(resolution=(12,), T=0.003, chi0=1.5e-3,
+                              h_s={"left": -1.0})
+    with pytest.raises(ConfigError, match=r"-5\.000e-04 at t = 0\.002"):
+        driver.prepare(cfg)
+    # an outflux the specimen can afford runs, and its mass moves by it
+    traj = run(dataclasses.replace(cfg, chi0=0.5, h_s={"left": -0.1}))
+    gained = traj.rows[-1].mass_chi - traj.rows[0].mass_chi
+    assert gained == pytest.approx(-0.1 * traj.T, abs=1e-12)
 
 
 def test_initial_enthalpy_from_temperature():
@@ -180,6 +194,33 @@ def test_two_dimensional_run_with_boundary_traction():
     gained = traj.rows[-1].mass_chi - traj.rows[0].mass_chi
     assert gained == pytest.approx(0.5 * 1.0 * traj.n_steps * traj.tau,
                                    abs=1e-12)
+
+
+def test_broken_invariant_names_its_step(monkeypatch):
+    monkeypatch.setattr(driver, "slack", lambda prev, row: -1.0)
+    with pytest.raises(InvariantViolation) as info:
+        run(desk_default_config(resolution=(8,), T=0.002))
+    assert (str(info.value)
+            == "step 1: energy-inequality slack -1.000e+00 negative")
+    assert info.value.step == 1
+
+
+def test_bare_side_source_reaches_every_side():
+    # a bare number applies to each of the four sides of a 1 x 2 box, so
+    # the hydrogen gained per step is tau * 0.5 * perimeter 6
+    cfg = RunConfig(dim=2, lengths=(1.0, 2.0), resolution=(4, 5),
+                    T=0.002, tau=1e-3, h_s=0.5)
+    traj = run(cfg)
+    gained = traj.rows[-1].mass_chi - traj.rows[0].mass_chi
+    assert gained == pytest.approx(0.5 * 6.0 * traj.T, abs=1e-12)
+
+
+def test_unknown_side_key_rejected_by_the_gate():
+    # the only side check: a 1D mesh has no top
+    cfg = desk_default_config(resolution=(8,), T=0.002, h_s={"top": 0.5})
+    with pytest.raises(ConfigError,
+                       match=r"h_s: unknown side 'top' \(have left, right\)"):
+        run(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +376,9 @@ def test_snapshot_formats_pinned(tmp_path, dim, resolution):
     mesh = build_mesh(dim, (1.0,) * dim, resolution)
     mat = desk_default_material(dim)
     st = _awkward_state(mesh, dim)
-    _write_snapshot(mesh, mat, st, str(tmp_path / "f.csv"))
-    _write_vtk(mesh, mat, st, str(tmp_path / "f.vtk"))
+    text = _mesh_text(mesh)
+    fields = _write_snapshot(mesh, mat, st, str(tmp_path / "f.csv"), text)
+    _write_vtk(mesh, mat, st, str(tmp_path / "f.vtk"), fields, text)
     assert (tmp_path / "f.csv").read_text() == reference_snapshot(mesh, mat,
                                                                   st)
     assert (tmp_path / "f.vtk").read_text() == reference_vtk(mesh, mat, st)

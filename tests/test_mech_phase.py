@@ -11,6 +11,7 @@ from hydrisim.grid import (
     coupling_force_matrix,
     elastic_stiffness,
     lumped_mass,
+    vector_grad_op,
     vector_lumped_mass,
 )
 from hydrisim.mech_phase import (
@@ -19,6 +20,7 @@ from hydrisim.mech_phase import (
     _m_residual,
     _m_smooth_grad,
     _on_pattern,
+    _recover_xi,
     _solve_m_block,
     _transformation_stress,
     build_operators,
@@ -245,6 +247,18 @@ def test_multiplier_complementarity():
         assert np.max(sol.xi * (v - sol.m)) <= 1e-9
 
 
+def test_multiplier_without_threshold():
+    # r = 0: zeta vanishes, so xi = -g / Mlump on the box faces whether or
+    # not m moved, 0 inside, and no division by r happens
+    g = np.array([0.3, -0.2, 0.5, -0.4])
+    m = np.array([0.0, 1.0, 0.5, 0.0])
+    m_prev = np.array([0.0, 1.0, 0.4, 0.2])
+    Mlump = np.array([0.5, 0.5, 1.0, 0.25])
+    with np.errstate(all="raise"):
+        xi = _recover_xi(g, m, m_prev, Mlump, 0.0, 0.0, 1.0)
+    assert np.allclose(xi, [-0.6, 0.4, 0.0, 1.6], rtol=0, atol=1e-15)
+
+
 def test_box_constraint_exact():
     mesh = build_mesh(1, (1.0,), 15)
     mat = desk(coupling_k=300.0, a1=5.0)
@@ -339,9 +353,10 @@ def test_displacement_matrices_share_one_pattern(dim, res):
     mat = desk_default_material(dim)
     tau = 1e-3
     ops = build_operators(mesh, mat, tau)
-    A_el = elastic_stiffness(mesh, mat.lame)
-    A_visc = elastic_stiffness(mesh, mat.visc)
-    B = coupling_force_matrix(mesh, _transformation_stress(mat))
+    A_el = elastic_stiffness(mesh, mat.lame, vector_grad_op(mesh))
+    A_visc = elastic_stiffness(mesh, mat.visc, vector_grad_op(mesh))
+    B = coupling_force_matrix(mesh, _transformation_stress(mat),
+                              vector_grad_op(mesh))
     A_u = (sp.diags(mat.rho / tau ** 2 * vector_lumped_mass(mesh))
            + A_visc / tau + A_el)
     # the values are those of the separately built matrices, each with

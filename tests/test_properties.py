@@ -18,7 +18,7 @@ from hydrisim.driver import (  # noqa: E402
     _write_snapshot,
     _write_vtk,
 )
-from hydrisim.grid import build_mesh  # noqa: E402
+from hydrisim.grid import SIDES_2D, build_mesh  # noqa: E402
 from hydrisim.heat import build_heat_operator  # noqa: E402
 from hydrisim.mech_phase import (  # noqa: E402
     FISTA_MAX,
@@ -145,14 +145,14 @@ def test_snapshot_writers_match_oracles(tmp_path_factory, resolution, lengths,
     # theta of an awkward w and m can overflow or be NaN: the writers and
     # the oracles format the same values
     with np.errstate(over="ignore", invalid="ignore"):
-        _write_snapshot(mesh, mat, state, str(out / "f.csv"))
-        _write_vtk(mesh, mat, state, str(out / "f.vtk"))
+        text = _mesh_text(mesh)
+        fields = _write_snapshot(mesh, mat, state, str(out / "f.csv"), text)
+        _write_vtk(mesh, mat, state, str(out / "f.vtk"), fields, text)
         assert (out / "f.csv").read_text() == reference_snapshot(mesh, mat,
                                                                  state)
         assert (out / "f.vtk").read_text() == reference_vtk(mesh, mat, state)
         u, *scalars = _snapshot_fields(mat, state)
     # the writer process, fed the raw values, writes the same bytes
-    text = _mesh_text(mesh)
     writer = _snapshot.Writer.start(str(out), dim, text.coords, text.elems,
                                     True)
     writer.send(seed, u, scalars)
@@ -201,7 +201,7 @@ def _run_ini(draw):
              "[sources]"]
     for key in ("h_s", "q_s", "f_s"):
         tags = []
-        for side in cli.SIDE_NAMES[:2 * dim]:
+        for side in SIDES_2D[:2 * dim]:
             if draw(st.booleans()):
                 val = draw(_ramp())
                 if key == "f_s":

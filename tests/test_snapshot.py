@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from hydrisim import _snapshot, driver
-from hydrisim.driver import RunConfig, _write_snapshot, _write_vtk, run
+from hydrisim.driver import (
+    RunConfig,
+    _field_text,
+    _mesh_text,
+    _write_snapshot,
+    _write_vtk,
+    run,
+)
 from hydrisim.errors import InvariantViolation, StepFailure
 
 N_STEPS = 5
@@ -46,10 +53,12 @@ def _reference(traj, k, ext, scratch):
     """Snapshot ``k`` of ``traj`` as the in-process writers write it."""
     path = str(scratch / ("ref." + ext))
     st = traj.states[k]
+    text = _mesh_text(traj.mesh)
     if ext == "csv":
-        _write_snapshot(traj.mesh, traj.mat, st, path)
+        _write_snapshot(traj.mesh, traj.mat, st, path, text)
     else:
-        _write_vtk(traj.mesh, traj.mat, st, path)
+        _write_vtk(traj.mesh, traj.mat, st, path,
+                   _field_text(traj.mesh, traj.mat, st), text)
     return (scratch / ("ref." + ext)).read_bytes()
 
 
