@@ -78,7 +78,8 @@ class MaterialModel:
     ``lam * tr(eps) I + 2 mu eps``.  In one dimension that collapses to a
     scalar modulus E = lam + 2 mu.  The transformation strain and thermal
     expansion default to isotropic tensors ``eps_tr * I`` and
-    ``alpha_th * I`` but accept full symmetric matrices.
+    ``alpha_th * I`` but accept full symmetric matrices, which the record
+    keeps as tuples of rows so that it compares and hashes.
     """
 
     dim: int = 1
@@ -94,8 +95,8 @@ class MaterialModel:
     threshold_r: float = 0.05                   # activation threshold of zeta
     m_lo: float = 0.0
     m_hi: float = 1.0
-    eps_tr: float | np.ndarray = 0.1            # transformation strain
-    alpha_th: float | np.ndarray = 0.1          # thermal expansion
+    eps_tr: float | tuple = 0.1                 # transformation strain
+    alpha_th: float | tuple = 0.1               # thermal expansion
     heat_law: str = "quadratic"
     c0: float = 2.0                             # heat capacity coefficient
     c0_m_slope: float = 0.0                     # optional m-dependence of c0
@@ -110,6 +111,10 @@ class MaterialModel:
                 f"heat_law must be one of {HEAT_LAWS}, got {self.heat_law!r}")
         if not self.m_lo < self.m_hi:
             raise MaterialError("phase box requires m_lo < m_hi")
+        for name in ("eps_tr", "alpha_th"):
+            value = getattr(self, name)
+            if np.ndim(value) > 0:
+                object.__setattr__(self, name, _nested_tuple(value))
 
     # -- derived tensors, cached on first use --------------------------------
 
@@ -159,6 +164,12 @@ def desk_default_material(dim: int = 1, **overrides) -> MaterialModel:
         base["visc"] = (0.5, 0.25)
     base.update(overrides)
     return MaterialModel(**base)
+
+
+def _nested_tuple(value):
+    """An array-like as nested tuples of floats, hashable and comparable."""
+    arr = np.asarray(value, float)
+    return float(arr) if arr.ndim == 0 else tuple(map(_nested_tuple, arr))
 
 
 def _as_sym_matrix(value, dim: int, name: str) -> np.ndarray:

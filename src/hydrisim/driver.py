@@ -466,8 +466,9 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
                 u_prev2=state.u_prev, m_prev=state.m, chi_prev=state.chi,
                 w_prev=state.w, f=src["f"], f_s=src["f_s"],
                 cg_tol=cfg.cg_tol, opt_tol=opt_tol, opt_max=cfg.opt_max,
-                ops=ops)
-            j_prev = incremental_objective(pr, state.u, state.m)
+                ops=ops, eps_prev=terms.strain)
+            j_prev = incremental_objective(pr, state.u, state.m,
+                                           terms.strain)
             sol = solve_mech_phase_step(pr)
             if sol.objective > j_prev + OBJECTIVE_TOL * (1.0 + abs(j_prev)):
                 raise InvariantViolation(
@@ -500,7 +501,7 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
                 mesh, mat, state, new, cfg.tau, src, hsol.produced,
                 grad_mu=dsol.grad_mu, sigma_a_prev=pr.adiabatic().sigma,
                 s_a_prev=pr.adiabatic().s_node, strain_rate=hsol.strain_rate,
-                prev_terms=terms)
+                strain_cur=sol.strain, prev_terms=terms)
             gap = slack(rows[-1], row)
             scale = max(1.0, abs(row.energy), abs(row.thermal))
             if gap < -SLACK_TOL * scale:

@@ -14,12 +14,13 @@ is first order in the step size.
 The ledger row of a step reads the arrays its stages already built
 instead of computing them again from the states: the chemical-potential
 gradient of the concentration solve, sigma_a and s_a at the previous
-state from the displacement/phase solve, the strain rate of the
-enthalpy solve, and the elastic strain and phi1 of the previous state
-from the previous step's ledger.  The audit stays exact because these
-are the very arrays the stages balanced their own equations with, from
-the same formulas; a recomputation from the states gives the same bits,
-at the cost of a second evaluation per step.
+state and the strain of the new state from the displacement/phase
+solve, the strain rate of the enthalpy solve, and the elastic strain
+and phi1 of the previous state from the previous step's ledger.  The
+audit stays exact because these are the very arrays the stages balanced
+their own equations with, from the same formulas; a recomputation from
+the states gives the same bits, at the cost of a second evaluation per
+step.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .grid import (
     stiffness,
     stiffness_with_diag,
     strain,
+    strain_pairing,
     vector_lumped_mass,
 )
 from .state import State, Trajectory
@@ -98,33 +100,39 @@ class LedgerRow:
 @dataclass(frozen=True)
 class StoredTerms:
     """The arrays one state's stored energy is built from, which the
-    ledger of the next step reads again: the element elastic strain
-    eps(u) - mean(m) eps_tr and the nodal phi1(m, chi)."""
+    ledger of the next step reads again: the element strain eps(u), which
+    the next displacement/phase step reads as its eps(u_prev), the element
+    elastic strain eps(u) - mean(m) eps_tr and the nodal phi1(m, chi)."""
 
+    strain: np.ndarray
     elastic_strain: np.ndarray
     phi1: np.ndarray
 
 
-def stored_terms(mesh: Mesh, mat: MaterialModel, st: State) -> StoredTerms:
-    """The ``StoredTerms`` of ``st``, evaluated from the state."""
+def stored_terms(mesh: Mesh, mat: MaterialModel, st: State,
+                 eps: np.ndarray | None = None) -> StoredTerms:
+    """The ``StoredTerms`` of ``st``, evaluated from the state; ``eps`` is
+    ``strain(mesh, st.u)`` when the caller holds it."""
+    if eps is None:
+        eps = strain(mesh, st.u)
     return StoredTerms(
-        elastic_strain=(strain(mesh, st.u)
-                        - elem_mean(mesh, st.m)[:, None, None]
-                        * mat.eps_tr_mat),
+        strain=eps,
+        elastic_strain=eps - elem_mean(mesh, st.m)[:, None, None]
+        * mat.eps_tr_mat,
         phi1=phi1(mat, st.m, st.chi))
 
 
-def _energies(mesh: Mesh, mat: MaterialModel, st: State, tau: float):
+def _energies(mesh: Mesh, mat: MaterialModel, st: State, tau: float,
+              eps: np.ndarray | None = None):
     """Kinetic, stored, gradient and thermal energy of ``st``, then the
     ``StoredTerms`` they were built from, for the next step's ledger."""
     Ml = lumped_mass(mesh)
     Mv = vector_lumped_mass(mesh)
     v = st.velocity(tau)
     kinetic = 0.5 * mat.rho * float(np.sum(Mv * v ** 2))
-    terms = stored_terms(mesh, mat, st)
+    terms = stored_terms(mesh, mat, st, eps)
     a = terms.elastic_strain
-    elastic = 0.5 * float(np.einsum("eij,eij,e->", apply_elastic(mat, a), a,
-                                    mesh.volumes))
+    elastic = 0.5 * strain_pairing(mesh, apply_elastic(mat, a), a)
     chem = float(np.sum(Ml * terms.phi1))
     gm = grad_field(mesh, st.m)
     gradient = 0.5 * mat.grad_coeff * float(
@@ -148,7 +156,7 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
                 tau: float, sources: dict, heat_produced: dict, *,
                 grad_mu: np.ndarray, sigma_a_prev: np.ndarray,
                 s_a_prev: np.ndarray, strain_rate: np.ndarray,
-                prev_terms: StoredTerms):
+                strain_cur: np.ndarray, prev_terms: StoredTerms):
     """Assemble one audit row from two consecutive states; returns the
     row and the ``StoredTerms`` of ``cur`` for the next step.
 
@@ -161,14 +169,16 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
     cur.chi)[1]``), ``sigma_a_prev`` the element sigma_a and ``s_a_prev``
     the nodal s_a at the midpoint and nodal m, w of ``prev``
     (``MechPhaseProblem.adiabatic()``), and ``strain_rate`` the element
-    strain of ``cur.velocity(tau)`` (``HeatSolution.strain_rate``), and
-    ``prev_terms`` the ``StoredTerms`` of ``prev`` (what ``initial_row``
-    or the previous ``ledger_step`` returned with its row).
+    strain of ``cur.velocity(tau)`` (``HeatSolution.strain_rate``),
+    ``strain_cur`` the element strain of ``cur.u``
+    (``MechPhaseSolution.strain``), and ``prev_terms`` the ``StoredTerms``
+    of ``prev`` (what ``initial_row`` or the previous ``ledger_step``
+    returned with its row).
     """
     Ml = lumped_mass(mesh)
     Mv = vector_lumped_mass(mesh)
     vol = mesh.volumes
-    (kin, sto, grad, th), terms = _energies(mesh, mat, cur, tau)
+    (kin, sto, grad, th), terms = _energies(mesh, mat, cur, tau, strain_cur)
 
     du = cur.velocity(tau)
     du_prev = prev.velocity(tau)
@@ -177,8 +187,7 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
 
     da = terms.elastic_strain - prev_terms.elastic_strain
     numdiss = 0.5 * mat.rho * float(np.sum(Mv * (du - du_prev) ** 2))
-    numdiss += 0.5 * float(np.einsum("eij,eij,e->",
-                                     apply_elastic(mat, da), da, vol))
+    numdiss += 0.5 * strain_pairing(mesh, apply_elastic(mat, da), da)
     gdm = grad_field(mesh, dm)
     numdiss += 0.5 * mat.grad_coeff * float(
         np.einsum("ei,ei,e->", gdm, gdm, vol))
@@ -192,8 +201,8 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
     gap_chi = float(np.sum(Ml * (cur.mu * dchi - terms.phi1 + phi_mix)))
     xi_term = float(np.sum(Ml * cur.xi * dm))
 
-    diss_viscous = tau * float(np.einsum(
-        "eij,eij,e->", apply_viscosity(mat, strain_rate), strain_rate, vol))
+    diss_viscous = tau * strain_pairing(
+        mesh, apply_viscosity(mat, strain_rate), strain_rate)
     diss_phase = mat.alpha / tau * float(np.sum(Ml * dm ** 2))
     diss_activation = mat.threshold_r * float(np.sum(Ml * np.abs(dm)))
 
@@ -203,8 +212,7 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
     diss_diffusion = tau * float(np.einsum(
         "ei,ei,e,e->", grad_mu, grad_mu, np.full(mesh.n_elems, mat.M0), vol))
 
-    adiab_expl = tau * float(np.einsum("eij,eij,e->", sigma_a_prev,
-                                       strain_rate, vol))
+    adiab_expl = tau * strain_pairing(mesh, sigma_a_prev, strain_rate)
     adiab_expl += float(np.sum(Ml * s_a_prev * dm))
 
     work_mech = hs_work

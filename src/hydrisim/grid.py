@@ -58,6 +58,7 @@ __all__ = [
     "grad_stiffness_vector",
     "strain",
     "strain_adjoint",
+    "strain_pairing",
     "elem_mean",
     "grad_field",
     "elastic_stiffness",
@@ -390,6 +391,12 @@ def strain_adjoint(mesh: Mesh, sig: np.ndarray) -> np.ndarray:
     # row (e, d) of grad_op meets column d of each stress row
     flux = np.swapaxes(weighted, 1, 2).reshape(-1, mesh.dim)
     return (mesh.grad_op_t @ flux).ravel()
+
+
+def strain_pairing(mesh: Mesh, sig: np.ndarray, eps: np.ndarray) -> float:
+    """One-point quadrature sum_e vol_e sig_e : eps_e of an element stress
+    paired with an element strain, both of shape (ne, dim, dim)."""
+    return float(np.einsum("eij,eij,e->", sig, eps, mesh.volumes))
 
 
 def _element_form(mesh: Mesh, left, local, right) -> sp.csr_matrix:

@@ -15,6 +15,16 @@ each node steps by its own Gershgorin row sum of the phase Hessian, so
 the nonsmooth part stays an exact nodal prox.  It stops on the joint
 first-order residual measured in the lumped dual norm.
 The normal-cone multiplier xi is recovered from the converged m-equation.
+
+The displacement block keeps one matrix, the system matrix
+A_u = rho/tau^2 M + A_visc/tau + A_el, assembled as one elastic form of
+the combined Lame pair (lam + lam_v/tau, mu + mu_v/tau) with the inertia
+added on its diagonal.  The elastic and viscous energies of the objective
+and the viscous load of the right-hand side come from element strains
+with the quadrature of the energy ledger, so the separate elastic and
+viscous matrices are never built.  A step evaluates the strain of each
+state once: it takes eps(u_prev) with the problem and returns eps(u) with
+the solution, which the ledger and the next step read again.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ import scipy.sparse as sp
 
 from .constitutive import (
     MaterialModel,
+    apply_elastic,
+    apply_viscosity,
     dphi1_dm,
     inf_d2phi1_dmm,
     phi1,
@@ -45,7 +57,9 @@ from .grid import (
     lumped_mass,
     mean_coupling_matrix,
     stiffness,
+    strain,
     strain_adjoint,
+    strain_pairing,
     tensor_grid_inverse,
     vector_grad_op,
     vector_lumped_mass,
@@ -98,14 +112,17 @@ def phase_nodal_prox(a_quad, b, p, kappa, lo, hi):
 
 @dataclass
 class MechOperators:
-    """Matrices reused across steps of one run (fixed mesh, material, tau)."""
+    """Matrices reused across steps of one run (fixed mesh, material, tau).
+
+    ``A_u`` is the one displacement matrix, the system matrix
+    rho/tau^2 M + A_visc/tau + A_el of the displacement solve; the elastic
+    and viscous energies are taken from element strains instead.
+    """
 
     tau: float
     Mlump: np.ndarray
     Mvec: np.ndarray
     A_m: sp.csr_matrix  # phase-gradient stiffness + transformation coupling
-    A_el: sp.csr_matrix
-    A_visc: sp.csr_matrix
     B: sp.csr_matrix
     A_u: sp.csr_matrix
     u_solver: SPDSolver
@@ -117,15 +134,15 @@ def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators
     Mvec = vector_lumped_mass(mesh)
     K = stiffness(mesh, mat.grad_coeff)
     A_m = _on_pattern(K + mean_coupling_matrix(mesh, mat.eps_tr_C_eps_tr), K)
-    # one kron(grad_op, I_dim) for the three displacement forms, dropped
-    # before A_u is summed and never kept past set-up
+    # one kron(grad_op, I_dim) for both displacement forms, never kept
+    # past set-up; A_visc/tau + A_el is the elastic form of the summed
+    # Lame pairs, and the inertia goes onto its stored diagonal in place
     G = vector_grad_op(mesh)
-    A_el = elastic_stiffness(mesh, mat.lame, G)
-    A_visc = elastic_stiffness(mesh, mat.visc, G)
+    (lam, mu), (lam_v, mu_v) = mat.lame, mat.visc
+    A_u = elastic_stiffness(mesh, (lam + lam_v / tau, mu + mu_v / tau), G)
     B = coupling_force_matrix(mesh, _transformation_stress(mat), G)
     del G
-    A_u = sp.diags(mat.rho / tau ** 2 * Mvec) + A_visc / tau + A_el
-    A_visc, A_u = (_on_pattern(A, A_el) for A in (A_visc, A_u))
+    A_u.setdiag(A_u.diagonal() + mat.rho / tau ** 2 * Mvec)
     # Gershgorin row sums D of the phase-block Hessian H leave D - H diagonally
     # dominant; the curvature is bounded over the range [-1, 2] the
     # accelerated steps can visit, where the quartic well adds <= 26*d0.
@@ -134,8 +151,7 @@ def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators
     lipschitz = np.asarray(abs(H).sum(axis=1)).ravel()
     u_solver = SPDSolver(A_u, "displacement solve", tensor_grid_inverse(
         mesh, *_displacement_models(mat, tau)))
-    return MechOperators(tau, Mlump, Mvec, A_m, A_el, A_visc, B, A_u,
-                         u_solver, lipschitz)
+    return MechOperators(tau, Mlump, Mvec, A_m, B, A_u, u_solver, lipschitz)
 
 
 def _displacement_models(mat: MaterialModel, tau: float):
@@ -192,8 +208,11 @@ class MechPhaseProblem:
     ``incremental_objective`` of the step share one evaluation, and the
     driver hands the same sigma_a and s_a to the energy ledger.
     ``swelling()`` keeps the swelling curve a(chi_prev) the same way for
-    every phi1 and dphi1/dm of the step.  The previous-state fields must
-    not change after either call.
+    every phi1 and dphi1/dm of the step.  ``eps_prev`` is the element
+    strain of ``u_prev`` when the caller holds it (the previous step's
+    ``MechPhaseSolution.strain``); ``prev_strain()`` evaluates it on first
+    use otherwise.  The previous-state fields must not change after any
+    of these calls.
     """
 
     mesh: Mesh
@@ -210,6 +229,8 @@ class MechPhaseProblem:
     opt_tol: float = 1e-10
     opt_max: int = 200
     ops: MechOperators | None = field(default=None, repr=False)
+    eps_prev: np.ndarray | None = field(default=None, repr=False,
+                                        compare=False)
     adiab: AdiabaticData | None = field(default=None, init=False,
                                         repr=False, compare=False)
     a_prev: np.ndarray | None = field(default=None, init=False,
@@ -230,6 +251,11 @@ class MechPhaseProblem:
             self.a_prev = swelling_curve(self.mat, self.chi_prev)
         return self.a_prev
 
+    def prev_strain(self) -> np.ndarray:
+        if self.eps_prev is None:
+            self.eps_prev = strain(self.mesh, self.u_prev)
+        return self.eps_prev
+
 
 @dataclass(frozen=True)
 class MechPhaseSolution:
@@ -242,6 +268,7 @@ class MechPhaseSolution:
     prox_iterations: int
     cg_iterations: int
     objective: float
+    strain: np.ndarray  # element strain of u, the next step's eps_prev
 
 
 def _adiabatic_data(pr: MechPhaseProblem) -> AdiabaticData:
@@ -315,7 +342,9 @@ def _solve_m_block(pr, ops, u, m_start, sa_node, tol, max_iter):
 def _u_rhs_base(pr, ops, sa_force):
     mat = pr.mat
     b = (mat.rho / pr.tau ** 2) * ops.Mvec * (2.0 * pr.u_prev - pr.u_prev2)
-    b += (ops.A_visc @ pr.u_prev) / pr.tau
+    # A_visc u_prev / tau, the viscous stress of eps(u_prev) as a force
+    b += strain_adjoint(pr.mesh,
+                        apply_viscosity(mat, pr.prev_strain())) / pr.tau
     b -= sa_force
     for load in (pr.f, pr.f_s):
         if load is not None:
@@ -324,19 +353,29 @@ def _u_rhs_base(pr, ops, sa_force):
 
 
 def incremental_objective(pr: MechPhaseProblem, u: np.ndarray,
-                          m: np.ndarray) -> float:
-    """Value of the step functional; +inf outside the phase box."""
+                          m: np.ndarray, eps: np.ndarray | None = None
+                          ) -> float:
+    """Value of the step functional; +inf outside the phase box.
+
+    ``eps`` is ``strain(pr.mesh, u)`` when the caller holds it.  The
+    elastic and viscous terms are element quadratures of eps(u) and of
+    eps(u) - eps(u_prev), as in the energy ledger.
+    """
     mat = pr.mat
     ops = pr.operators()
     if np.any(m < mat.m_lo) or np.any(m > mat.m_hi):
         return np.inf
+    if eps is None:
+        eps = strain(pr.mesh, u)
     _, sa_force, sa_node = pr.adiabatic()
     acc = u - 2.0 * pr.u_prev + pr.u_prev2
-    du = u - pr.u_prev
+    deps = eps - pr.prev_strain()
     dm = m - pr.m_prev
     val = 0.5 * mat.rho / pr.tau ** 2 * np.sum(ops.Mvec * acc ** 2)
-    val += 0.5 / pr.tau * (du @ (ops.A_visc @ du))
-    val += 0.5 * (u @ (ops.A_el @ u)) - u @ (ops.B @ m)
+    val += 0.5 / pr.tau * strain_pairing(pr.mesh, apply_viscosity(mat, deps),
+                                         deps)
+    val += 0.5 * strain_pairing(pr.mesh, apply_elastic(mat, eps), eps)
+    val -= u @ (ops.B @ m)
     val += 0.5 * (m @ (ops.A_m @ m))
     val += np.sum(ops.Mlump * (phi1(mat, m, pr.chi_prev, a=pr.swelling())
                                + 0.5 * mat.alpha / pr.tau * dm ** 2
@@ -404,8 +443,10 @@ def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
 
     xi = _recover_xi(g, m, pr.m_prev, ops.Mlump, mat.threshold_r,
                      mat.m_lo, mat.m_hi)
-    obj = incremental_objective(pr, u, m)
+    eps = strain(pr.mesh, u)
+    obj = incremental_objective(pr, u, m, eps)
     return MechPhaseSolution(u=u, m=m, xi=xi, residual=residual,
                              tolerance=tol_eff,
                              outer_iterations=outer, prox_iterations=prox_total,
-                             cg_iterations=cg_total, objective=obj)
+                             cg_iterations=cg_total, objective=obj,
+                             strain=eps)

@@ -228,6 +228,27 @@ def test_2d_matrix_transformation_strain_and_expansion():
     assert validate_material(mat2).ok
 
 
+def test_2d_matrix_material_compares_and_hashes():
+    # an array keeps the record comparable and hashable: it is stored as
+    # a tuple of rows, and the tensor built from it is the same
+    mats = [desk_default_material(2, eps_tr=np.array(EPS_TR),
+                                  alpha_th=np.array(ALPHA_TH))
+            for _ in range(2)]
+    assert mats[0] == mats[1]
+    assert hash(mats[0]) == hash(mats[1])
+    assert mats[0] == desk_default_material(2, eps_tr=EPS_TR,
+                                            alpha_th=ALPHA_TH)
+    assert mats[0] != desk_default_material(2)
+    assert mats[0].eps_tr == EPS_TR and mats[0].alpha_th == ALPHA_TH
+    assert np.array_equal(mats[0].eps_tr_mat, EPS_TR)
+    assert np.array_equal(mats[0].alpha_th_mat, ALPHA_TH)
+    iso = desk_default_material(2, eps_tr=0.1 * np.eye(2))
+    assert hash(iso) == hash(desk_default_material(2, eps_tr=0.1 * np.eye(2)))
+    assert np.array_equal(iso.eps_tr_mat, desk_default_material(2).eps_tr_mat)
+    # a scalar stays a scalar
+    assert desk_default_material(2).eps_tr == 0.1
+
+
 @pytest.mark.parametrize("name, value, match", [
     ("eps_tr", np.eye(3), r"eps_tr must be scalar or \(2,2\)"),
     ("alpha_th", ((0.1, 0.02), (0.0, 0.1)), "alpha_th must be symmetric"),

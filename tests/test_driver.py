@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hydrisim import diffusion, driver, energy_audit, mech_phase
+from hydrisim import diffusion, driver, energy_audit, heat, mech_phase
 from hydrisim.constitutive import desk_default_material, theta_of_w
 from hydrisim.driver import (
     RunConfig,
@@ -128,6 +128,11 @@ def test_each_step_quantity_is_evaluated_once(monkeypatch):
     count(mech_phase, "_adiabatic_data")
     for module in (driver, diffusion, energy_audit):
         count(module, "assemble_mu")
+    # the strain of each state once: the initial ledger row builds eps(u0)
+    # and each step's final objective eps(u_new), which the ledger and the
+    # next step read again; the enthalpy solve adds the strain rate
+    for module in (mech_phase, energy_audit, heat):
+        count(module, "strain")
     count(diffusion, "stiffness_with_diag")
     n = 4
     traj = run(desk_default_config(resolution=(20,), n_steps=n))
@@ -135,6 +140,7 @@ def test_each_step_quantity_is_evaluated_once(monkeypatch):
     assert traj.mesh.half_bandwidth <= diffusion._BAND_MAX
     assert counts.get("_adiabatic_data") == n
     assert counts.get("assemble_mu") == n + 1
+    assert counts.get("strain") == 1 + 2 * n
     assert counts.get("stiffness_with_diag", 0) == 0
 
 

@@ -54,6 +54,7 @@ def stage_arrays(mesh, mat, prev, cur, tau):
                                     elem_mean(mesh, prev.w)),
         s_a_prev=s_a(mat, prev.m, prev.w),
         strain_rate=strain(mesh, cur.velocity(tau)),
+        strain_cur=strain(mesh, cur.u),
         prev_terms=stored_terms(mesh, mat, prev))
 
 
@@ -163,6 +164,7 @@ def test_driver_hands_the_ledger_its_stage_arrays(monkeypatch):
             assert prev_terms is calls[k - 2][2]
         for built, ref in ((prev_terms, stored_terms(mesh, mat, prev)),
                            (terms, stored_terms(mesh, mat, cur))):
+            assert np.array_equal(built.strain, ref.strain)
             assert np.array_equal(built.elastic_strain, ref.elastic_strain)
             assert np.array_equal(built.phi1, ref.phi1)
         got = traj.rows[k]

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hydrisim.constitutive import d2phi1_dmm, desk_default_material
+from hydrisim.constitutive import d2phi1_dmm, desk_default_material, phi1
 from hydrisim.errors import ConfigError, InvariantViolation
 from hydrisim.grid import (
     build_mesh,
     coupling_force_matrix,
     elastic_stiffness,
     lumped_mass,
+    strain,
     vector_grad_op,
     vector_lumped_mass,
 )
@@ -23,6 +24,7 @@ from hydrisim.mech_phase import (
     _recover_xi,
     _solve_m_block,
     _transformation_stress,
+    _u_rhs_base,
     build_operators,
     incremental_objective,
     phase_nodal_prox,
@@ -347,34 +349,81 @@ def _owned_bytes(a):
     return a.nbytes
 
 
+def _separate_forms(mesh, mat, tau):
+    """A_el, A_visc and A_u = rho/tau^2 M + A_visc/tau + A_el, each
+    elastic form built on its own."""
+    A_el = elastic_stiffness(mesh, mat.lame, vector_grad_op(mesh))
+    A_visc = elastic_stiffness(mesh, mat.visc, vector_grad_op(mesh))
+    A_u = (sp.diags(mat.rho / tau ** 2 * vector_lumped_mass(mesh))
+           + A_visc / tau + A_el)
+    return A_el, A_visc, A_u
+
+
 @pytest.mark.parametrize("dim, res", [(1, (9,)), (2, (7, 4))])
 def test_displacement_matrices_share_one_pattern(dim, res):
     mesh = build_mesh(dim, (1.0,) * dim, res)
     mat = desk_default_material(dim)
     tau = 1e-3
     ops = build_operators(mesh, mat, tau)
-    A_el = elastic_stiffness(mesh, mat.lame, vector_grad_op(mesh))
-    A_visc = elastic_stiffness(mesh, mat.visc, vector_grad_op(mesh))
+    _, _, A_u = _separate_forms(mesh, mat, tau)
     B = coupling_force_matrix(mesh, _transformation_stress(mat),
                               vector_grad_op(mesh))
-    A_u = (sp.diags(mat.rho / tau ** 2 * vector_lumped_mass(mesh))
-           + A_visc / tau + A_el)
-    # the values are those of the separately built matrices, each with
-    # its own vector gradient map, bit for bit
-    for got, ref in ((ops.A_el, A_el), (ops.A_visc, A_visc),
-                     (ops.B, B), (ops.A_u, A_u)):
-        assert np.array_equal(got.toarray(), ref.toarray())
-    # one copy of the pattern, and no buffer beyond the stored entries
-    for A in (ops.A_visc, ops.A_u):
-        assert np.shares_memory(A.indices, ops.A_el.indices)
-        assert np.shares_memory(A.indptr, ops.A_el.indptr)
-    for A in (ops.A_el, ops.A_visc, ops.A_u):
-        assert _owned_bytes(A.data) == A.data.nbytes
-        assert _owned_bytes(A.indices) == A.indices.nbytes
+    assert np.array_equal(ops.B.toarray(), B.toarray())
+    # one elastic form of the summed Lame pairs with the inertia on its
+    # diagonal is the sum of the separate forms up to rounding, on the
+    # sum's own pattern
+    assert np.array_equal(ops.A_u.indptr, A_u.indptr)
+    assert np.array_equal(ops.A_u.indices, A_u.indices)
+    assert abs(ops.A_u - A_u).max() <= 1e-14 * abs(A_u).max()
+    # no buffer beyond the stored entries
+    for arr in (ops.A_u.data, ops.A_u.indices):
+        assert _owned_bytes(arr) == arr.nbytes
     # a matrix with another pattern keeps its own index arrays
-    other = _on_pattern(sp.identity(A_u.shape[0]), ops.A_el)
+    other = _on_pattern(sp.identity(A_u.shape[0]), ops.A_u)
     assert np.array_equal(other.toarray(), np.eye(A_u.shape[0]))
-    assert not np.shares_memory(other.indices, ops.A_el.indices)
+    assert not np.shares_memory(other.indices, ops.A_u.indices)
+
+
+@pytest.mark.parametrize("dim, res", [(1, (9,)), (2, (7, 4))])
+def test_strain_terms_match_the_separate_matrices(dim, res):
+    # the objective's elastic and viscous terms and the viscous load of
+    # the right-hand side, written with A_el and A_visc
+    rng = np.random.default_rng(7)
+    mesh = build_mesh(dim, (1.0,) * dim, res)
+    mat = desk_default_material(dim)
+    tau = 1e-2
+    n = mesh.n_nodes
+    u_prev = rng.normal(0.0, 0.1, n * dim)
+    u = u_prev + rng.normal(0.0, 0.05, n * dim)
+    # no acceleration, so the strain terms carry the objective
+    pr = make_problem(mesh, mat, tau, u_prev=u_prev,
+                      u_prev2=2.0 * u_prev - u,
+                      m_prev=rng.uniform(0.2, 0.8, n),
+                      chi_prev=rng.uniform(0.0, 1.5, n),
+                      w_prev=rng.uniform(0.0, 2.0, n),
+                      f=rng.normal(0.0, 0.5, n * dim))
+    m = rng.uniform(mat.m_lo, mat.m_hi, n)
+    ops = pr.operators()
+    A_el, A_visc, _ = _separate_forms(mesh, mat, tau)
+    _, sa_force, sa_node = pr.adiabatic()
+    du, dm = u - u_prev, m - pr.m_prev
+    j_ref = (0.5 / tau * (du @ (A_visc @ du)) + 0.5 * (u @ (A_el @ u))
+             - u @ (ops.B @ m) + 0.5 * (m @ (ops.A_m @ m))
+             + np.sum(ops.Mlump * (phi1(mat, m, pr.chi_prev)
+                                   + 0.5 * mat.alpha / tau * dm ** 2
+                                   + mat.threshold_r * np.abs(dm)
+                                   + sa_node * m))
+             + sa_force @ u - pr.f @ u)
+    j = incremental_objective(pr, u, m)
+    assert abs(j - j_ref) <= 1e-12 * abs(j_ref)
+    assert incremental_objective(pr, u, m, strain(mesh, u)) == j
+    b_ref = (mat.rho / tau ** 2 * ops.Mvec * (2.0 * u_prev - pr.u_prev2)
+             + (A_visc @ u_prev) / tau - sa_force + pr.f)
+    b = _u_rhs_base(pr, ops, sa_force)
+    assert np.linalg.norm(b - b_ref) <= 1e-12 * np.linalg.norm(b_ref)
+    # the solution carries the strain of its u for the ledger
+    sol = solve_mech_phase_step(pr)
+    assert np.array_equal(sol.strain, strain(mesh, sol.u))
 
 
 # ---------------------------------------------------------------------------
