@@ -25,6 +25,7 @@ from .grid import Mesh, build_mesh, lumped_mass, stiffness, boundary_functional
 from .mech_phase import (
     MechPhaseProblem,
     MechPhaseSolution,
+    StateTerms,
     phase_nodal_prox,
     solve_mech_phase_step,
     tau_max,
@@ -33,11 +34,9 @@ from .diffusion import DiffusionProblem, DiffusionSolution, assemble_mu, solve_c
 from .heat import HeatProblem, HeatSolution, dissipation_rhs, solve_w_step
 from .energy_audit import (
     LedgerRow,
-    StoredTerms,
     apriori_monitor,
     balance_residual,
     ledger_step,
-    stored_terms,
     write_energy_csv,
 )
 from .state import State, Trajectory
@@ -58,12 +57,12 @@ __all__ = [
     "HydrisimError", "ConfigError", "MaterialError", "StepFailure",
     "InvariantViolation",
     "Mesh", "build_mesh", "lumped_mass", "stiffness", "boundary_functional",
-    "MechPhaseProblem", "MechPhaseSolution", "phase_nodal_prox",
-    "solve_mech_phase_step", "tau_max",
+    "MechPhaseProblem", "MechPhaseSolution", "StateTerms",
+    "phase_nodal_prox", "solve_mech_phase_step", "tau_max",
     "DiffusionProblem", "DiffusionSolution", "assemble_mu", "solve_chi_step",
     "HeatProblem", "HeatSolution", "dissipation_rhs", "solve_w_step",
-    "LedgerRow", "StoredTerms", "apriori_monitor", "balance_residual",
-    "ledger_step", "stored_terms", "write_energy_csv",
+    "LedgerRow", "apriori_monitor", "balance_residual", "ledger_step",
+    "write_energy_csv",
     "State", "Trajectory",
     "RunConfig", "desk_default_config", "interpolant_eval", "refine_study",
     "run",

@@ -39,6 +39,7 @@ from .grid import (
 from .heat import HeatProblem, build_heat_operator, solve_w_step
 from .mech_phase import (
     MechPhaseProblem,
+    StateTerms,
     build_operators,
     check_step_size,
     incremental_objective,
@@ -462,11 +463,9 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
             t = k * cfg.tau
             src = sources.at(t)
             pr = MechPhaseProblem(
-                mesh=mesh, mat=mat, tau=cfg.tau, u_prev=state.u,
-                u_prev2=state.u_prev, m_prev=state.m, chi_prev=state.chi,
-                w_prev=state.w, f=src["f"], f_s=src["f_s"],
-                cg_tol=cfg.cg_tol, opt_tol=opt_tol, opt_max=cfg.opt_max,
-                ops=ops, eps_prev=terms.strain)
+                mesh=mesh, mat=mat, tau=cfg.tau, prev=terms, f=src["f"],
+                f_s=src["f_s"], cg_tol=cfg.cg_tol, opt_tol=opt_tol,
+                opt_max=cfg.opt_max, ops=ops)
             j_prev = incremental_objective(pr, state.u, state.m,
                                            terms.strain)
             sol = solve_mech_phase_step(pr)
@@ -485,23 +484,20 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
             dsol = solve_chi_step(dpr)
 
             hpr = HeatProblem(
-                mesh=mesh, mat=mat, tau=cfg.tau, u=sol.u, u_prev=state.u,
-                m=sol.m, m_prev=state.m, grad_mu=dsol.grad_mu,
-                w_prev=state.w, q=src["q"], q_s=src["q_s"],
+                mesh=mesh, mat=mat, tau=cfg.tau, prev=terms, u=sol.u,
+                m=sol.m, grad_mu=dsol.grad_mu, q=src["q"], q_s=src["q_s"],
                 cg_tol=cfg.cg_tol, picard_tol=cfg.picard_tol,
                 picard_max=cfg.picard_max, op=heat_op)
             hsol = solve_w_step(hpr)
 
             new = State(k=k, t=t, u=sol.u, u_prev=state.u, m=sol.m,
                         chi=dsol.chi, w=hsol.w, mu=dsol.mu, xi=sol.xi)
-            # the stage arrays, not copies; the adiabatic data is read off
-            # pr, not bound to a local, so it is freed when the next step
-            # replaces pr and does not stay live through that step's stages
-            row, terms = ledger_step(
-                mesh, mat, state, new, cfg.tau, src, hsol.produced,
-                grad_mu=dsol.grad_mu, sigma_a_prev=pr.adiabatic().sigma,
-                s_a_prev=pr.adiabatic().s_node, strain_rate=hsol.strain_rate,
-                strain_cur=sol.strain, prev_terms=terms)
+            # the stage arrays, not copies: the new state's terms start
+            # from the strain the step returned
+            new_terms = StateTerms(mesh, mat, new, sol.strain)
+            row = ledger_step(
+                mesh, mat, terms, new_terms, cfg.tau, src, hsol.produced,
+                grad_mu=dsol.grad_mu, strain_rate=hsol.strain_rate)
             gap = slack(rows[-1], row)
             scale = max(1.0, abs(row.energy), abs(row.thermal))
             if gap < -SLACK_TOL * scale:
@@ -518,7 +514,10 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
             rows.append(row)
             if keep_states:
                 states.append(new)
-            state = new
+            state, terms = new, new_terms
+            # the problems hold the previous state's terms; dropping them
+            # here frees those arrays before the next step's stages run
+            del pr, hpr
             snaps.take(new)
     except BaseException:
         snaps.abort()

@@ -13,10 +13,10 @@ is first order in the step size.
 
 The ledger row of a step reads the arrays its stages already built
 instead of computing them again from the states: the chemical-potential
-gradient of the concentration solve, sigma_a and s_a at the previous
-state and the strain of the new state from the displacement/phase
-solve, the strain rate of the enthalpy solve, and the elastic strain
-and phi1 of the previous state from the previous step's ledger.  The
+gradient of the concentration solve, the strain rate of the enthalpy
+solve, and the ``StateTerms`` of the two states, through which the
+displacement/phase step, the enthalpy solve and the ledger share each
+state's strain, elastic strain, a(chi), phi1, sigma_a and s_a.  The
 audit stays exact because these are the very arrays the stages balanced
 their own equations with, from the same formulas; a recomputation from
 the states gives the same bits, at the cost of a second evaluation per
@@ -36,13 +36,11 @@ from .constitutive import (
     apply_viscosity,
     dphi1_dm,
     phi1,
-    swelling_curve,
 )
 from .diffusion import assemble_mu
 from .grid import (
     Mesh,
     SPDSolver,
-    elem_mean,
     grad_field,
     lumped_mass,
     stiffness,
@@ -51,6 +49,7 @@ from .grid import (
     strain_pairing,
     vector_lumped_mass,
 )
+from .mech_phase import StateTerms
 from .state import State, Trajectory
 
 CSV_COLUMNS = ("t", "kinetic", "stored", "gradient", "thermal",
@@ -97,40 +96,14 @@ class LedgerRow:
         return self.kinetic + self.stored + self.gradient
 
 
-@dataclass(frozen=True)
-class StoredTerms:
-    """The arrays one state's stored energy is built from, which the
-    ledger of the next step reads again: the element strain eps(u), which
-    the next displacement/phase step reads as its eps(u_prev), the element
-    elastic strain eps(u) - mean(m) eps_tr and the nodal phi1(m, chi)."""
-
-    strain: np.ndarray
-    elastic_strain: np.ndarray
-    phi1: np.ndarray
-
-
-def stored_terms(mesh: Mesh, mat: MaterialModel, st: State,
-                 eps: np.ndarray | None = None) -> StoredTerms:
-    """The ``StoredTerms`` of ``st``, evaluated from the state; ``eps`` is
-    ``strain(mesh, st.u)`` when the caller holds it."""
-    if eps is None:
-        eps = strain(mesh, st.u)
-    return StoredTerms(
-        strain=eps,
-        elastic_strain=eps - elem_mean(mesh, st.m)[:, None, None]
-        * mat.eps_tr_mat,
-        phi1=phi1(mat, st.m, st.chi))
-
-
-def _energies(mesh: Mesh, mat: MaterialModel, st: State, tau: float,
-              eps: np.ndarray | None = None):
-    """Kinetic, stored, gradient and thermal energy of ``st``, then the
-    ``StoredTerms`` they were built from, for the next step's ledger."""
+def _energies(mesh: Mesh, mat: MaterialModel, terms: StateTerms,
+              tau: float):
+    """Kinetic, stored, gradient and thermal energy of ``terms.state``."""
+    st = terms.state
     Ml = lumped_mass(mesh)
     Mv = vector_lumped_mass(mesh)
     v = st.velocity(tau)
     kinetic = 0.5 * mat.rho * float(np.sum(Mv * v ** 2))
-    terms = stored_terms(mesh, mat, st, eps)
     a = terms.elastic_strain
     elastic = 0.5 * strain_pairing(mesh, apply_elastic(mat, a), a)
     chem = float(np.sum(Ml * terms.phi1))
@@ -138,13 +111,14 @@ def _energies(mesh: Mesh, mat: MaterialModel, st: State, tau: float,
     gradient = 0.5 * mat.grad_coeff * float(
         np.einsum("ei,ei,e->", gm, gm, mesh.volumes))
     thermal = float(np.sum(Ml * st.w))
-    return (kinetic, elastic + chem, gradient, thermal), terms
+    return kinetic, elastic + chem, gradient, thermal
 
 
 def initial_row(mesh: Mesh, mat: MaterialModel, st: State, tau: float):
-    """The ledger row of the initial state, and its ``StoredTerms`` for
-    the first ``ledger_step``."""
-    (kin, sto, grad, th), terms = _energies(mesh, mat, st, tau)
+    """The ledger row of the initial state, and its ``StateTerms`` for
+    the first step."""
+    terms = StateTerms(mesh, mat, st)
+    kin, sto, grad, th = _energies(mesh, mat, terms, tau)
     Ml = lumped_mass(mesh)
     row = LedgerRow(t=st.t, kinetic=kin, stored=sto, gradient=grad,
                     thermal=th, mass_chi=float(np.sum(Ml * st.chi)),
@@ -152,40 +126,37 @@ def initial_row(mesh: Mesh, mat: MaterialModel, st: State, tau: float):
     return row, terms
 
 
-def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
-                tau: float, sources: dict, heat_produced: dict, *,
-                grad_mu: np.ndarray, sigma_a_prev: np.ndarray,
-                s_a_prev: np.ndarray, strain_rate: np.ndarray,
-                strain_cur: np.ndarray, prev_terms: StoredTerms):
-    """Assemble one audit row from two consecutive states; returns the
-    row and the ``StoredTerms`` of ``cur`` for the next step.
+def ledger_step(mesh: Mesh, mat: MaterialModel, prev_terms: StateTerms,
+                cur_terms: StateTerms, tau: float, sources: dict,
+                heat_produced: dict, *, grad_mu: np.ndarray,
+                strain_rate: np.ndarray) -> LedgerRow:
+    """Assemble the audit row of the step from ``prev_terms.state`` to
+    ``cur_terms.state``.
 
     ``sources`` holds the assembled per-step load vectors under the keys
     f, f_s, h_s (None for absent ones); ``heat_produced`` is the enthalpy
-    solver's integrated right-hand-side breakdown.  The keyword inputs
-    are arrays the stages of the step already built, taken as they are:
-    ``grad_mu`` the element gradient of the chemical potential at ``cur``
-    (``DiffusionSolution.grad_mu``, ``assemble_mu(mesh, mat, cur.m,
-    cur.chi)[1]``), ``sigma_a_prev`` the element sigma_a and ``s_a_prev``
-    the nodal s_a at the midpoint and nodal m, w of ``prev``
-    (``MechPhaseProblem.adiabatic()``), and ``strain_rate`` the element
-    strain of ``cur.velocity(tau)`` (``HeatSolution.strain_rate``),
-    ``strain_cur`` the element strain of ``cur.u``
-    (``MechPhaseSolution.strain``), and ``prev_terms`` the ``StoredTerms``
-    of ``prev`` (what ``initial_row`` or the previous ``ledger_step``
-    returned with its row).
+    solver's integrated right-hand-side breakdown.  The ``StateTerms`` of
+    the two states carry the arrays the stages shared: the previous
+    state's elastic strain, a(chi), phi1, sigma_a and s_a, and the new
+    state's strain (``MechPhaseSolution.strain``), elastic strain and
+    phi1.  The keyword inputs are the other stage arrays, taken as they
+    are: ``grad_mu`` the element gradient of the chemical potential at
+    the new state (``DiffusionSolution.grad_mu``, ``assemble_mu(mesh,
+    mat, cur.m, cur.chi)[1]``) and ``strain_rate`` the element strain of
+    its velocity (``HeatSolution.strain_rate``).
     """
+    prev, cur = prev_terms.state, cur_terms.state
     Ml = lumped_mass(mesh)
     Mv = vector_lumped_mass(mesh)
     vol = mesh.volumes
-    (kin, sto, grad, th), terms = _energies(mesh, mat, cur, tau, strain_cur)
+    kin, sto, grad, th = _energies(mesh, mat, cur_terms, tau)
 
     du = cur.velocity(tau)
     du_prev = prev.velocity(tau)
     dm = cur.m - prev.m
     dchi = cur.chi - prev.chi
 
-    da = terms.elastic_strain - prev_terms.elastic_strain
+    da = cur_terms.elastic_strain - prev_terms.elastic_strain
     numdiss = 0.5 * mat.rho * float(np.sum(Mv * (du - du_prev) ** 2))
     numdiss += 0.5 * strain_pairing(mesh, apply_elastic(mat, da), da)
     gdm = grad_field(mesh, dm)
@@ -193,12 +164,12 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
         np.einsum("ei,ei,e->", gdm, gdm, vol))
 
     # phi1 at the new phase and the previous concentration enters both gaps
-    a_prev = swelling_curve(mat, prev.chi)
-    phi_mix = phi1(mat, cur.m, prev.chi, a=a_prev)
-    gap_m = float(np.sum(Ml * (dphi1_dm(mat, cur.m, prev.chi, a=a_prev) * dm
+    a = prev_terms.swelling
+    phi_mix = phi1(mat, cur.m, prev.chi, a=a)
+    gap_m = float(np.sum(Ml * (dphi1_dm(mat, cur.m, prev.chi, a=a) * dm
                                - phi_mix
                                + prev_terms.phi1)))
-    gap_chi = float(np.sum(Ml * (cur.mu * dchi - terms.phi1 + phi_mix)))
+    gap_chi = float(np.sum(Ml * (cur.mu * dchi - cur_terms.phi1 + phi_mix)))
     xi_term = float(np.sum(Ml * cur.xi * dm))
 
     diss_viscous = tau * strain_pairing(
@@ -212,8 +183,8 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
     diss_diffusion = tau * float(np.einsum(
         "ei,ei,e,e->", grad_mu, grad_mu, np.full(mesh.n_elems, mat.M0), vol))
 
-    adiab_expl = tau * strain_pairing(mesh, sigma_a_prev, strain_rate)
-    adiab_expl += float(np.sum(Ml * s_a_prev * dm))
+    adiab_expl = tau * strain_pairing(mesh, prev_terms.sigma_a, strain_rate)
+    adiab_expl += float(np.sum(Ml * prev_terms.s_a * dm))
 
     work_mech = hs_work
     f = sources.get("f")
@@ -237,7 +208,7 @@ def ledger_step(mesh: Mesh, mat: MaterialModel, prev: State, cur: State,
         heat_supplied=heat_supplied, heat_total=heat_total,
         mass_chi=float(np.sum(Ml * cur.chi)),
         min_chi=float(np.min(cur.chi)), min_w=float(np.min(cur.w)))
-    return row, terms
+    return row
 
 
 def _dissipation(row: LedgerRow) -> float:

@@ -14,11 +14,14 @@ corner nodes, so CG converges in at most 5 iterations; on any other mesh,
 every segment mesh among them, a banded Cholesky factor computed once
 per run.  The adiabatic terms are implicit in w, handled by a plain
 fixed-point loop; the production terms that do not depend on w are
-computed once per step, before it.  The returned breakdown of the
-right-hand side is the one the final linear solve actually saw, so ledger
-identities built on it hold to linear-solver precision rather than
-picking up the Hoelder-type sensitivity of the adiabatic stress near
-w = 0.
+computed once per step, before it.  The loop starts at the previous
+enthalpy, so its first iterate reads sigma_a and s_a from the previous
+state's ``StateTerms``, the arrays the displacement/phase step froze,
+and later iterates evaluate them at their own w.  The returned breakdown
+of the right-hand side is the one the final linear solve actually saw,
+so ledger identities built on it hold to linear-solver precision rather
+than picking up the Hoelder-type sensitivity of the adiabatic stress
+near w = 0.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .constitutive import (
     s_a,
     sigma_a_tensor,
 )
+from .mech_phase import StateTerms
 from .errors import NEG_TOL, InvariantViolation, StepFailure
 from .grid import (
     Mesh,
@@ -53,9 +57,11 @@ from .grid import (
 class HeatProblem:
     """Frozen data of one enthalpy increment.
 
-    ``q`` holds nodal source values (per unit volume), ``q_s`` an
-    already-assembled boundary load vector; None means zero.  ``grad_mu``
-    is the element chemical-potential gradient from the diffusion step.
+    ``prev`` holds the previous state and its arrays, ``u`` and ``m`` are
+    the new displacement and phase.  ``q`` holds nodal source values (per
+    unit volume), ``q_s`` an already-assembled boundary load vector; None
+    means zero.  ``grad_mu`` is the element chemical-potential gradient
+    from the diffusion step.
     ``op`` lets the time loop share the system matrix across steps; it is
     built from mesh, material and tau when absent.
     """
@@ -63,12 +69,10 @@ class HeatProblem:
     mesh: Mesh
     mat: MaterialModel
     tau: float
+    prev: StateTerms
     u: np.ndarray
-    u_prev: np.ndarray
     m: np.ndarray
-    m_prev: np.ndarray
     grad_mu: np.ndarray
-    w_prev: np.ndarray
     q: np.ndarray | None = None
     q_s: np.ndarray | None = None
     cg_tol: float = 1e-12
@@ -117,18 +121,18 @@ def dissipation_rhs(pr: HeatProblem, w_lin: np.ndarray) -> dict:
     same lumped weights the mechanics step used, so the audit's phase and
     activation entries cancel against the mechanics ledger exactly.
     """
-    return _iterate_terms(pr, _fixed_terms(pr), w_lin)
+    return _iterate_terms(pr, _fixed_terms(pr), *_adiabatic_at(pr, w_lin))
 
 
 def _fixed_terms(pr: HeatProblem) -> tuple:
     """The w-independent part of ``dissipation_rhs``, computed once per
-    step: the element strain rate, the midpoint values of m_prev, the
-    nodal phase rate and the load vectors, with None for the two that
-    depend on w.  The key order is the order in which the right-hand
-    side adds them."""
+    step: the element strain rate, the nodal phase rate and the load
+    vectors, with None for the two that depend on w.  The key order is
+    the order in which the right-hand side adds them."""
     mesh, mat, tau = pr.mesh, pr.mat, pr.tau
+    st = pr.prev.state
     Ml = lumped_mass(mesh)
-    rate = strain(mesh, (pr.u - pr.u_prev) / tau)
+    rate = strain(mesh, (pr.u - st.u) / tau)
     rate2 = np.einsum("eij,eij->e", rate, rate)
     visc_density = np.einsum("eij,eij->e", apply_viscosity(mat, rate), rate) \
         / (1.0 + tau * rate2)
@@ -136,7 +140,7 @@ def _fixed_terms(pr: HeatProblem) -> tuple:
     gmu2 = np.einsum("ei,ei->e", pr.grad_mu, pr.grad_mu)
     diff_density = mat.M0 * gmu2 / (1.0 + tau * gmu2)
 
-    dm = (pr.m - pr.m_prev) / tau
+    dm = (pr.m - st.m) / tau
     act_nodal = mat.threshold_r * np.abs(dm)
     loads = {
         "viscous": lump_elements(mesh, visc_density),
@@ -147,17 +151,25 @@ def _fixed_terms(pr: HeatProblem) -> tuple:
         "source": Ml * pr.q if pr.q is not None else np.zeros(mesh.n_nodes),
         "boundary": pr.q_s if pr.q_s is not None else np.zeros(mesh.n_nodes),
     }
-    return rate, elem_mean(mesh, pr.m_prev), dm, loads
+    return rate, dm, loads
 
 
-def _iterate_terms(pr: HeatProblem, fixed: tuple, w_lin: np.ndarray) -> dict:
-    """The load vectors at ``w_lin``: those of ``fixed`` with the adiabatic
-    stress power and the phase heating filled in, in the same key order."""
+def _adiabatic_at(pr: HeatProblem, w_lin: np.ndarray) -> tuple:
+    """Element sigma_a and nodal s_a at the previous phase and ``w_lin``."""
+    prev = pr.prev
+    return (sigma_a_tensor(pr.mat, prev.m_mean, elem_mean(pr.mesh, w_lin)),
+            s_a(pr.mat, prev.state.m, w_lin))
+
+
+def _iterate_terms(pr: HeatProblem, fixed: tuple, sig: np.ndarray,
+                   sa_node: np.ndarray) -> dict:
+    """The load vectors of ``fixed`` with the adiabatic stress power of
+    the element sigma_a ``sig`` and the phase heating of the nodal s_a
+    ``sa_node`` filled in, in the same key order."""
     mesh, mat = pr.mesh, pr.mat
-    rate, m_prev_e, dm, loads = fixed
-    sig = sigma_a_tensor(mat, m_prev_e, elem_mean(mesh, w_lin))
+    rate, dm, loads = fixed
     adiab_density = np.einsum("eij,eij->e", sig, rate)
-    phase_nodal = (s_a(mat, pr.m_prev, w_lin) + mat.alpha * dm) * dm
+    phase_nodal = (sa_node + mat.alpha * dm) * dm
     return {**loads,
             "adiabatic_stress": lump_elements(mesh, adiab_density),
             "phase": lumped_mass(mesh) * phase_nodal}
@@ -165,7 +177,8 @@ def _iterate_terms(pr: HeatProblem, fixed: tuple, w_lin: np.ndarray) -> dict:
 
 def solve_w_step(pr: HeatProblem) -> HeatSolution:
     mesh, mat, tau = pr.mesh, pr.mat, pr.tau
-    if np.min(pr.w_prev) < -NEG_TOL:
+    w_prev = pr.prev.state.w
+    if np.min(w_prev) < -NEG_TOL:
         raise InvariantViolation("previous enthalpy has negative nodes")
     if pr.q is not None and np.min(pr.q) < 0.0:
         raise InvariantViolation("negative heat source defeats w >= 0")
@@ -178,14 +191,15 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
     # unless c0 depends on m
     m_e = elem_mean(mesh, pr.m) if mat.c0_m_slope != 0.0 else None
     fixed = _fixed_terms(pr)
-    w_lin = pr.w_prev.copy()
+    w_lin = w_prev.copy()
+    adiab = pr.prev.sigma_a, pr.prev.s_a
     w_new = w_lin
     update = np.inf
     produced = None
     cg_total = 0
     for it in range(1, pr.picard_max + 1):
-        terms = _iterate_terms(pr, fixed, w_lin)
-        rhs = Ml * pr.w_prev / tau
+        terms = _iterate_terms(pr, fixed, *adiab)
+        rhs = Ml * w_prev / tau
         for vec in terms.values():
             rhs = rhs + vec
         if m_e is not None:
@@ -201,6 +215,7 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
             produced = {k: float(v.sum()) for k, v in terms.items()}
             break
         w_lin = w_new
+        adiab = _adiabatic_at(pr, w_lin)
     else:
         raise StepFailure(
             f"enthalpy fixed-point loop stalled: update {update:.3e} "

@@ -22,16 +22,22 @@ the combined Lame pair (lam + lam_v/tau, mu + mu_v/tau) with the inertia
 added on its diagonal.  The elastic and viscous energies of the objective
 and the viscous load of the right-hand side come from element strains
 with the quadrature of the energy ledger, so the separate elastic and
-viscous matrices are never built.  A step evaluates the strain of each
-state once: it takes eps(u_prev) with the problem and returns eps(u) with
-the solution, which the ledger and the next step read again.
+viscous matrices are never built.
+
+``StateTerms`` holds the arrays of one state that more than one stage
+reads: its strain, the element means of m and w, the elastic strain, the
+swelling curve a(chi), phi1 and the adiabatic sigma_a, its nodal force
+and s_a, each evaluated on first read.  A step reads the terms of its
+previous state from the problem and returns the strain of its new state
+with the solution; the driver seeds the new state's terms with it, and
+the enthalpy solve, the energy ledger and the next step read them again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,6 +70,7 @@ from .grid import (
     vector_grad_op,
     vector_lumped_mass,
 )
+from .state import State
 
 # Iteration budget of one proximal-gradient pass on the phase block
 FISTA_MAX = 5000
@@ -185,76 +192,94 @@ def _transformation_stress(mat: MaterialModel) -> np.ndarray:
     return lam * np.trace(eps_tr) * np.eye(mat.dim) + 2.0 * mu * eps_tr
 
 
-class AdiabaticData(NamedTuple):
-    """The adiabatic couplings frozen at the previous state of a step."""
+class StateTerms:
+    """The arrays of one state that the step leaving it, the enthalpy
+    solve and the energy ledger share.  Each is evaluated on its first
+    read and kept, so every reader gets the same bits from one
+    evaluation; ``strain`` is ``strain(mesh, state.u)`` when the caller
+    holds it.  The state's arrays must not change once a term is read.
+    """
 
-    sigma: np.ndarray   # element sigma_a at midpoint m_prev, w_prev
-    force: np.ndarray   # its nodal force, strain_adjoint(sigma)
-    s_node: np.ndarray  # nodal s_a(m_prev, w_prev)
+    def __init__(self, mesh: Mesh, mat: MaterialModel, state: State,
+                 strain: np.ndarray | None = None):
+        self.mesh, self.mat, self.state = mesh, mat, state
+        if strain is not None:
+            self.strain = strain
+
+    @cached_property
+    def strain(self) -> np.ndarray:
+        """Element strain eps(u)."""
+        return strain(self.mesh, self.state.u)
+
+    @cached_property
+    def m_mean(self) -> np.ndarray:
+        return elem_mean(self.mesh, self.state.m)
+
+    @cached_property
+    def w_mean(self) -> np.ndarray:
+        return elem_mean(self.mesh, self.state.w)
+
+    @cached_property
+    def elastic_strain(self) -> np.ndarray:
+        """Element elastic strain eps(u) - mean(m) eps_tr."""
+        return self.strain - self.m_mean[:, None, None] * self.mat.eps_tr_mat
+
+    @cached_property
+    def swelling(self) -> np.ndarray:
+        """Nodal swelling curve a(chi)."""
+        return swelling_curve(self.mat, self.state.chi)
+
+    @cached_property
+    def phi1(self) -> np.ndarray:
+        """Nodal phi1(m, chi)."""
+        return phi1(self.mat, self.state.m, self.state.chi, a=self.swelling)
+
+    @cached_property
+    def sigma_a(self) -> np.ndarray:
+        """Element sigma_a at the midpoint m and w."""
+        return sigma_a_tensor(self.mat, self.m_mean, self.w_mean)
+
+    @cached_property
+    def sigma_a_force(self) -> np.ndarray:
+        """The nodal force of sigma_a, strain_adjoint(sigma_a)."""
+        return strain_adjoint(self.mesh, self.sigma_a)
+
+    @cached_property
+    def s_a(self) -> np.ndarray:
+        """Nodal s_a(m, w)."""
+        return s_a(self.mat, self.state.m, self.state.w)
 
 
 @dataclass
 class MechPhaseProblem:
     """Frozen data of one displacement/phase increment.
 
-    ``f`` and ``f_s`` are already-assembled nodal load vectors (body and
-    surface); None means zero.  ``ops`` lets the time loop share the
-    assembled matrices across steps.  ``opt_tol`` bounds the first-order
-    residual relative to 1 + the dual norm of the step forcing, which
-    coincides with an absolute bound for steps starting from rest.
-
-    ``adiabatic()`` evaluates the ``AdiabaticData`` of the previous state
-    on its first call and keeps it, so the solve and every
-    ``incremental_objective`` of the step share one evaluation, and the
-    driver hands the same sigma_a and s_a to the energy ledger.
-    ``swelling()`` keeps the swelling curve a(chi_prev) the same way for
-    every phi1 and dphi1/dm of the step.  ``eps_prev`` is the element
-    strain of ``u_prev`` when the caller holds it (the previous step's
-    ``MechPhaseSolution.strain``); ``prev_strain()`` evaluates it on first
-    use otherwise.  The previous-state fields must not change after any
-    of these calls.
+    ``prev`` holds the previous state and the arrays of it that the step
+    reads: the displacement one step before it (``prev.state.u_prev``)
+    gives the inertia, the concentration gives a(chi_prev) for phi1, and
+    m, w give the adiabatic couplings frozen over the step.  ``f`` and
+    ``f_s`` are already-assembled nodal load vectors (body and surface);
+    None means zero.  ``ops`` lets the time loop share the assembled
+    matrices across steps.  ``opt_tol`` bounds the first-order residual
+    relative to 1 + the dual norm of the step forcing, which coincides
+    with an absolute bound for steps starting from rest.
     """
 
     mesh: Mesh
     mat: MaterialModel
     tau: float
-    u_prev: np.ndarray
-    u_prev2: np.ndarray
-    m_prev: np.ndarray
-    chi_prev: np.ndarray
-    w_prev: np.ndarray
+    prev: StateTerms
     f: np.ndarray | None = None
     f_s: np.ndarray | None = None
     cg_tol: float = 1e-12
     opt_tol: float = 1e-10
     opt_max: int = 200
     ops: MechOperators | None = field(default=None, repr=False)
-    eps_prev: np.ndarray | None = field(default=None, repr=False,
-                                        compare=False)
-    adiab: AdiabaticData | None = field(default=None, init=False,
-                                        repr=False, compare=False)
-    a_prev: np.ndarray | None = field(default=None, init=False,
-                                      repr=False, compare=False)
 
     def operators(self) -> MechOperators:
         if self.ops is None or self.ops.tau != self.tau:
             self.ops = build_operators(self.mesh, self.mat, self.tau)
         return self.ops
-
-    def adiabatic(self) -> AdiabaticData:
-        if self.adiab is None:
-            self.adiab = _adiabatic_data(self)
-        return self.adiab
-
-    def swelling(self) -> np.ndarray:
-        if self.a_prev is None:
-            self.a_prev = swelling_curve(self.mat, self.chi_prev)
-        return self.a_prev
-
-    def prev_strain(self) -> np.ndarray:
-        if self.eps_prev is None:
-            self.eps_prev = strain(self.mesh, self.u_prev)
-        return self.eps_prev
 
 
 @dataclass(frozen=True)
@@ -268,29 +293,16 @@ class MechPhaseSolution:
     prox_iterations: int
     cg_iterations: int
     objective: float
-    strain: np.ndarray  # element strain of u, the next step's eps_prev
+    strain: np.ndarray  # element strain of u, seeds the next StateTerms
 
 
-def _adiabatic_data(pr: MechPhaseProblem) -> AdiabaticData:
-    """Element sigma_a, its nodal force and nodal s_a at the previous
-    state; ``MechPhaseProblem.adiabatic`` keeps the result."""
-    mesh, mat = pr.mesh, pr.mat
-    m_e = elem_mean(mesh, pr.m_prev)
-    w_e = elem_mean(mesh, pr.w_prev)
-    sig = sigma_a_tensor(mat, m_e, w_e)
-    sa_node = s_a(mat, pr.m_prev, pr.w_prev)
-    return AdiabaticData(sig, strain_adjoint(mesh, sig),
-                         np.broadcast_to(np.asarray(sa_node, float),
-                                         pr.m_prev.shape).copy())
-
-
-def _m_smooth_grad(pr, ops, m, Am, Bu, sa_node):
+def _m_smooth_grad(pr, ops, m, Am, Bu):
     """Gradient of the smooth part of the m-functional, given Am = A_m @ m."""
-    mat = pr.mat
-    return Am - Bu + ops.Mlump * (dphi1_dm(mat, m, pr.chi_prev,
-                                           a=pr.swelling())
-                                  + (mat.alpha / pr.tau) * (m - pr.m_prev)
-                                  + sa_node)
+    mat, prev = pr.mat, pr.prev
+    return Am - Bu + ops.Mlump * (dphi1_dm(mat, m, prev.state.chi,
+                                           a=prev.swelling)
+                                  + (mat.alpha / pr.tau) * (m - prev.state.m)
+                                  + prev.s_a)
 
 
 def _m_residual(g, m, m_prev, Mlump, r, lo, hi):
@@ -305,47 +317,48 @@ def _m_residual(g, m, m_prev, Mlump, r, lo, hi):
                                               target - hi_tot))
 
 
-def _solve_m_block(pr, ops, u, m_start, sa_node, tol, max_iter):
+def _solve_m_block(pr, ops, u, m_start, tol, max_iter):
     """FISTA with restart in the metric D = ops.lipschitz and one A_m product
     per iteration; returns m, g(m), its nodal residual and the count."""
-    mat = pr.mat
+    mat, m_prev = pr.mat, pr.prev.state.m
     Bu = ops.B.T @ u
     D = ops.lipschitz
     kappa = ops.Mlump * mat.threshold_r
     lo, hi = mat.m_lo, mat.m_hi
     y = m = np.clip(m_start, lo, hi)
     Am = ops.A_m @ m
-    g = g_y = _m_smooth_grad(pr, ops, m, Am, Bu, sa_node)
+    g = g_y = _m_smooth_grad(pr, ops, m, Am, Bu)
     t_acc = 1.0
     for it in range(1, max_iter + 1):
-        m_new = phase_nodal_prox(D, y - g_y / D, pr.m_prev, kappa, lo, hi)
+        m_new = phase_nodal_prox(D, y - g_y / D, m_prev, kappa, lo, hi)
         if (y - m_new) @ (D * (m_new - m)) > 0.0:
             # momentum points uphill: restart from the last iterate
             t_acc = 1.0
-            m_new = phase_nodal_prox(D, m - g / D, pr.m_prev, kappa, lo, hi)
+            m_new = phase_nodal_prox(D, m - g / D, m_prev, kappa, lo, hi)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2))
         beta = (t_acc - 1.0) / t_next
         Am_new = ops.A_m @ m_new
-        g_new = _m_smooth_grad(pr, ops, m_new, Am_new, Bu, sa_node)
-        res = _m_residual(g_new, m_new, pr.m_prev, ops.Mlump,
+        g_new = _m_smooth_grad(pr, ops, m_new, Am_new, Bu)
+        res = _m_residual(g_new, m_new, m_prev, ops.Mlump,
                           mat.threshold_r, lo, hi)
         if np.sqrt(np.sum(res ** 2 / ops.Mlump)) <= tol:
             return m_new, g_new, res, it
         y = m_new + beta * (m_new - m)
         # A_m is linear, so A_m @ y needs no product of its own
         g_y = _m_smooth_grad(pr, ops, y, (1.0 + beta) * Am_new - beta * Am,
-                             Bu, sa_node)
+                             Bu)
         m, Am, g, t_acc = m_new, Am_new, g_new, t_next
     return m, g, res, max_iter
 
 
-def _u_rhs_base(pr, ops, sa_force):
-    mat = pr.mat
-    b = (mat.rho / pr.tau ** 2) * ops.Mvec * (2.0 * pr.u_prev - pr.u_prev2)
+def _u_rhs_base(pr, ops):
+    mat, prev = pr.mat, pr.prev
+    b = (mat.rho / pr.tau ** 2) * ops.Mvec * (2.0 * prev.state.u
+                                             - prev.state.u_prev)
     # A_visc u_prev / tau, the viscous stress of eps(u_prev) as a force
     b += strain_adjoint(pr.mesh,
-                        apply_viscosity(mat, pr.prev_strain())) / pr.tau
-    b -= sa_force
+                        apply_viscosity(mat, prev.strain)) / pr.tau
+    b -= prev.sigma_a_force
     for load in (pr.f, pr.f_s):
         if load is not None:
             b = b + load
@@ -361,27 +374,26 @@ def incremental_objective(pr: MechPhaseProblem, u: np.ndarray,
     elastic and viscous terms are element quadratures of eps(u) and of
     eps(u) - eps(u_prev), as in the energy ledger.
     """
-    mat = pr.mat
+    mat, prev = pr.mat, pr.prev
     ops = pr.operators()
     if np.any(m < mat.m_lo) or np.any(m > mat.m_hi):
         return np.inf
     if eps is None:
         eps = strain(pr.mesh, u)
-    _, sa_force, sa_node = pr.adiabatic()
-    acc = u - 2.0 * pr.u_prev + pr.u_prev2
-    deps = eps - pr.prev_strain()
-    dm = m - pr.m_prev
+    acc = u - 2.0 * prev.state.u + prev.state.u_prev
+    deps = eps - prev.strain
+    dm = m - prev.state.m
     val = 0.5 * mat.rho / pr.tau ** 2 * np.sum(ops.Mvec * acc ** 2)
     val += 0.5 / pr.tau * strain_pairing(pr.mesh, apply_viscosity(mat, deps),
                                          deps)
     val += 0.5 * strain_pairing(pr.mesh, apply_elastic(mat, eps), eps)
     val -= u @ (ops.B @ m)
     val += 0.5 * (m @ (ops.A_m @ m))
-    val += np.sum(ops.Mlump * (phi1(mat, m, pr.chi_prev, a=pr.swelling())
+    val += np.sum(ops.Mlump * (phi1(mat, m, prev.state.chi, a=prev.swelling)
                                + 0.5 * mat.alpha / pr.tau * dm ** 2
                                + mat.threshold_r * np.abs(dm)
-                               + sa_node * m))
-    val += sa_force @ u
+                               + prev.s_a * m))
+    val += prev.sigma_a_force @ u
     for load in (pr.f, pr.f_s):
         if load is not None:
             val -= load @ u
@@ -401,16 +413,15 @@ def _recover_xi(g, m, m_prev, Mlump, r, lo, hi):
 
 
 def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
-    mat = pr.mat
-    if np.min(pr.chi_prev) < -NEG_TOL:
+    mat, st = pr.mat, pr.prev.state
+    if np.min(st.chi) < -NEG_TOL:
         raise InvariantViolation("previous concentration has negative nodes")
-    if np.min(pr.w_prev) < -NEG_TOL:
+    if np.min(st.w) < -NEG_TOL:
         raise InvariantViolation("previous enthalpy has negative nodes")
     check_step_size(mat, pr.tau)
 
     ops = pr.operators()
-    _, sa_force, sa_node = pr.adiabatic()
-    b_base = _u_rhs_base(pr, ops, sa_force)
+    b_base = _u_rhs_base(pr, ops)
 
     # stopping is relative to the forcing magnitude: the inertial part of
     # b_base scales like rho/tau^2, so an absolute test would demand more
@@ -418,8 +429,8 @@ def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
     scale = 1.0 + float(np.sqrt(np.sum(b_base ** 2 / ops.Mvec)))
     tol_eff = pr.opt_tol * scale
 
-    u = pr.u_prev.copy()
-    m = pr.m_prev.copy()
+    u = st.u.copy()
+    m = st.m.copy()
     cg_total = 0
     prox_total = 0
     residual = np.inf
@@ -427,8 +438,8 @@ def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
         b_u = b_base + ops.B @ m
         u, cg_it = ops.u_solver.solve(b_u, u, pr.cg_tol)
         cg_total += cg_it
-        m, g, r_m, fista_it = _solve_m_block(pr, ops, u, m, sa_node,
-                                             0.5 * tol_eff, FISTA_MAX)
+        m, g, r_m, fista_it = _solve_m_block(pr, ops, u, m, 0.5 * tol_eff,
+                                             FISTA_MAX)
         prox_total += fista_it
         r_u = ops.A_u @ u - (b_base + ops.B @ m)
         residual = float(np.sqrt(np.sum(r_u ** 2 / ops.Mvec)
@@ -441,7 +452,7 @@ def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
             f" > {tol_eff:.3e} after {pr.opt_max} sweeps "
             f"({cg_total} CG, {prox_total} prox iterations)")
 
-    xi = _recover_xi(g, m, pr.m_prev, ops.Mlump, mat.threshold_r,
+    xi = _recover_xi(g, m, st.m, ops.Mlump, mat.threshold_r,
                      mat.m_lo, mat.m_hi)
     eps = strain(pr.mesh, u)
     obj = incremental_objective(pr, u, m, eps)

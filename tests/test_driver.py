@@ -112,9 +112,10 @@ def test_desk_run_invariants():
 
 
 def test_each_step_quantity_is_evaluated_once(monkeypatch):
-    # the objective gate, the solve and the ledger share one adiabatic
-    # evaluation; the ledger takes grad mu from the concentration solve;
-    # the banded concentration loop fills its band without a CSR
+    # the objective gate, the solve, the enthalpy solve and the ledger
+    # read each state's arrays from its one StateTerms; the ledger takes
+    # grad mu from the concentration solve; the banded concentration loop
+    # fills its band without a CSR
     counts = {}
 
     def count(module, name):
@@ -125,22 +126,31 @@ def test_each_step_quantity_is_evaluated_once(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    count(mech_phase, "_adiabatic_data")
     for module in (driver, diffusion, energy_audit):
         count(module, "assemble_mu")
     # the strain of each state once: the initial ledger row builds eps(u0)
-    # and each step's final objective eps(u_new), which the ledger and the
-    # next step read again; the enthalpy solve adds the strain rate
+    # and each step's final objective eps(u_new), which seeds the new
+    # state's terms; the enthalpy solve adds the strain rate
     for module in (mech_phase, energy_audit, heat):
         count(module, "strain")
+    # a(chi) once per state, for the step leaving it and both ledger rows
+    # it enters; sigma_a once per state left and once per later Picard
+    # iterate of the enthalpy solve, whose first iterate reads the
+    # state's own
+    count(mech_phase, "swelling_curve")
+    for module in (mech_phase, heat):
+        count(module, "sigma_a_tensor")
     count(diffusion, "stiffness_with_diag")
     n = 4
     traj = run(desk_default_config(resolution=(20,), n_steps=n))
     assert traj.n_steps == n
     assert traj.mesh.half_bandwidth <= diffusion._BAND_MAX
-    assert counts.get("_adiabatic_data") == n
     assert counts.get("assemble_mu") == n + 1
     assert counts.get("strain") == 1 + 2 * n
+    assert counts.get("swelling_curve") == n + 1
+    picard_w = traj.meta["iterations"]["picard_w"]
+    assert picard_w > n
+    assert counts.get("sigma_a_tensor") == picard_w
     assert counts.get("stiffness_with_diag", 0) == 0
 
 

@@ -3,7 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hydrisim.constitutive import desk_default_material, s_a, sigma_a_tensor
+from hydrisim.constitutive import (
+    desk_default_material,
+    phi1,
+    s_a,
+    sigma_a_tensor,
+    swelling_curve,
+)
 from hydrisim.diffusion import assemble_mu
 from hydrisim import driver
 from hydrisim.driver import RunConfig, desk_default_config, run
@@ -14,7 +20,6 @@ from hydrisim.energy_audit import (
     initial_row,
     ledger_columns,
     ledger_step,
-    stored_terms,
     write_energy_csv,
 )
 from hydrisim.grid import (
@@ -23,7 +28,9 @@ from hydrisim.grid import (
     lumped_mass,
     stiffness,
     strain,
+    strain_adjoint,
 )
+from hydrisim.mech_phase import StateTerms
 from hydrisim.state import State, Trajectory
 
 
@@ -46,22 +53,32 @@ ZERO_HEAT = {name: 0.0 for name in
 
 
 def stage_arrays(mesh, mat, prev, cur, tau):
-    """The stage results ledger_step takes, rebuilt from the two states
-    by the public functions."""
-    return dict(
-        grad_mu=assemble_mu(mesh, mat, cur.m, cur.chi)[1],
-        sigma_a_prev=sigma_a_tensor(mat, elem_mean(mesh, prev.m),
-                                    elem_mean(mesh, prev.w)),
-        s_a_prev=s_a(mat, prev.m, prev.w),
-        strain_rate=strain(mesh, cur.velocity(tau)),
-        strain_cur=strain(mesh, cur.u),
-        prev_terms=stored_terms(mesh, mat, prev))
+    """The stage results ledger_step takes as keywords, rebuilt from the
+    two states by the public functions."""
+    return dict(grad_mu=assemble_mu(mesh, mat, cur.m, cur.chi)[1],
+                strain_rate=strain(mesh, cur.velocity(tau)))
+
+
+def state_arrays(mesh, mat, st):
+    """Each array a ``StateTerms`` of ``st`` holds, evaluated from the
+    state by the public functions."""
+    eps = strain(mesh, st.u)
+    m_e = elem_mean(mesh, st.m)
+    sig = sigma_a_tensor(mat, m_e, elem_mean(mesh, st.w))
+    return dict(strain=eps, m_mean=m_e, w_mean=elem_mean(mesh, st.w),
+                elastic_strain=eps - m_e[:, None, None] * mat.eps_tr_mat,
+                swelling=swelling_curve(mat, st.chi),
+                phi1=phi1(mat, st.m, st.chi), sigma_a=sig,
+                sigma_a_force=strain_adjoint(mesh, sig),
+                s_a=s_a(mat, st.m, st.w))
 
 
 def ledger(mesh, mat, prev, cur, tau, sources, heat_produced):
-    row, _ = ledger_step(mesh, mat, prev, cur, tau, sources, heat_produced,
-                         **stage_arrays(mesh, mat, prev, cur, tau))
-    return row
+    """The ledger row from fresh ``StateTerms`` of the two states."""
+    return ledger_step(mesh, mat, StateTerms(mesh, mat, prev),
+                       StateTerms(mesh, mat, cur), tau, sources,
+                       heat_produced,
+                       **stage_arrays(mesh, mat, prev, cur, tau))
 
 
 def test_static_trajectory_all_residuals_zero():
@@ -145,9 +162,8 @@ def test_driver_hands_the_ledger_its_stage_arrays(monkeypatch):
     calls = []
 
     def recording(*args, **kwargs):
-        out = ledger_step(*args, **kwargs)
-        calls.append((args, kwargs["prev_terms"], out[1]))
-        return out
+        calls.append((args, dict(kwargs)))
+        return ledger_step(*args, **kwargs)
 
     monkeypatch.setattr(driver, "ledger_step", recording)
     traj = run(RunConfig(dim=2, lengths=(1.0, 1.0), resolution=(6, 5),
@@ -155,24 +171,25 @@ def test_driver_hands_the_ledger_its_stage_arrays(monkeypatch):
                          theta0=0.1, h_s={"left": 0.5}))
     mesh, mat, tau = traj.mesh, traj.mat, traj.tau
     assert len(calls) == traj.n_steps
-    for k, (args, prev_terms, terms) in enumerate(calls, start=1):
+    for k, (args, kwargs) in enumerate(calls, start=1):
         prev, cur = traj.states[k - 1], traj.states[k]
-        assert args[2] is prev and args[3] is cur
+        prev_terms, terms = args[2], args[3]
+        assert prev_terms.state is prev and terms.state is cur
         # each step hands the next the terms it built, bit for bit the
-        # ones the state gives
+        # arrays the state gives
         if k > 1:
-            assert prev_terms is calls[k - 2][2]
-        for built, ref in ((prev_terms, stored_terms(mesh, mat, prev)),
-                           (terms, stored_terms(mesh, mat, cur))):
-            assert np.array_equal(built.strain, ref.strain)
-            assert np.array_equal(built.elastic_strain, ref.elastic_strain)
-            assert np.array_equal(built.phi1, ref.phi1)
+            assert prev_terms is calls[k - 2][0][3]
+        for built, st in ((prev_terms, prev), (terms, cur)):
+            for name, ref in state_arrays(mesh, mat, st).items():
+                assert np.array_equal(getattr(built, name), ref), name
+        for name, ref in stage_arrays(mesh, mat, prev, cur, tau).items():
+            assert np.array_equal(kwargs[name], ref), name
         got = traj.rows[k]
         assert np.any(cur.xi != 0.0)
         assert got.gap_m != 0.0 and got.adiab_expl != 0.0
-        # the same sources and enthalpy breakdown, the stage arrays rebuilt
-        ref, _ = ledger_step(*args,
-                             **stage_arrays(mesh, mat, prev, cur, tau))
+        # the same sources and enthalpy breakdown, the terms and the stage
+        # arrays rebuilt
+        ref = ledger(mesh, mat, prev, cur, tau, args[5], args[6])
         for f in dataclasses.fields(got):
             assert getattr(ref, f.name) == getattr(got, f.name), f.name
 

@@ -17,6 +17,8 @@ from hydrisim.grid import (
 )
 from hydrisim import heat
 from hydrisim.heat import HeatProblem, dissipation_rhs, solve_w_step
+from hydrisim.mech_phase import StateTerms
+from hydrisim.state import State
 
 from _oracles import cos_mode_amplitude, fd_eigenvalue
 
@@ -25,14 +27,20 @@ def desk(**kw):
     return dataclasses.replace(desk_default_material(1), **kw)
 
 
-def make_problem(mesh, mat, tau, **kw):
+def make_problem(mesh, mat, tau, u_prev=None, m_prev=None, w_prev=None,
+                 **kw):
+    """A problem from a previous state with the given fields, zero where
+    none is given."""
     n = mesh.n_nodes
     d = mesh.dim
+    z = np.zeros(n)
+    prev = State(k=0, t=0.0,
+                 u=np.zeros(n * d) if u_prev is None else u_prev,
+                 u_prev=np.zeros(n * d), m=z if m_prev is None else m_prev,
+                 chi=z, w=z if w_prev is None else w_prev, mu=z, xi=z)
     args = dict(mesh=mesh, mat=mat, tau=tau,
-                u=np.zeros(n * d), u_prev=np.zeros(n * d),
-                m=np.zeros(n), m_prev=np.zeros(n),
-                grad_mu=np.zeros((mesh.n_elems, d)),
-                w_prev=np.zeros(n))
+                prev=StateTerms(mesh, mat, prev), u=np.zeros(n * d),
+                m=np.zeros(n), grad_mu=np.zeros((mesh.n_elems, d)))
     args.update(kw)
     return HeatProblem(**args)
 
@@ -44,7 +52,7 @@ def make_problem(mesh, mat, tau, **kw):
 def test_frozen_state_produces_nothing():
     mesh = build_mesh(1, (1.0,), 9)
     pr = make_problem(mesh, desk(), 1e-3)
-    terms = dissipation_rhs(pr, pr.w_prev)
+    terms = dissipation_rhs(pr, pr.prev.state.w)
     for name, vec in terms.items():
         assert np.allclose(vec, 0.0, atol=1e-15), name
 
@@ -57,7 +65,7 @@ def test_phase_heating_hand_value():
     tau = 0.5
     m = np.full(mesh.n_nodes, 0.2 * tau)
     pr = make_problem(mesh, mat, tau, m=m)
-    terms = dissipation_rhs(pr, pr.w_prev)
+    terms = dissipation_rhs(pr, pr.prev.state.w)
     produced = float(terms["phase"].sum() + terms["activation"].sum())
     assert produced == pytest.approx(0.05, abs=1e-14)
 
@@ -68,7 +76,7 @@ def test_viscous_power_hand_value():
     tau = 0.1
     u = np.array([0.0, 0.03])  # strain rate 0.3
     pr = make_problem(mesh, mat, tau, u=u)
-    terms = dissipation_rhs(pr, pr.w_prev)
+    terms = dissipation_rhs(pr, pr.prev.state.w)
     expect = 0.3 ** 2 / (1.0 + tau * 0.3 ** 2)
     assert float(terms["viscous"].sum()) == pytest.approx(expect, abs=1e-14)
 
@@ -81,7 +89,7 @@ def test_regularized_terms_bounded_by_coefficient_over_tau():
     huge_u = np.array([0.0, 1e4])
     huge_gmu = np.full((mesh.n_elems, 1), 1e7)
     pr = make_problem(mesh, mat, tau, u=huge_u, grad_mu=huge_gmu)
-    terms = dissipation_rhs(pr, pr.w_prev)
+    terms = dissipation_rhs(pr, pr.prev.state.w)
     vol = float(mesh.volumes.sum())
     visc_modulus = mat.visc[0] + 2 * mat.visc[1]
     assert float(terms["viscous"].sum()) / vol <= visc_modulus / tau * (1 + 1e-12)

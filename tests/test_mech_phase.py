@@ -18,6 +18,7 @@ from hydrisim.grid import (
 from hydrisim.mech_phase import (
     FISTA_MAX,
     MechPhaseProblem,
+    StateTerms,
     _m_residual,
     _m_smooth_grad,
     _on_pattern,
@@ -31,6 +32,7 @@ from hydrisim.mech_phase import (
     solve_mech_phase_step,
     tau_max,
 )
+from hydrisim.state import State
 
 from _oracles import prox_instances, prox_scan, scalar_fista
 
@@ -39,13 +41,20 @@ def desk(**kw):
     return dataclasses.replace(desk_default_material(1), **kw)
 
 
-def make_problem(mesh, mat, tau, **kw):
-    n = mesh.n_nodes
-    args = dict(mesh=mesh, mat=mat, tau=tau, u_prev=np.zeros(n),
-                u_prev2=np.zeros(n), m_prev=np.zeros(n),
-                chi_prev=np.zeros(n), w_prev=np.zeros(n))
-    args.update(kw)
-    return MechPhaseProblem(**args)
+def make_problem(mesh, mat, tau, u_prev=None, u_prev2=None, m_prev=None,
+                 chi_prev=None, w_prev=None, **kw):
+    """A problem from a previous state with the given fields, zero where
+    none is given; ``u_prev2`` is the displacement one step before it."""
+    n, d = mesh.n_nodes, mesh.dim
+
+    def given(v, size):
+        return np.zeros(size) if v is None else v
+    st = State(k=0, t=0.0, u=given(u_prev, n * d),
+               u_prev=given(u_prev2, n * d), m=given(m_prev, n),
+               chi=given(chi_prev, n), w=given(w_prev, n), mu=np.zeros(n),
+               xi=np.zeros(n))
+    return MechPhaseProblem(mesh=mesh, mat=mat, tau=tau,
+                            prev=StateTerms(mesh, mat, st), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +167,7 @@ def test_single_node_stick():
     mat = desk(eps_tr=0.0, grad_coeff=0.0, threshold_r=2.0)
     pr = make_problem(mesh, mat, 0.1, chi_prev=np.ones(mesh.n_nodes))
     sol = solve_mech_phase_step(pr)
-    assert np.array_equal(sol.m, pr.m_prev)
+    assert np.array_equal(sol.m, pr.prev.state.m)
 
 
 def test_rate_independent_without_phase_viscosity():
@@ -204,13 +213,13 @@ def test_objective_decreases_from_previous_state():
     pr = make_problem(mesh, mat, 1e-3, chi_prev=chi,
                       w_prev=0.5 * np.ones(n))
     sol = solve_mech_phase_step(pr)
-    j_prev = incremental_objective(pr, pr.u_prev, pr.m_prev)
+    j_prev = incremental_objective(pr, pr.prev.state.u, pr.prev.state.m)
     assert sol.objective <= j_prev + 1e-12 * (1.0 + abs(j_prev))
 
 
 def test_swelling_curve_is_evaluated_once_per_step(monkeypatch):
-    # phi1 and dphi1/dm take a(chi_prev) from the problem; neither
-    # evaluates the curve on its own
+    # phi1 and dphi1/dm take a(chi_prev) from the previous state's terms;
+    # neither evaluates the curve on its own
     from hydrisim import constitutive, mech_phase
     calls = []
     real = constitutive.swelling_curve
@@ -224,7 +233,7 @@ def test_swelling_curve_is_evaluated_once_per_step(monkeypatch):
     n = mesh.n_nodes
     pr = make_problem(mesh, desk(), 1e-3, chi_prev=np.linspace(0.0, 2.0, n),
                       w_prev=0.5 * np.ones(n))
-    incremental_objective(pr, pr.u_prev, pr.m_prev)
+    incremental_objective(pr, pr.prev.state.u, pr.prev.state.m)
     sol = solve_mech_phase_step(pr)
     assert sol.prox_iterations >= 1
     assert len(calls) == 1
@@ -318,10 +327,8 @@ def test_two_dimensional_step_runs():
     mesh = build_mesh(2, (1.0, 1.0), (5, 5))
     mat = desk_default_material(2)
     n = mesh.n_nodes
-    pr = MechPhaseProblem(
-        mesh=mesh, mat=mat, tau=1e-3, u_prev=np.zeros(2 * n),
-        u_prev2=np.zeros(2 * n), m_prev=np.zeros(n),
-        chi_prev=np.linspace(0, 1, n), w_prev=np.zeros(n), opt_tol=1e-8)
+    pr = make_problem(mesh, mat, 1e-3, chi_prev=np.linspace(0, 1, n),
+                      opt_tol=1e-8)
     sol = solve_mech_phase_step(pr)
     assert sol.residual <= 1e-8
     assert sol.u.shape == (2 * n,)
@@ -336,9 +343,8 @@ def test_desk_run_terminal_residuals_stay_absolute():
     st = traj.states
     for k in range(1, traj.n_steps + 1):
         pr = MechPhaseProblem(mesh=traj.mesh, mat=traj.mat, tau=traj.tau,
-                              u_prev=st[k - 1].u, u_prev2=st[k - 1].u_prev,
-                              m_prev=st[k - 1].m, chi_prev=st[k - 1].chi,
-                              w_prev=st[k - 1].w)
+                              prev=StateTerms(traj.mesh, traj.mat,
+                                              st[k - 1]))
         sol = solve_mech_phase_step(pr)
         assert sol.residual <= 1e-10
 
@@ -405,11 +411,12 @@ def test_strain_terms_match_the_separate_matrices(dim, res):
     m = rng.uniform(mat.m_lo, mat.m_hi, n)
     ops = pr.operators()
     A_el, A_visc, _ = _separate_forms(mesh, mat, tau)
-    _, sa_force, sa_node = pr.adiabatic()
-    du, dm = u - u_prev, m - pr.m_prev
+    prev = pr.prev.state
+    sa_force, sa_node = pr.prev.sigma_a_force, pr.prev.s_a
+    du, dm = u - u_prev, m - prev.m
     j_ref = (0.5 / tau * (du @ (A_visc @ du)) + 0.5 * (u @ (A_el @ u))
              - u @ (ops.B @ m) + 0.5 * (m @ (ops.A_m @ m))
-             + np.sum(ops.Mlump * (phi1(mat, m, pr.chi_prev)
+             + np.sum(ops.Mlump * (phi1(mat, m, prev.chi)
                                    + 0.5 * mat.alpha / tau * dm ** 2
                                    + mat.threshold_r * np.abs(dm)
                                    + sa_node * m))
@@ -417,9 +424,9 @@ def test_strain_terms_match_the_separate_matrices(dim, res):
     j = incremental_objective(pr, u, m)
     assert abs(j - j_ref) <= 1e-12 * abs(j_ref)
     assert incremental_objective(pr, u, m, strain(mesh, u)) == j
-    b_ref = (mat.rho / tau ** 2 * ops.Mvec * (2.0 * u_prev - pr.u_prev2)
+    b_ref = (mat.rho / tau ** 2 * ops.Mvec * (2.0 * u_prev - prev.u_prev)
              + (A_visc @ u_prev) / tau - sa_force + pr.f)
-    b = _u_rhs_base(pr, ops, sa_force)
+    b = _u_rhs_base(pr, ops)
     assert np.linalg.norm(b - b_ref) <= 1e-12 * np.linalg.norm(b_ref)
     # the solution carries the strain of its u for the ledger
     sol = solve_mech_phase_step(pr)
@@ -470,34 +477,32 @@ def _phase_block_case(seed=3):
     m_prev = np.where(pick < 0.3, 1.0, np.where(
         pick < 0.6, np.minimum(a - 0.05, 0.99), rng.uniform(0.0, 0.7, n)))
     u = rng.normal(0.0, 0.05, 2 * n)
-    pr = MechPhaseProblem(mesh=mesh, mat=mat, tau=1e-2, u_prev=u, u_prev2=u,
-                          m_prev=m_prev, chi_prev=chi,
-                          w_prev=rng.uniform(0.0, 1.0, n))
+    pr = make_problem(mesh, mat, 1e-2, u_prev=u, u_prev2=u, m_prev=m_prev,
+                      chi_prev=chi, w_prev=rng.uniform(0.0, 1.0, n))
     return pr, u
 
 
 def test_phase_block_matches_scalar_fista_oracle():
     pr, u = _phase_block_case()
     mat, ops = pr.mat, pr.operators()
-    sa_node = pr.adiabatic().s_node
+    m_prev = pr.prev.state.m
     tol = 1e-11
-    m, g, _, iters = _solve_m_block(pr, ops, u, pr.m_prev, sa_node, tol,
-                                    FISTA_MAX)
+    m, g, _, iters = _solve_m_block(pr, ops, u, m_prev, tol, FISTA_MAX)
     Bu = ops.B.T @ u
 
     def grad(x):
-        return _m_smooth_grad(pr, ops, x, ops.A_m @ x, Bu, sa_node)
+        return _m_smooth_grad(pr, ops, x, ops.A_m @ x, Bu)
 
     def converged(x, g):
-        r = _m_residual(g, x, pr.m_prev, ops.Mlump, mat.threshold_r,
+        r = _m_residual(g, x, m_prev, ops.Mlump, mat.threshold_r,
                         mat.m_lo, mat.m_hi)
         return np.sqrt(np.sum(r ** 2 / ops.Mlump)) <= tol
 
     m_ref, iters_ref = scalar_fista(
-        grad, float(ops.lipschitz.max()), pr.m_prev,
-        ops.Mlump * mat.threshold_r, mat.m_lo, mat.m_hi, pr.m_prev, converged)
+        grad, float(ops.lipschitz.max()), m_prev,
+        ops.Mlump * mat.threshold_r, mat.m_lo, mat.m_hi, m_prev, converged)
     # the case exercises every branch of the nodal prox
-    d = m - pr.m_prev
+    d = m - m_prev
     inside = (m > mat.m_lo) & (m < mat.m_hi)
     assert np.sum(inside & (d == 0.0)) >= 3      # stick
     assert np.sum(inside & (d != 0.0)) >= 3      # slip
