@@ -484,8 +484,9 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
             dsol = solve_chi_step(dpr)
 
             hpr = HeatProblem(
-                mesh=mesh, mat=mat, tau=cfg.tau, prev=terms, u=sol.u,
-                m=sol.m, grad_mu=dsol.grad_mu, q=src["q"], q_s=src["q_s"],
+                mesh=mesh, mat=mat, tau=cfg.tau, prev=terms,
+                eps_new=sol.strain, m=sol.m, grad_mu=dsol.grad_mu,
+                q=src["q"], q_s=src["q_s"],
                 cg_tol=cfg.cg_tol, picard_tol=cfg.picard_tol,
                 picard_max=cfg.picard_max, op=heat_op)
             hsol = solve_w_step(hpr)

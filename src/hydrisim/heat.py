@@ -48,7 +48,6 @@ from .grid import (
     lump_elements,
     lumped_mass,
     stiffness_with_diag,
-    strain,
     tensor_grid_inverse,
 )
 
@@ -57,8 +56,9 @@ from .grid import (
 class HeatProblem:
     """Frozen data of one enthalpy increment.
 
-    ``prev`` holds the previous state and its arrays, ``u`` and ``m`` are
-    the new displacement and phase.  ``q`` holds nodal source values (per
+    ``prev`` holds the previous state and its arrays, ``eps_new`` is the
+    element strain of the new displacement (``MechPhaseSolution.strain``)
+    and ``m`` the new phase.  ``q`` holds nodal source values (per
     unit volume), ``q_s`` an already-assembled boundary load vector; None
     means zero.  ``grad_mu`` is the element chemical-potential gradient
     from the diffusion step.
@@ -70,7 +70,7 @@ class HeatProblem:
     mat: MaterialModel
     tau: float
     prev: StateTerms
-    u: np.ndarray
+    eps_new: np.ndarray
     m: np.ndarray
     grad_mu: np.ndarray
     q: np.ndarray | None = None
@@ -110,7 +110,7 @@ class HeatSolution:
     cg_iterations: int  # inner PCG iterations, summed; 0 off a 2D grid
     update_norm: float
     produced: dict  # integrated right-hand-side terms, by name
-    strain_rate: np.ndarray  # element strain of (u - u_prev)/tau
+    strain_rate: np.ndarray  # (eps(u) - eps(u_prev))/tau, per element
 
 
 def dissipation_rhs(pr: HeatProblem, w_lin: np.ndarray) -> dict:
@@ -130,9 +130,9 @@ def _fixed_terms(pr: HeatProblem) -> tuple:
     vectors, with None for the two that depend on w.  The key order is
     the order in which the right-hand side adds them."""
     mesh, mat, tau = pr.mesh, pr.mat, pr.tau
-    st = pr.prev.state
     Ml = lumped_mass(mesh)
-    rate = strain(mesh, (pr.u - st.u) / tau)
+    # strain is linear in u: the rate is the difference of the strains
+    rate = (pr.eps_new - pr.prev.strain) / tau
     rate2 = np.einsum("eij,eij->e", rate, rate)
     visc_density = np.einsum("eij,eij->e", apply_viscosity(mat, rate), rate) \
         / (1.0 + tau * rate2)
@@ -140,7 +140,7 @@ def _fixed_terms(pr: HeatProblem) -> tuple:
     gmu2 = np.einsum("ei,ei->e", pr.grad_mu, pr.grad_mu)
     diff_density = mat.M0 * gmu2 / (1.0 + tau * gmu2)
 
-    dm = (pr.m - st.m) / tau
+    dm = (pr.m - pr.prev.state.m) / tau
     act_nodal = mat.threshold_r * np.abs(dm)
     loads = {
         "viscous": lump_elements(mesh, visc_density),

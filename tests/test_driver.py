@@ -130,13 +130,16 @@ def test_each_step_quantity_is_evaluated_once(monkeypatch):
         count(module, "assemble_mu")
     # the strain of each state once: the initial ledger row builds eps(u0)
     # and each step's final objective eps(u_new), which seeds the new
-    # state's terms; the enthalpy solve adds the strain rate
-    for module in (mech_phase, energy_audit, heat):
+    # state's terms; the enthalpy solve takes the strain rate from the
+    # two strains and binds no strain of its own
+    assert not hasattr(heat, "strain")
+    for module in (mech_phase, energy_audit):
         count(module, "strain")
     # a(chi) once per state, for the step leaving it and both ledger rows
     # it enters; sigma_a once per state left and once per later Picard
     # iterate of the enthalpy solve, whose first iterate reads the
-    # state's own
+    # state's own; the ledger binds no swelling curve of its own
+    assert not hasattr(energy_audit, "swelling_curve")
     count(mech_phase, "swelling_curve")
     for module in (mech_phase, heat):
         count(module, "sigma_a_tensor")
@@ -146,7 +149,7 @@ def test_each_step_quantity_is_evaluated_once(monkeypatch):
     assert traj.n_steps == n
     assert traj.mesh.half_bandwidth <= diffusion._BAND_MAX
     assert counts.get("assemble_mu") == n + 1
-    assert counts.get("strain") == 1 + 2 * n
+    assert counts.get("strain") == 1 + n
     assert counts.get("swelling_curve") == n + 1
     picard_w = traj.meta["iterations"]["picard_w"]
     assert picard_w > n

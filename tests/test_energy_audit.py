@@ -56,7 +56,8 @@ def stage_arrays(mesh, mat, prev, cur, tau):
     """The stage results ledger_step takes as keywords, rebuilt from the
     two states by the public functions."""
     return dict(grad_mu=assemble_mu(mesh, mat, cur.m, cur.chi)[1],
-                strain_rate=strain(mesh, cur.velocity(tau)))
+                strain_rate=(strain(mesh, cur.u) - strain(mesh, prev.u))
+                / tau)
 
 
 def state_arrays(mesh, mat, st):

@@ -14,6 +14,7 @@ from hydrisim.grid import (
     lump_elements,
     lumped_mass,
     stiffness,
+    strain,
 )
 from hydrisim import heat
 from hydrisim.heat import HeatProblem, dissipation_rhs, solve_w_step
@@ -27,10 +28,10 @@ def desk(**kw):
     return dataclasses.replace(desk_default_material(1), **kw)
 
 
-def make_problem(mesh, mat, tau, u_prev=None, m_prev=None, w_prev=None,
-                 **kw):
+def make_problem(mesh, mat, tau, u=None, u_prev=None, m_prev=None,
+                 w_prev=None, **kw):
     """A problem from a previous state with the given fields, zero where
-    none is given."""
+    none is given, to the new displacement ``u``."""
     n = mesh.n_nodes
     d = mesh.dim
     z = np.zeros(n)
@@ -38,8 +39,9 @@ def make_problem(mesh, mat, tau, u_prev=None, m_prev=None, w_prev=None,
                  u=np.zeros(n * d) if u_prev is None else u_prev,
                  u_prev=np.zeros(n * d), m=z if m_prev is None else m_prev,
                  chi=z, w=z if w_prev is None else w_prev, mu=z, xi=z)
+    eps_new = strain(mesh, np.zeros(n * d) if u is None else u)
     args = dict(mesh=mesh, mat=mat, tau=tau,
-                prev=StateTerms(mesh, mat, prev), u=np.zeros(n * d),
+                prev=StateTerms(mesh, mat, prev), eps_new=eps_new,
                 m=np.zeros(n), grad_mu=np.zeros((mesh.n_elems, d)))
     args.update(kw)
     return HeatProblem(**args)
