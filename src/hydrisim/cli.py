@@ -136,6 +136,17 @@ def _parse_pair(raw: str, context: str, conv=_parse_float):
     return vals
 
 
+def _parse_vector(raw: str, variables: str, context: str, dim: int,
+                  label: str | None = None) -> list:
+    """Ramps of the ``;``-separated components of a vector value, one
+    per axis; ``label`` names the value in the count error."""
+    comps = [parse_ramp(c, variables, context) for c in raw.split(";")]
+    if len(comps) != dim:
+        raise ConfigError("%s: expected %d components"
+                          % (label or context, dim))
+    return comps
+
+
 def _split_sides(raw: str, context: str):
     """Break ``left: expr right: expr`` into side chunks; an untagged
     value applies to every side of the mesh."""
@@ -167,10 +178,8 @@ def _side_ramps(raw: str, context: str, dim: int, vector: bool):
     out = {}
     for side, chunk in chunks.items():
         if vector:
-            comps = [parse_ramp(c, "t", context) for c in chunk.split(";")]
-            if len(comps) != dim:
-                raise ConfigError("%s[%s]: expected %d components"
-                                  % (context, side, dim))
+            comps = _parse_vector(chunk, "t", context, dim,
+                                  "%s[%s]" % (context, side))
             out[side] = (lambda t, cc=comps:
                          np.array([c(None, t) for c in cc]))
         else:
@@ -274,21 +283,15 @@ def parse_config(path: str) -> RunConfig:
                 lambda coords, rr=ramp: rr(coords))
     for key in ("u0", "v0"):
         if key in ini:
-            comps = [parse_ramp(c, spatial, "[initial] %s" % key)
-                     for c in ini[key].split(";")]
-            if len(comps) != dim:
-                raise ConfigError("[initial] %s: expected %d components"
-                                  % (key, dim))
+            comps = _parse_vector(ini[key], spatial, "[initial] %s" % key,
+                                  dim)
             init_kw[key] = (lambda coords, cc=comps:
                             np.stack([c(coords) for c in cc], axis=1))
 
     src = sec("sources")
     src_kw = {}
     if "f" in src:
-        comps = [parse_ramp(c, spatial + "t", "[sources] f")
-                 for c in src["f"].split(";")]
-        if len(comps) != dim:
-            raise ConfigError("[sources] f: expected %d components" % dim)
+        comps = _parse_vector(src["f"], spatial + "t", "[sources] f", dim)
         src_kw["f"] = (lambda coords, t, cc=comps:
                        np.stack([c(coords, t) for c in cc], axis=1))
     if "q" in src:

@@ -194,10 +194,15 @@ def _transformation_stress(mat: MaterialModel) -> np.ndarray:
 
 class StateTerms:
     """The arrays of one state that the step leaving it, the enthalpy
-    solve and the energy ledger share.  Each is evaluated on its first
-    read and kept, so every reader gets the same bits from one
-    evaluation; ``strain`` is ``strain(mesh, state.u)`` when the caller
-    holds it.  The state's arrays must not change once a term is read.
+    solve and the energy ledger share: the element strain eps(u), the
+    element means of m and w, the elastic strain eps(u) - mean(m) eps_tr,
+    the nodal a(chi) and phi1(m, chi), the element sigma_a at the
+    midpoint m and w, its nodal force and the nodal s_a(m, w).
+
+    Each is evaluated on its first read and kept, so every reader gets
+    the same bits from one evaluation; ``strain`` is ``strain(mesh,
+    state.u)`` when the caller holds it.  The state's arrays must not
+    change once a term is read.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialModel, state: State,
@@ -208,7 +213,6 @@ class StateTerms:
 
     @cached_property
     def strain(self) -> np.ndarray:
-        """Element strain eps(u)."""
         return strain(self.mesh, self.state.u)
 
     @cached_property
@@ -221,32 +225,26 @@ class StateTerms:
 
     @cached_property
     def elastic_strain(self) -> np.ndarray:
-        """Element elastic strain eps(u) - mean(m) eps_tr."""
         return self.strain - self.m_mean[:, None, None] * self.mat.eps_tr_mat
 
     @cached_property
     def swelling(self) -> np.ndarray:
-        """Nodal swelling curve a(chi)."""
         return swelling_curve(self.mat, self.state.chi)
 
     @cached_property
     def phi1(self) -> np.ndarray:
-        """Nodal phi1(m, chi)."""
         return phi1(self.mat, self.state.m, self.state.chi, a=self.swelling)
 
     @cached_property
     def sigma_a(self) -> np.ndarray:
-        """Element sigma_a at the midpoint m and w."""
         return sigma_a_tensor(self.mat, self.m_mean, self.w_mean)
 
     @cached_property
     def sigma_a_force(self) -> np.ndarray:
-        """The nodal force of sigma_a, strain_adjoint(sigma_a)."""
         return strain_adjoint(self.mesh, self.sigma_a)
 
     @cached_property
     def s_a(self) -> np.ndarray:
-        """Nodal s_a(m, w)."""
         return s_a(self.mat, self.state.m, self.state.w)
 
 

@@ -313,6 +313,11 @@ GATED_IDS = ["q-negative", "h_s-drain", "q_s-ramp-negative", "chi0-negative",
      "u0: expected 1 components"),
     ("validate", "[domain]\ndim = 2\n\n[sources]\nf = 1\n", None,
      "f: expected 2 components"),
+    ("validate", "[domain]\ndim = 2\n\n[initial]\nv0 = 1; 2; 3\n", None,
+     "[initial] v0: expected 2 components"),
+    ("validate", "[domain]\ndim = 2\n\n[sources]\n"
+     "f_s = left: 1; 0 right: 1\n", None,
+     "[sources] f_s[right]: expected 2 components"),
     ("validate", "[solver]\npicard_max = 2.5\n", None, "picard_max"),
     ("validate", "[solver]\nopt_max = 3.9\n", None, "opt_max"),
     # a step whose tau^2 leaves the floats (rho/tau^2 divided by zero, or
@@ -334,6 +339,7 @@ GATED_IDS = ["q-negative", "h_s-drain", "q_s-ramp-negative", "chi0-negative",
         "cg_tol-zero", "out-is-file", "out-under-file", "every_n-2.5",
         "every_n-0.5", "every_n-negative", "dim-1.7", "resolution-12.9",
         "dim-3", "vtk-not-boolean", "u0-components", "f-components",
+        "v0-components", "f_s-components",
         "picard_max-2.5", "opt_max-3.9", "tau-1e-300", "tau-1e200",
         "T-over-tau-overflow", "lengths-1e-300", "lengths-1e-300-2d",
         *["validate-" + i for i in GATED_IDS],
