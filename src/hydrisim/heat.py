@@ -37,7 +37,6 @@ from .constitutive import (
     s_a,
     sigma_a_tensor,
 )
-from .mech_phase import StateTerms
 from .errors import NEG_TOL, InvariantViolation, StepFailure
 from .grid import (
     Mesh,
@@ -50,6 +49,7 @@ from .grid import (
     stiffness_with_diag,
     tensor_grid_inverse,
 )
+from .mech_phase import StateTerms
 
 
 @dataclass

@@ -25,9 +25,7 @@ with the quadrature of the energy ledger, so the separate elastic and
 viscous matrices are never built.
 
 ``StateTerms`` holds the arrays of one state that more than one stage
-reads: its strain, the element means of m and w, the elastic strain, the
-swelling curve a(chi), phi1 and the adiabatic sigma_a, its nodal force
-and s_a, each evaluated on first read.  A step reads the terms of its
+reads, each evaluated on first read.  A step reads the terms of its
 previous state from the problem and returns the strain of its new state
 with the solution; the driver seeds the new state's terms with it, and
 the enthalpy solve, the energy ledger and the next step read them again.
