@@ -466,8 +466,7 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
                 mesh=mesh, mat=mat, tau=cfg.tau, prev=terms, f=src["f"],
                 f_s=src["f_s"], cg_tol=cfg.cg_tol, opt_tol=opt_tol,
                 opt_max=cfg.opt_max, ops=ops)
-            j_prev = incremental_objective(pr, state.u, state.m,
-                                           terms.strain)
+            j_prev = incremental_objective(pr, state.u, state.m)
             sol = solve_mech_phase_step(pr)
             if sol.objective > j_prev + OBJECTIVE_TOL * (1.0 + abs(j_prev)):
                 raise InvariantViolation(

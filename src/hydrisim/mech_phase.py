@@ -129,6 +129,7 @@ class MechOperators:
     Mvec: np.ndarray
     A_m: sp.csr_matrix  # phase-gradient stiffness + transformation coupling
     B: sp.csr_matrix
+    B_t: sp.csc_matrix  # B.T, a view on B's arrays built once
     A_u: sp.csr_matrix
     u_solver: SPDSolver
     lipschitz: np.ndarray  # per-node step metric D, majorizes the m-Hessian
@@ -156,7 +157,8 @@ def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators
     lipschitz = np.asarray(abs(H).sum(axis=1)).ravel()
     u_solver = SPDSolver(A_u, "displacement solve", tensor_grid_inverse(
         mesh, *_displacement_models(mat, tau)))
-    return MechOperators(tau, Mlump, Mvec, A_m, B, A_u, u_solver, lipschitz)
+    return MechOperators(tau, Mlump, Mvec, A_m, B, B.T, A_u, u_solver,
+                         lipschitz)
 
 
 def _displacement_models(mat: MaterialModel, tau: float):
@@ -317,7 +319,7 @@ def _solve_m_block(pr, ops, u, m_start, tol, max_iter):
     """FISTA with restart in the metric D = ops.lipschitz and one A_m product
     per iteration; returns m, g(m), its nodal residual and the count."""
     mat, m_prev = pr.mat, pr.prev.state.m
-    Bu = ops.B.T @ u
+    Bu = ops.B_t @ u
     D = ops.lipschitz
     kappa = ops.Mlump * mat.threshold_r
     lo, hi = mat.m_lo, mat.m_hi
@@ -368,27 +370,33 @@ def incremental_objective(pr: MechPhaseProblem, u: np.ndarray,
 
     ``eps`` is ``strain(pr.mesh, u)`` when the caller holds it.  The
     elastic and viscous terms are element quadratures of eps(u) and of
-    eps(u) - eps(u_prev), as in the energy ledger.
+    eps(u) - eps(u_prev), as in the energy ledger.  At the very arrays u
+    and m of ``pr.prev``, the viscous, alpha and activation terms are
+    exactly 0 and skipped, and phi1 is read from ``pr.prev``.
     """
     mat, prev = pr.mat, pr.prev
     ops = pr.operators()
     if np.any(m < mat.m_lo) or np.any(m > mat.m_hi):
         return np.inf
-    if eps is None:
-        eps = strain(pr.mesh, u)
+    at_prev = u is prev.state.u and m is prev.state.m
+    if at_prev or eps is None:
+        eps = prev.strain if at_prev else strain(pr.mesh, u)
     acc = u - 2.0 * prev.state.u + prev.state.u_prev
-    deps = eps - prev.strain
-    dm = m - prev.state.m
     val = 0.5 * mat.rho / pr.tau ** 2 * np.sum(ops.Mvec * acc ** 2)
-    val += 0.5 / pr.tau * strain_pairing(pr.mesh, apply_viscosity(mat, deps),
-                                         deps)
+    if at_prev:
+        nodal = prev.phi1 + prev.s_a * m
+    else:
+        deps = eps - prev.strain
+        dm = m - prev.state.m
+        val += 0.5 / pr.tau * strain_pairing(
+            pr.mesh, apply_viscosity(mat, deps), deps)
+        nodal = (phi1(mat, m, prev.state.chi, a=prev.swelling)
+                 + 0.5 * mat.alpha / pr.tau * dm ** 2
+                 + mat.threshold_r * np.abs(dm) + prev.s_a * m)
     val += 0.5 * strain_pairing(pr.mesh, apply_elastic(mat, eps), eps)
     val -= u @ (ops.B @ m)
     val += 0.5 * (m @ (ops.A_m @ m))
-    val += np.sum(ops.Mlump * (phi1(mat, m, prev.state.chi, a=prev.swelling)
-                               + 0.5 * mat.alpha / pr.tau * dm ** 2
-                               + mat.threshold_r * np.abs(dm)
-                               + prev.s_a * m))
+    val += np.sum(ops.Mlump * nodal)
     val += prev.sigma_a_force @ u
     for load in (pr.f, pr.f_s):
         if load is not None:

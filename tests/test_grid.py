@@ -1,12 +1,20 @@
 """Mesh construction and assembly against hand-computed small cases."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import (
+    LinAlgError,
+    cho_solve_banded,
+    cholesky_banded,
+    solveh_banded,
+)
 
+from hydrisim import grid
 from hydrisim.grid import (
     SPDSolver,
     boundary_functional,
@@ -23,6 +31,7 @@ from hydrisim.grid import (
     stiffness,
     stiffness_with_diag,
     strain,
+    solve_stiffness_banded,
     strain_adjoint,
     tensor_grid_inverse,
     vector_grad_op,
@@ -279,6 +288,67 @@ def test_failed_banded_cholesky_is_step_failure(make):
     grid = build_mesh(2, (1.0, 1.0), (7, 5))
     with pytest.raises(StepFailure, match="Riesz map: banded Cholesky"):
         SPDSolver(stiffness_with_diag(grid, *make(grid)), "Riesz map")
+
+
+def _stiffness_band(mesh, coeff, diag):
+    """The LAPACK upper band of ``stiffness_with_diag(mesh, coeff, diag)``."""
+    kd, upper, pos = mesh._stiff_band
+    A = stiffness_with_diag(mesh, coeff, diag)
+    return A, grid._band(kd, pos, A.data[upper], mesh.n_nodes)
+
+
+# a segment's band is tridiagonal (kd = 1, ?ptsv), a grid's is wider (?pbsv)
+@pytest.mark.parametrize("dim, res, kd", [(1, (40,), 1), (2, (6, 5), 6)],
+                         ids=["line40-ptsv", "rect6x5-pbsv"])
+def test_bound_lapack_solves_match_scipy_bitwise(dim, res, kd):
+    mesh = build_mesh(dim, (1.0,) * dim, res)
+    assert mesh.half_bandwidth == kd
+    rng = np.random.default_rng(7)
+    coeff = rng.uniform(0.5, 2.0, mesh.n_elems)
+    diag = lumped_mass(mesh) / 1e-3
+    b = rng.normal(size=mesh.n_nodes)
+    A, ab = _stiffness_band(mesh, coeff, diag)
+    x = solve_stiffness_banded(mesh, coeff, diag, b, "concentration solve")
+    assert np.array_equal(x, solveh_banded(ab, b))
+    solver = SPDSolver(A, "Riesz map")
+    factor = cholesky_banded(ab)
+    assert np.array_equal(solver.factor, factor)
+    assert np.array_equal(solver.solve(b, None, 0.0)[0],
+                          cho_solve_banded((factor, False), b))
+
+
+@pytest.mark.parametrize("dim, res", [(1, (20,)), (2, (6, 5))],
+                         ids=["line20-ptsv", "rect6x5-pbsv"])
+def test_bound_lapack_failures_keep_their_messages(dim, res):
+    mesh = build_mesh(dim, (1.0,) * dim, res)
+    b = np.ones(mesh.n_nodes)
+    coeff, diag = _negative_diagonal(mesh)
+    _, ab = _stiffness_band(mesh, coeff, diag)
+    with pytest.raises(LinAlgError) as ref:
+        solveh_banded(ab, b)
+    with pytest.raises(StepFailure) as got:
+        solve_stiffness_banded(mesh, coeff, diag, b, "concentration solve")
+    assert str(got.value) == (
+        f"concentration solve: banded Cholesky failed: {ref.value}")
+    # the factor fails at the same leading minor as scipy's
+    with pytest.raises(LinAlgError) as ref:
+        cholesky_banded(ab)
+    with pytest.raises(StepFailure) as got:
+        SPDSolver(stiffness_with_diag(mesh, coeff, diag), "Riesz map")
+    minor = re.match(r"\d+", str(ref.value)).group()
+    assert str(got.value) == (f"Riesz map: banded Cholesky failed: {minor}th"
+                              " leading minor not positive definite")
+    # LAPACK passes a NaN load through; the solves refuse it
+    b[mesh.n_nodes // 2] = np.nan
+    diag = lumped_mass(mesh) / 1e-3
+    nan_result = "banded Cholesky gave non-finite values"
+    with pytest.raises(StepFailure) as got:
+        solve_stiffness_banded(mesh, 1.0, diag, b, "concentration solve")
+    assert str(got.value) == f"concentration solve: {nan_result}"
+    solver = SPDSolver(stiffness_with_diag(mesh, 1.0, diag), "Riesz map")
+    with pytest.raises(StepFailure) as got:
+        solver.solve(b, None, 0.0)
+    assert str(got.value) == f"Riesz map: {nan_result}"
 
 
 def test_spd_solver_without_preconditioner_factors_a_2d_matrix():

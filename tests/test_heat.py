@@ -239,18 +239,22 @@ def test_produced_breakdown_keys_and_signs():
         assert sol.produced[name] >= 0.0
 
 
-def test_fixed_point_residual_with_cross_conduction():
+def _cross_conduction_problem():
     # the bench runs K0 = M0 = 1 and c0 independent of m; here c0 depends
     # on m, so L = K0 dtheta/dm is nonzero where w > 0 and m varies
     mesh = build_mesh(1, (1.0,), 20)
-    mat = desk(c0_m_slope=0.3, K0=0.7, M0=2.5)
-    tau = 1e-3
-    ne = mesh.n_elems
     x = mesh.coords[:, 0]
-    m = 0.2 + 0.5 * x
-    w0 = 0.5 + 0.3 * np.cos(np.pi * x)
-    pr = make_problem(mesh, mat, tau, m=m, m_prev=m, w_prev=w0,
-                      grad_mu=np.full((ne, 1), 0.8))
+    return make_problem(mesh, desk(c0_m_slope=0.3, K0=0.7, M0=2.5), 1e-3,
+                        m=0.2 + 0.5 * x, m_prev=0.2 + 0.5 * x,
+                        w_prev=0.5 + 0.3 * np.cos(np.pi * x),
+                        grad_mu=np.full((mesh.n_elems, 1), 0.8))
+
+
+def test_fixed_point_residual_with_cross_conduction():
+    pr = _cross_conduction_problem()
+    mesh, mat, tau, m = pr.mesh, pr.mat, pr.tau, pr.m
+    ne = mesh.n_elems
+    w0 = pr.prev.state.w
     sol = solve_w_step(pr)
     # rebuild the final linear system at the returned iterate
     Ml = lumped_mass(mesh)
@@ -268,6 +272,18 @@ def test_fixed_point_residual_with_cross_conduction():
 
     assert dual(res) <= 1e-8
     assert dual(cross) > 1e-3
+
+
+def test_cross_conduction_takes_one_mean_of_w_per_iterate(monkeypatch):
+    # each iterate's element mean of w feeds both sigma_a and the cross
+    # conduction; the first iterate reads the previous state's
+    calls = []
+    monkeypatch.setattr(heat, "elem_mean",
+                        lambda *a: calls.append(1) or elem_mean(*a))
+    sol = solve_w_step(_cross_conduction_problem())
+    # the mean of m once, then one mean of w per iterate after the first
+    assert sol.iterations == 4
+    assert len(calls) == 4
 
 
 def test_cross_conduction_skipped_without_c0_slope(monkeypatch):

@@ -217,6 +217,36 @@ def test_objective_decreases_from_previous_state():
     assert sol.objective <= j_prev + 1e-12 * (1.0 + abs(j_prev))
 
 
+def test_objective_at_the_previous_state_skips_only_zero_terms(monkeypatch):
+    # at the previous state's own arrays the viscous, alpha and activation
+    # terms are exact zeros and phi1 is the state's own: dropping them
+    # gives the same bits as the full evaluation at equal copies
+    from hydrisim import mech_phase
+    mesh = build_mesh(1, (1.0,), 20)
+    n = mesh.n_nodes
+    rng = np.random.default_rng(11)
+    u_prev = rng.normal(0.0, 0.01, n)
+    pr = make_problem(mesh, desk(threshold_r=0.3), 1e-3, u_prev=u_prev,
+                      u_prev2=0.5 * u_prev, m_prev=rng.uniform(0.2, 0.8, n),
+                      chi_prev=np.linspace(0.0, 2.0, n),
+                      w_prev=rng.uniform(0.1, 1.0, n))
+    st = pr.prev.state
+    full = incremental_objective(pr, st.u.copy(), st.m.copy())
+    calls = []
+    monkeypatch.setattr(mech_phase, "apply_viscosity",
+                        lambda *a: calls.append(1))
+    assert incremental_objective(pr, st.u, st.m) == full
+    assert not calls
+
+
+def test_cached_transpose_of_b_shares_its_arrays():
+    # a copy would add nnz(B) doubles to the peak memory of a 2D run
+    mesh = build_mesh(2, (1.0, 1.0), (7, 4))
+    ops = build_operators(mesh, desk_default_material(2), 1e-3)
+    assert np.shares_memory(ops.B_t.data, ops.B.data)
+    assert np.array_equal(ops.B_t.toarray(), ops.B.toarray().T)
+
+
 def test_swelling_curve_is_evaluated_once_per_step(monkeypatch):
     # phi1 and dphi1/dm take a(chi_prev) from the previous state's terms;
     # neither evaluates the curve on its own
