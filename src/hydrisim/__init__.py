@@ -2,6 +2,9 @@
 conduction for metal-hydride storage, discretised by a semi-implicit
 staggered scheme with a built-in energy audit."""
 
+# bound before the submodules load: the driver writes it to its manifest
+__version__ = "0.1.0"
+
 from .constitutive import (
     MaterialModel,
     desk_default_material,
@@ -46,9 +49,8 @@ from .driver import (
     interpolant_eval,
     refine_study,
     run,
+    steps,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "MaterialModel", "desk_default_material", "omega_of_theta", "theta_of_w",
@@ -65,6 +67,6 @@ __all__ = [
     "write_energy_csv",
     "State", "Trajectory",
     "RunConfig", "desk_default_config", "interpolant_eval", "refine_study",
-    "run",
+    "run", "steps",
     "__version__",
 ]

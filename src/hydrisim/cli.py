@@ -344,7 +344,7 @@ def _cmd_simulate(args) -> int:
         cfg = dataclasses.replace(cfg, outdir=args.out)
     if not cfg.outdir:
         cfg = dataclasses.replace(cfg, outdir="out")
-    traj = run(cfg, keep_states=False)
+    traj = run(cfg)
     last = traj.rows[-1]
     print("completed %d steps to T=%g" % (traj.n_steps, traj.T))
     print("final energies: kinetic=%.6g stored=%.6g gradient=%.6g "

@@ -316,13 +316,19 @@ def swelling_curve(mat: MaterialModel, chi, order: int = 0):
     assumptions ask of the chemo-phase coupling.
     """
     chi = np.asarray(chi, float)
-    q = 1.0 + chi**2
+    chi2 = chi**2
+    return _swelling(mat, chi, chi2, 1.0 + chi2, order)
+
+
+def _swelling(mat: MaterialModel, chi, chi2, q, order: int):
+    """``swelling_curve`` from chi2 = chi**2 (not read by order 1) and
+    q = 1 + chi2."""
     if order == 0:
-        return mat.a1 * chi**2 / q
+        return mat.a1 * chi2 / q
     if order == 1:
         return 2.0 * mat.a1 * chi / q**2
     if order == 2:
-        return 2.0 * mat.a1 * (1.0 - 3.0 * chi**2) / q**3
+        return 2.0 * mat.a1 * (1.0 - 3.0 * chi2) / q**3
     raise ValueError("order must be 0, 1 or 2")
 
 
@@ -372,10 +378,17 @@ def d2phi1_dmchi(mat: MaterialModel, m, chi):
 
 def chi_curvatures(mat: MaterialModel, m, chi):
     """d2phi1/dchi2 and d2phi1/dm dchi at (m, chi), from one evaluation
-    of each order of the swelling curve."""
-    a = swelling_curve(mat, chi)
-    da = swelling_curve(mat, chi, 1)
-    dda = swelling_curve(mat, chi, 2)
+    of each order of the swelling curve on one chi**2 and 1 + chi**2."""
+    chi = np.asarray(chi, float)
+    chi2 = chi**2
+    q = 1.0 + chi2
+    a = _swelling(mat, chi, chi2, q, 0)
+    dda = _swelling(mat, chi, chi2, q, 2)
+    # each dropped once no order left reads it: no more arrays held at
+    # once than by three swelling_curve calls
+    del chi2
+    da = _swelling(mat, chi, None, q, 1)
+    del q
     return (mat.coupling_k * ((a - np.asarray(m, float)) * dda + da**2)
             + mat.phi1_kappa, -mat.coupling_k * da)
 

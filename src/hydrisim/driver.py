@@ -14,11 +14,12 @@ import json
 import logging
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _snapshot
+from . import __version__, _snapshot
 from .constitutive import (
     MaterialModel,
     desk_default_material,
@@ -28,14 +29,7 @@ from .constitutive import (
 from .diffusion import DiffusionProblem, assemble_mu, solve_chi_step
 from .energy_audit import initial_row, ledger_step, slack, write_energy_csv
 from .errors import NEG_TOL, ConfigError, InvariantViolation
-from .grid import (
-    Mesh,
-    boundary_functional,
-    build_mesh,
-    lumped_mass,
-    strain,
-    vector_lumped_mass,
-)
+from .grid import Mesh, boundary_functional, build_mesh, vector_lumped_mass
 from .heat import HeatProblem, build_heat_operator, solve_w_step
 from .mech_phase import (
     MechPhaseProblem,
@@ -51,14 +45,6 @@ log = logging.getLogger(__name__)
 
 SLACK_TOL = 1e-9
 OBJECTIVE_TOL = 1e-9
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("hydrisim")
-    except Exception:
-        return "unknown"
 
 
 @dataclass
@@ -357,7 +343,7 @@ def _manifest(cfg: RunConfig, mat: MaterialModel, mesh: Mesh, n: int,
     mat_dict = {f.name: enc(getattr(mat, f.name))
                 for f in dataclasses.fields(mat)}
     return {
-        "version": _package_version(),
+        "version": __version__,
         "config": cfg_dict,
         "material": mat_dict,
         "defaulted": sorted(defaulted),
@@ -376,7 +362,7 @@ def prepare(config: RunConfig) -> tuple:
     total below -NEG_TOL sum(Ml) puts a node below the chi >= 0 invariant.
     Raises ConfigError (exit 2) at the first that fails.  Returns the
     material, step count, mesh, initial state and source assembler that
-    ``run`` starts from; ``hydrisim validate`` calls this too, so it
+    ``steps`` starts from; ``hydrisim validate`` calls this too, so it
     passes exactly what a run accepts up to step 1.
     """
     cfg = config
@@ -424,15 +410,16 @@ def prepare(config: RunConfig) -> tuple:
     return mat, n, mesh, state, sources
 
 
-def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
-    """Advance the scheme from t=0 over the configured horizon.
+def steps(config: RunConfig):
+    """Advance the scheme from t=0 over the configured horizon, yielding
+    the initial state and then each step's new one as ``(state, terms,
+    row, iterations)``: the ``State``, its ``StateTerms``, its ledger row
+    and the iteration counts of its step (none for the initial state).
 
-    Returns the trajectory with one ledger row per step and, with
-    ``keep_states``, every state.  Without it only the previous and the
-    new state are held at any time, so memory does not grow with the
-    step count; the rows, snapshots and output files are the same.
-    ``prepare`` checks the inputs before anything is written.  Aborts
-    with InvariantViolation the moment a guaranteed property fails.
+    ``prepare`` checks the inputs first.  Between yields only the latest
+    state and what its successor needs are held, so memory does not grow
+    with the step count.  Aborts with InvariantViolation, naming the
+    step, the moment a guaranteed property fails.
     """
     cfg = config
     mat, n, mesh, state, sources = prepare(cfg)
@@ -440,26 +427,11 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
         1e-10 if cfg.dim == 1 else 1e-8)
 
     row, terms = initial_row(mesh, mat, state, cfg.tau)
-    rows = [row]
-    states = [state] if keep_states else []
     ops = build_operators(mesh, mat, cfg.tau)
     heat_op = build_heat_operator(mesh, mat, cfg.tau)
-
-    outdir = cfg.outdir
-    if outdir:
+    yield state, terms, row, {}
+    for k in range(1, n + 1):
         try:
-            os.makedirs(outdir, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError("output directory %r cannot be created: %s"
-                              % (outdir, exc.strerror)) from None
-    snaps = _Snapshots(mesh, mat, cfg, n)
-    totals = {"outer": 0, "cg": 0, "prox": 0, "picard_chi": 0, "cg_chi": 0,
-              "chi_exact": 0, "picard_w": 0, "cg_w": 0}
-    # any failure, interrupt included, first reaps the snapshot writer,
-    # so every snapshot handed over is on disk when the error propagates
-    try:
-        snaps.take(state)
-        for k in range(1, n + 1):
             t = k * cfg.tau
             src = sources.at(t)
             pr = MechPhaseProblem(
@@ -471,9 +443,9 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
             if sol.objective > j_prev + OBJECTIVE_TOL * (1.0 + abs(j_prev)):
                 raise InvariantViolation(
                     "incremental objective increased (%.6g -> %.6g)"
-                    % (j_prev, sol.objective), step=k)
+                    % (j_prev, sol.objective))
             if np.any(sol.m < mat.m_lo) or np.any(sol.m > mat.m_hi):
-                raise InvariantViolation("phase left the box", step=k)
+                raise InvariantViolation("phase left the box")
 
             dpr = DiffusionProblem(
                 mesh=mesh, mat=mat, tau=cfg.tau, m=sol.m,
@@ -495,36 +467,65 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
             # the stage arrays, not copies: the new state's terms start
             # from the strain the step returned
             new_terms = StateTerms(mesh, mat, new, sol.strain)
-            row = ledger_step(
+            new_row = ledger_step(
                 mesh, mat, terms, new_terms, cfg.tau, src, hsol.produced,
                 grad_mu=dsol.grad_mu, strain_rate=hsol.strain_rate)
-            gap = slack(rows[-1], row)
-            scale = max(1.0, abs(row.energy), abs(row.thermal))
+            gap = slack(row, new_row)
+            scale = max(1.0, abs(new_row.energy), abs(new_row.thermal))
             if gap < -SLACK_TOL * scale:
                 raise InvariantViolation(
-                    "energy-inequality slack %.3e negative" % gap, step=k)
-            totals["outer"] += sol.outer_iterations
-            totals["cg"] += sol.cg_iterations
-            totals["prox"] += sol.prox_iterations
-            totals["picard_chi"] += dsol.iterations
-            totals["cg_chi"] += dsol.cg_iterations
-            totals["chi_exact"] += dsol.exact_solves
-            totals["picard_w"] += hsol.iterations
-            totals["cg_w"] += hsol.cg_iterations
+                    "energy-inequality slack %.3e negative" % gap)
+        except InvariantViolation as exc:
+            # neither the stages' checks nor the ones above know the step
+            raise InvariantViolation(str(exc), step=k) from exc
+        state, terms, row = new, new_terms, new_row
+        # the problems hold the previous state's terms; dropping them
+        # here frees those arrays before the next step's stages run
+        del pr, hpr
+        yield new, new_terms, new_row, {
+            "outer": sol.outer_iterations, "cg": sol.cg_iterations,
+            "prox": sol.prox_iterations, "picard_chi": dsol.iterations,
+            "cg_chi": dsol.cg_iterations, "chi_exact": dsol.exact_solves,
+            "picard_w": hsol.iterations, "cg_w": hsol.cg_iterations}
+
+
+def run(config: RunConfig) -> Trajectory:
+    """Advance the scheme over the configured horizon through ``steps``
+    and return the trajectory: one ledger row per step and the iteration
+    totals.  Each state is dropped once its snapshot is handed over; a
+    caller that reads the states iterates ``steps`` itself.  Nothing is
+    written before ``prepare`` has passed the inputs.
+    """
+    cfg = config
+    stream = steps(cfg)
+    step = next(stream)
+    # the initial state's terms carry the run's mesh and material
+    mesh, mat, n = step[1].mesh, step[1].mat, cfg.step_count()
+
+    outdir = cfg.outdir
+    if outdir:
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("output directory %r cannot be created: %s"
+                              % (outdir, exc.strerror)) from None
+    snaps = _Snapshots(mesh, mat, cfg, n)
+    rows, totals = [], Counter()
+    # any failure, interrupt included, first reaps the snapshot writer,
+    # so every snapshot handed over is on disk when the error propagates
+    try:
+        while step is not None:
+            state, _, row, iterations = step
             rows.append(row)
-            if keep_states:
-                states.append(new)
-            state, terms = new, new_terms
-            # the problems hold the previous state's terms; dropping them
-            # here frees those arrays before the next step's stages run
-            del pr, hpr
-            snaps.take(new)
+            totals.update(iterations)
+            snaps.take(state)
+            step = next(stream, None)
     except BaseException:
         snaps.abort()
         raise
 
-    traj = Trajectory(mesh=mesh, mat=mat, tau=cfg.tau, states=states,
-                      rows=rows, meta={"iterations": totals})
+    traj = Trajectory(mesh=mesh, mat=mat, tau=cfg.tau, rows=rows,
+                      meta={"iterations": dict(totals)})
     traj.check_uniform()
     if outdir:
         write_energy_csv(traj, os.path.join(outdir, "energy.csv"))
@@ -540,7 +541,8 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
 
         defaulted = [f.name for f in dataclasses.fields(cfg)
                      if f.name != "material" and is_default(f)]
-        manifest = _manifest(cfg, mat, mesh, n, defaulted, totals)
+        manifest = _manifest(cfg, mat, mesh, n, defaulted,
+                             traj.meta["iterations"])
         with open(os.path.join(outdir, "run_manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -554,46 +556,45 @@ def run(config: RunConfig, keep_states: bool = True) -> Trajectory:
 _KINDS = ("affine", "backward", "forward", "velocity-affine")
 
 
-def interpolant_eval(traj: Trajectory, field_name: str, kind: str,
+def interpolant_eval(states, tau: float, field_name: str, kind: str,
                      t: float) -> np.ndarray:
     """Evaluate a time interpolant of a nodal field at time t.
 
-    affine joins consecutive states linearly, backward/forward hold the
-    newer/older state on each step interval, velocity-affine (u only)
-    joins the backward difference quotients, starting from v0.
+    ``states`` are a run's states in step order from step 0, for example
+    collected from ``steps``, on the uniform step ``tau``.  affine joins
+    consecutive states linearly, backward/forward hold the newer/older
+    state on each step interval, velocity-affine (u only) joins the
+    backward difference quotients, starting from v0.
     """
     if kind not in _KINDS:
         raise ValueError("kind must be one of %s" % (_KINDS,))
-    traj.require_states("interpolant_eval")
-    tau, n = traj.tau, traj.n_steps
+    n = len(states) - 1
     T = n * tau
     if t < -1e-12 or t > T * (1.0 + 1e-12) + 1e-300:
         raise ValueError("t=%g outside [0, %g]" % (t, T))
     t = min(max(t, 0.0), T)
-    if kind == "velocity-affine":
-        if field_name != "u":
-            raise ValueError("velocity-affine interpolant is defined for u")
-        k = min(max(int(math.ceil(t / tau - 1e-12)), 1), n)
-        lam = (t - (k - 1) * tau) / tau
-        dk = traj.states[k].velocity(tau)
-        dk1 = traj.states[k - 1].velocity(tau)
-        return lam * dk + (1.0 - lam) * dk1
     if kind == "backward":
         k = min(max(int(math.ceil(t / tau - 1e-12)), 0), n)
-        return getattr(traj.states[k], field_name)
+        return getattr(states[k], field_name)
     if kind == "forward":
         k = min(int(math.floor(t / tau + 1e-12)), n - 1) if n else 0
-        return getattr(traj.states[k], field_name)
+        return getattr(states[k], field_name)
     k = min(max(int(math.ceil(t / tau - 1e-12)), 1), n)
     lam = (t - (k - 1) * tau) / tau
-    a = getattr(traj.states[k - 1], field_name)
-    b = getattr(traj.states[k], field_name)
+    if kind == "affine":
+        a = getattr(states[k - 1], field_name)
+        b = getattr(states[k], field_name)
+    elif field_name != "u":
+        raise ValueError("velocity-affine interpolant is defined for u")
+    else:
+        a, b = states[k - 1].velocity(tau), states[k].velocity(tau)
     return (1.0 - lam) * a + lam * b
 
 
 # ---------------------------------------------------------------------------
 # refinement studies
 
+# the step fields that AprioriMonitor.add returns
 REFINE_FIELDS = ("strain_rate", "phase_rate", "grad_mu", "w")
 
 
@@ -608,73 +609,59 @@ class RefineReport:
     fields: tuple = REFINE_FIELDS
 
 
-def _step_samples(traj: Trajectory) -> dict:
-    """Backward-constant-in-time samples of the monitored fields, with
-    their spatial quadrature weights."""
-    traj.require_states("refine_study")
-    mesh, tau = traj.mesh, traj.tau
-    Ml = lumped_mass(mesh)
-    vol = mesh.volumes
-    out = {}
-    sr = [strain(mesh, s.velocity(tau)).reshape(mesh.n_elems, -1)
-          for s in traj.states[1:]]
-    out["strain_rate"] = (np.stack(sr), vol)
-    pr = [(b.m - a.m) / tau
-          for a, b in zip(traj.states[:-1], traj.states[1:])]
-    out["phase_rate"] = (np.stack(pr), Ml)
-    gm = [assemble_mu(mesh, traj.mat, s.m, s.chi)[1]
-          for s in traj.states[1:]]
-    out["grad_mu"] = (np.stack(gm), vol)
-    out["w"] = (np.stack([s.w for s in traj.states[1:]]), Ml)
-    return out
-
-
-def _l2q_diff(coarse, fine, tau_fine: float) -> float:
-    """Exact L2(Q) distance of two backward-constant interpolants on
-    nested step grids (fine has twice the steps)."""
-    vals_c, wts = coarse
-    vals_f, _ = fine
-    nf = vals_f.shape[0]
-    idx = (np.arange(1, nf + 1) + 1) // 2 - 1
-    d = vals_c[idx] - vals_f
-    if d.ndim == 2:
-        sq = np.einsum("kn,n->", d ** 2, wts)
-    else:
-        sq = np.einsum("ken,e->", d ** 2, wts)
-    return float(np.sqrt(tau_fine * sq))
+def _ratios(vals: list) -> list:
+    return [a / b if b > 0.0 else math.inf
+            for a, b in zip(vals[:-1], vals[1:])]
 
 
 def refine_study(config: RunConfig, levels: int = 3) -> RefineReport:
     """Run the configured experiment at tau, tau/2, ... and compare the
-    interpolants level-to-level."""
-    from .energy_audit import apriori_monitor, balance_residual
+    backward-constant interpolants of ``REFINE_FIELDS`` level to level
+    in L2(Q).
+
+    The levels advance in lockstep, level l + 1 taking two steps per step
+    of level l, and every distance, a-priori norm (``AprioriMonitor``)
+    and nu=1 defect is summed as the states arrive; so the study holds a
+    few states per level, whatever the step count.
+    """
+    from .energy_audit import AprioriMonitor, step_residual
 
     if levels < 2:
         raise ConfigError("refine_study needs at least 2 levels")
-    # level 0 runs first, so its inputs pass run's checks before the
-    # step count of the finer levels is derived from them
-    trajs = [run(replace(config, outdir=None))]
-    for lvl in range(1, levels):
-        cfg = replace(config, tau=config.tau / 2 ** lvl,
-                      n_steps=trajs[0].n_steps * 2 ** lvl, outdir=None)
-        trajs.append(run(cfg))
-    samples = [_step_samples(tr) for tr in trajs]
-    diffs = {name: [] for name in REFINE_FIELDS}
-    for lvl in range(levels - 1):
-        for name in REFINE_FIELDS:
-            diffs[name].append(_l2q_diff(samples[lvl][name],
-                                         samples[lvl + 1][name],
-                                         trajs[lvl + 1].tau))
-    ratios = {}
-    for name in REFINE_FIELDS:
-        rr = []
-        for a, b in zip(diffs[name][:-1], diffs[name][1:]):
-            rr.append(a / b if b > 0.0 else math.inf)
-        ratios[name] = rr
-    defects = [abs(float(balance_residual(tr, 1.0)[-1])) for tr in trajs]
-    nu1_ratios = [a / b if b > 0.0 else math.inf
-                  for a, b in zip(defects[:-1], defects[1:])]
-    return RefineReport(taus=[tr.tau for tr in trajs], diffs=diffs,
-                        ratios=ratios, nu1_defects=defects,
-                        nu1_ratios=nu1_ratios,
-                        apriori=[apriori_monitor(tr) for tr in trajs])
+    cfg = replace(config, outdir=None)
+    taus = [cfg.tau / 2 ** lvl for lvl in range(levels)]
+    streams, monitors, rows = [], [], []
+    for lvl, tau in enumerate(taus):
+        # level 0 passes prepare first, so its inputs are checked before
+        # the step count of the finer levels is derived from them
+        streams.append(steps(replace(
+            cfg, tau=tau, n_steps=cfg.step_count() * 2 ** lvl) if lvl else cfg))
+        state, terms, row, _ = next(streams[lvl])
+        monitors.append(AprioriMonitor(terms.mesh, terms.mat, tau, [state]))
+        rows.append(row)
+    sq = {name: [0.0] * (levels - 1) for name in REFINE_FIELDS}
+    defects = [0.0] * levels
+    samples = [None] * levels
+    for j in range(cfg.step_count() * 2 ** (levels - 1)):
+        for lvl in range(levels):
+            # a step of level lvl spans 2 ** (levels - 1 - lvl) finest steps
+            if j % 2 ** (levels - 1 - lvl):
+                continue
+            state, _, row, _ = next(streams[lvl])
+            defects[lvl] += step_residual(rows[lvl], row, 1.0)
+            rows[lvl] = row
+            samples[lvl] = monitors[lvl].add(state)
+            for name in REFINE_FIELDS if lvl else ():
+                (coarse, _), (fine, wts) = (samples[lvl - 1][name],
+                                            samples[lvl][name])
+                sq[name][lvl - 1] += float(np.einsum(
+                    "en,e->", ((coarse - fine) ** 2).reshape(wts.size, -1),
+                    wts))
+    diffs = {name: [math.sqrt(tau * s) for tau, s in zip(taus[1:], sq[name])]
+             for name in REFINE_FIELDS}
+    defects = [abs(d) for d in defects]
+    return RefineReport(
+        taus=taus, diffs=diffs,
+        ratios={name: _ratios(diffs[name]) for name in REFINE_FIELDS},
+        nu1_defects=defects, nu1_ratios=_ratios(defects),
+        apriori=[monitor.norms() for monitor in monitors])

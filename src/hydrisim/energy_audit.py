@@ -225,6 +225,22 @@ def slack(prev: LedgerRow, row: LedgerRow) -> float:
              - row.work_mech - 0.5 * row.heat_total)
 
 
+def step_residual(prev: LedgerRow, cur: LedgerRow, nu: float) -> float:
+    """The audit value of the step from ``prev`` to ``cur``: its increment
+    of the mechanical-balance residual (nu=0) or of the total-energy
+    defect (nu=1), or its dissipation-inequality slack (nu=1/2)."""
+    dE = cur.energy - prev.energy
+    if nu == 0:
+        return (dE + cur.numdiss + cur.gap_m + cur.gap_chi + cur.xi_term
+                + _dissipation(cur) + cur.adiab_expl - cur.work_mech)
+    if nu == 1:
+        return (dE + (cur.thermal - prev.thermal) - cur.work_mech
+                - cur.heat_supplied)
+    if nu == 0.5:
+        return slack(prev, cur)
+    raise ValueError("nu must be 0, 0.5 or 1")
+
+
 def balance_residual(traj: Trajectory, nu: float) -> np.ndarray:
     """Audit series over the steps of a run, one value per step.
 
@@ -234,26 +250,9 @@ def balance_residual(traj: Trajectory, nu: float) -> np.ndarray:
     is nonnegative up to solver tolerances.
     """
     rows = traj.rows
-    if not rows:
-        return np.zeros(0)
-    vals = []
-    for prev, cur in zip(rows[:-1], rows[1:]):
-        dE = cur.energy - prev.energy
-        if nu == 0:
-            vals.append(dE + cur.numdiss + cur.gap_m + cur.gap_chi
-                        + cur.xi_term + _dissipation(cur) + cur.adiab_expl
-                        - cur.work_mech)
-        elif nu == 1:
-            vals.append(dE + (cur.thermal - prev.thermal) - cur.work_mech
-                        - cur.heat_supplied)
-        elif nu == 0.5:
-            vals.append(slack(prev, cur))
-        else:
-            raise ValueError("nu must be 0, 0.5 or 1")
-    vals = np.asarray(vals)
-    if nu == 0.5:
-        return vals
-    return np.cumsum(vals)
+    vals = np.asarray([step_residual(prev, cur, nu)
+                       for prev, cur in zip(rows[:-1], rows[1:])], float)
+    return vals if nu == 0.5 else np.cumsum(vals)
 
 
 def ledger_columns(traj: Trajectory) -> dict:
@@ -289,88 +288,108 @@ def write_energy_csv(traj: Trajectory, path):
 # norm monitors
 
 
-def _h1_scalar(mesh, Ml, vol, v):
-    g = grad_field(mesh, v)
-    return float(np.sqrt(np.sum(Ml * v ** 2)
+def _h1(weights, v, grad, vol) -> float:
+    """Discrete H1 norm of the nodal field ``v`` (``weights`` its lumped
+    mass) with ``grad`` its element gradient or strain."""
+    g = grad.reshape(vol.size, -1)
+    return float(np.sqrt(np.sum(weights * v ** 2)
                          + np.einsum("ei,ei,e->", g, g, vol)))
 
 
-def apriori_monitor(traj: Trajectory) -> dict:
-    """Named norms of the run, uniform in the step size for sound data.
+class AprioriMonitor:
+    """Named norms of a run, uniform in the step size for sound data,
+    kept as running maxima and sums over its states in step order from
+    step 0: ``states``, then each one passed to ``add``.  Only the last
+    state is held.
 
     The first block is asserted stable under refinement; the dual-norm
     entries at the end use a lumped Riesz surrogate and are informational.
     """
-    traj.require_states("apriori_monitor")
-    mesh, mat, tau = traj.mesh, traj.mat, traj.tau
-    Ml = lumped_mass(mesh)
-    Mv = vector_lumped_mass(mesh)
-    vol = mesh.volumes
-    states = traj.states
 
-    def vec_l2(v):
-        return float(np.sqrt(np.sum(Mv * v ** 2)))
+    def __init__(self, mesh: Mesh, mat: MaterialModel, tau: float,
+                 states=()):
+        self.mesh, self.mat, self.tau = mesh, mat, tau
+        self.Ml = lumped_mass(mesh)
+        self.Mv = vector_lumped_mass(mesh)
+        self.K1 = stiffness(mesh, 1.0)
+        # dual-norm surrogates through the lumped Riesz map (mass +
+        # stiffness), factored exactly: with no preconditioner SPDSolver
+        # takes the band
+        self.riesz = SPDSolver(stiffness_with_diag(mesh, 1.0, self.Ml),
+                               "Riesz map")
+        self.sup = {}
+        self.sums = dict.fromkeys(
+            ("u_h1_h1", "m_rate_l2", "w_grad_l98", "accel_dual_l2",
+             "w_rate_dual_l1", "chi_rate_dual_l2", "m_lap_l2", "xi_l2"), 0.0)
+        self.prev = None
+        for st in states:
+            self.add(st)
 
-    def vec_h1(v):
-        eps = strain(mesh, v)
-        return float(np.sqrt(np.sum(Mv * v ** 2)
-                             + np.einsum("eij,eij,e->", eps, eps, vol)))
+    def _dual_sq(self, v) -> float:
+        load = self.Ml * v
+        return float(load @ self.riesz.solve(load, None, 0.0)[0])
 
-    rates = [s.velocity(tau) for s in states]
-    out = {
-        "u_rate_sup_l2": max(vec_l2(v) for v in rates),
-        "u_h1_h1": float(np.sqrt(sum(
-            tau * (vec_h1(s.u) ** 2 + vec_h1(v) ** 2)
-            for s, v in zip(states[1:], rates[1:])))),
-        "m_sup_h1": max(_h1_scalar(mesh, Ml, vol, s.m) for s in states),
-        "m_rate_l2": float(np.sqrt(sum(
-            np.sum(Ml * (b.m - a.m) ** 2) / tau
-            for a, b in zip(states[:-1], states[1:])))),
-        "m_sup_abs": max(float(np.max(np.abs(s.m))) for s in states),
-        "chi_sup_h1": max(_h1_scalar(mesh, Ml, vol, s.chi) for s in states),
-        "w_sup_l1": max(float(np.sum(Ml * np.abs(s.w))) for s in states),
-    }
-    mu_norms = []
-    for s in states:
-        mu, gmu = assemble_mu(mesh, mat, s.m, s.chi)
-        mu_norms.append(np.sqrt(np.sum(Ml * mu ** 2)
-                                + np.einsum("ei,ei,e->", gmu, gmu, vol)))
-    out["mu_sup_h1"] = float(max(mu_norms))
-    r = 9.0 / 8.0
-    acc = 0.0
-    for s in states[1:]:
-        gw = grad_field(mesh, s.w)
-        acc += tau * float(np.sum(vol * np.linalg.norm(gw, axis=1) ** r))
-    out["w_grad_l98"] = acc ** (1.0 / r)
+    def add(self, st: State):
+        """Take the next state.  Returns the fields of the step it ends
+        (None for the first state) as the backward-constant interpolants
+        of a refinement study sample them, each with its quadrature
+        weights: the element strain rate, the nodal phase rate, the
+        element gradient of mu and the nodal w."""
+        mesh, mat, tau, Ml, Mv = self.mesh, self.mat, self.tau, self.Ml, self.Mv
+        vol = mesh.volumes
+        rate = st.velocity(tau)
+        mu, gmu = assemble_mu(mesh, mat, st.m, st.chi)
+        sup = {
+            "u_rate_sup_l2": float(np.sqrt(np.sum(Mv * rate ** 2))),
+            "m_sup_h1": _h1(Ml, st.m, grad_field(mesh, st.m), vol),
+            "m_sup_abs": float(np.max(np.abs(st.m))),
+            "chi_sup_h1": _h1(Ml, st.chi, grad_field(mesh, st.chi), vol),
+            "w_sup_l1": float(np.sum(Ml * np.abs(st.w))),
+            "mu_sup_h1": _h1(Ml, mu, gmu, vol),
+        }
+        for key, val in sup.items():
+            self.sup[key] = max(self.sup.get(key, val), val)
+        prev, self.prev = self.prev, st
+        if prev is None:
+            return None
+        eps_rate = strain(mesh, rate)
+        accel = (mat.rho * ((rate - prev.velocity(tau)) / tau)).reshape(
+            -1, mesh.dim)
+        gw = grad_field(mesh, st.w)
+        step = {
+            "u_h1_h1": tau * (_h1(Mv, st.u, strain(mesh, st.u), vol) ** 2
+                              + _h1(Mv, rate, eps_rate, vol) ** 2),
+            "m_rate_l2": np.sum(Ml * (st.m - prev.m) ** 2) / tau,
+            "w_grad_l98": tau * float(np.sum(
+                vol * np.linalg.norm(gw, axis=1) ** (9.0 / 8.0))),
+            "accel_dual_l2": tau * sum(self._dual_sq(a) for a in accel.T),
+            "w_rate_dual_l1": tau * float(np.sqrt(self._dual_sq(
+                (st.w - prev.w) / tau))),
+            "chi_rate_dual_l2": tau * self._dual_sq(
+                (st.chi - prev.chi) / tau),
+            "m_lap_l2": tau * np.sum(
+                Ml * (np.asarray(self.K1 @ st.m) / Ml) ** 2),
+            "xi_l2": tau * np.sum(Ml * st.xi ** 2),
+        }
+        for key, val in step.items():
+            self.sums[key] += val
+        return {"strain_rate": (eps_rate.reshape(mesh.n_elems, -1), vol),
+                "phase_rate": ((st.m - prev.m) / tau, Ml),
+                "grad_mu": (gmu, vol), "w": (st.w, Ml)}
 
-    # dual-norm surrogates through the lumped Riesz map (mass + stiffness),
-    # factored exactly: with no preconditioner SPDSolver takes the band
-    riesz = SPDSolver(stiffness_with_diag(mesh, 1.0, Ml), "Riesz map")
+    def norms(self) -> dict:
+        out = dict(self.sup)
+        for key, val in self.sums.items():
+            out[key] = float(np.sqrt(val))
+        # the two sums that are not squares
+        out["w_grad_l98"] = self.sums["w_grad_l98"] ** (8.0 / 9.0)
+        out["w_rate_dual_l1"] = self.sums["w_rate_dual_l1"]
+        return out
 
-    def dual_sq(v):
-        load = Ml * v
-        return float(load @ riesz.solve(load, None, 0.0)[0])
 
-    def dual_scalar(v):
-        return float(np.sqrt(dual_sq(v)))
-
-    def dual_vector(v):
-        v = v.reshape(-1, mesh.dim)
-        return np.sqrt(sum(dual_sq(v[:, c]) for c in range(mesh.dim)))
-
-    accel = [(b - a) / tau for a, b in zip(rates[:-1], rates[1:])]
-    out["accel_dual_l2"] = float(np.sqrt(sum(
-        tau * dual_vector(mat.rho * a) ** 2 for a in accel))) if accel else 0.0
-    out["w_rate_dual_l1"] = float(sum(
-        tau * dual_scalar((b.w - a.w) / tau)
-        for a, b in zip(states[:-1], states[1:])))
-    out["chi_rate_dual_l2"] = float(np.sqrt(sum(
-        tau * dual_scalar((b.chi - a.chi) / tau) ** 2
-        for a, b in zip(states[:-1], states[1:]))))
-    K1 = stiffness(mesh, 1.0)
-    out["m_lap_l2"] = float(np.sqrt(sum(
-        tau * np.sum(Ml * (np.asarray(K1 @ s.m) / Ml) ** 2)
-        for s in states[1:])))
-    out["xi_l2"] = float(np.sqrt(sum(
-        tau * np.sum(Ml * s.xi ** 2) for s in states[1:])))
-    return out
+def apriori_monitor(mesh: Mesh, mat: MaterialModel, tau: float,
+                    states) -> dict:
+    """The ``AprioriMonitor`` norms of ``states``, a run's states in step
+    order from step 0 on the uniform step ``tau``; an iterable, such as
+    the states of ``driver.steps``, is read one state at a time."""
+    return AprioriMonitor(mesh, mat, tau, states).norms()

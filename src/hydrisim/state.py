@@ -38,18 +38,17 @@ class State:
 
 @dataclass
 class Trajectory:
-    """A complete run: mesh, material, uniform step and the state sequence.
+    """A complete run: mesh, material, uniform step and the ledger.
 
     ``rows`` carries the per-step energy-ledger rows (row 0 is the initial
-    snapshot with zero increments), filled in by the driver.  The rows
-    give the step count and the times, whether or not the states are kept:
-    a run with ``run(config, keep_states=False)`` leaves ``states`` empty.
+    snapshot with zero increments), filled in by the driver; they give the
+    step count and the times.  No state is kept: ``driver.steps`` yields
+    them one at a time.
     """
 
     mesh: Mesh
     mat: MaterialModel
     tau: float
-    states: list[State] = field(default_factory=list)
     rows: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
@@ -68,10 +67,3 @@ class Trajectory:
         t = self.times()
         if len(t) > 1 and not np.allclose(np.diff(t), self.tau, rtol=1e-12):
             raise ValueError("trajectory timestamps are not uniform")
-
-    def require_states(self, what: str):
-        """Raise ValueError when the run kept no states for ``what`` to
-        read."""
-        if not self.states:
-            raise ValueError("%s needs the states of the run; this "
-                             "trajectory kept only its ledger rows" % what)

@@ -31,6 +31,7 @@ from hydrisim.errors import ConfigError
 from hydrisim.mech_phase import phase_nodal_prox, tau_max
 
 from _oracles import cos_mode_amplitude, prox_instances, prox_scan
+from _streams import run_with_states
 
 
 def ok(num, text):
@@ -102,11 +103,11 @@ def test_06_analytic_diffusion_oracle():
                     n_steps=2000, material=mat, h_s=None,
                     chi0=lambda c: 0.5 + 0.1 * np.cos(np.pi * c[:, 0]))
     t0 = time.perf_counter()
-    traj = run(cfg)
+    traj, states = run_with_states(cfg)
     elapsed = time.perf_counter() - t0
     x = traj.mesh.coords[:, 0]
-    a0 = cos_mode_amplitude(x, traj.mesh.lumped, traj.states[0].chi)
-    an = cos_mode_amplitude(x, traj.mesh.lumped, traj.states[-1].chi)
+    a0 = cos_mode_amplitude(x, traj.mesh.lumped, states[0].chi)
+    an = cos_mode_amplitude(x, traj.mesh.lumped, states[-1].chi)
     rate = -np.log(an / a0) / (traj.n_steps * traj.tau)
     target = 5.0 * np.pi ** 2
     assert abs(rate - target) <= 0.02 * target
@@ -121,10 +122,10 @@ def test_07_analytic_conduction_oracle():
     cfg = RunConfig(dim=1, resolution=(200,), T=0.02, tau=1e-5,
                     n_steps=2000, material=mat, h_s=None,
                     theta0=lambda c: 1.0 + 0.5 * np.cos(np.pi * c[:, 0]))
-    traj = run(cfg)
+    traj, states = run_with_states(cfg)
     x = traj.mesh.coords[:, 0]
-    a0 = cos_mode_amplitude(x, traj.mesh.lumped, traj.states[0].w)
-    an = cos_mode_amplitude(x, traj.mesh.lumped, traj.states[-1].w)
+    a0 = cos_mode_amplitude(x, traj.mesh.lumped, states[0].w)
+    an = cos_mode_amplitude(x, traj.mesh.lumped, states[-1].w)
     rate = -np.log(an / a0) / (traj.n_steps * traj.tau)
     target = np.pi ** 2
     assert abs(rate - target) <= 0.02 * target

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hydrisim
 from hydrisim import diffusion, driver, energy_audit, heat, mech_phase
 from hydrisim.constitutive import desk_default_material, theta_of_w
 from hydrisim.driver import (
@@ -16,12 +18,12 @@ from hydrisim.driver import (
     refine_study,
     run,
 )
-from hydrisim.energy_audit import apriori_monitor
 from hydrisim.errors import ConfigError, InvariantViolation
 from hydrisim.grid import build_mesh, lumped_mass, vector_lumped_mass
 from hydrisim.state import State
 
 from _oracles import reference_snapshot, reference_vtk
+from _streams import run_with_states
 
 
 def desk_mat(**kw):
@@ -82,31 +84,32 @@ def test_hydrogen_budget_gate():
 def test_initial_enthalpy_from_temperature():
     cfg = desk_default_config(resolution=(8,), T=0.002, theta0=3.0,
                               h_s=None)
-    traj = run(cfg)
+    traj, states = run_with_states(cfg)
     mat = traj.mat
     # quadratic law: w0 = (c0/2) theta0^2 = 9, and theta recovers 3
-    assert np.allclose(traj.states[0].w, 9.0, atol=1e-14)
-    assert np.allclose(theta_of_w(mat, traj.states[0].m,
-                                  traj.states[0].w), 3.0, atol=1e-12)
+    assert np.allclose(states[0].w, 9.0, atol=1e-14)
+    assert np.allclose(theta_of_w(mat, states[0].m, states[0].w), 3.0,
+                       atol=1e-12)
 
 
 def test_equilibrium_run_is_constant():
     cfg = desk_default_config(resolution=(12,), T=0.005, h_s=None)
-    traj = run(cfg)
-    for st in traj.states:
+    _, states = run_with_states(cfg)
+    for st in states:
         assert np.allclose(st.u, 0.0, atol=1e-13)
-        assert np.array_equal(st.m, traj.states[0].m)
+        assert np.array_equal(st.m, states[0].m)
         assert np.allclose(st.chi, 0.0, atol=1e-14)
         assert np.allclose(st.w, 0.0, atol=1e-14)
 
 
 def test_desk_run_invariants():
-    traj = run(desk_default_config(resolution=(30,), T=0.02))
+    traj, states = run_with_states(desk_default_config(resolution=(30,),
+                                                       T=0.02))
     assert traj.n_steps == 20
     for r in traj.rows:
         assert r.min_chi >= -1e-12
         assert r.min_w >= -1e-12
-    assert all(np.all((s.m >= 0.0) & (s.m <= 1.0)) for s in traj.states)
+    assert all(np.all((s.m >= 0.0) & (s.m <= 1.0)) for s in states)
     # a few undamped concentration Picard sweeps per step
     assert traj.meta["iterations"]["picard_chi"] <= 4 * traj.n_steps
 
@@ -162,8 +165,8 @@ def test_charging_scenario_moves_phase():
     # chemical driving k*a(chi) beats the activation threshold
     cfg = desk_default_config(resolution=(30,), T=0.05,
                               h_s={"left": 5.0})
-    traj = run(cfg)
-    m_final = traj.states[-1].m
+    traj, states = run_with_states(cfg)
+    m_final = states[-1].m
     # rate viscosity alpha=1 keeps the transformation slow; what matters
     # is that the front end has clearly left m=0 while the far end has not
     assert float(m_final[0]) > 5e-3
@@ -184,10 +187,10 @@ def test_body_force_momentum_budget():
     # Neumann boundaries: all internal forces are divergences, so the
     # discrete momentum grows by exactly the integrated body force
     cfg = desk_default_config(resolution=(15,), T=0.004, h_s=None, f=2.0)
-    traj = run(cfg)
+    traj, states = run_with_states(cfg)
     Mv = vector_lumped_mass(traj.mesh)
     momentum = traj.mat.rho * float(
-        np.sum(Mv * traj.states[-1].velocity(traj.tau)))
+        np.sum(Mv * states[-1].velocity(traj.tau)))
     assert momentum == pytest.approx(2.0 * traj.n_steps * traj.tau,
                                      rel=1e-8)
 
@@ -205,8 +208,8 @@ def test_two_dimensional_run_with_boundary_traction():
     cfg = RunConfig(dim=2, lengths=(1.0, 1.0), resolution=(6, 6),
                     T=0.003, tau=1e-3,
                     h_s={"left": 0.5}, f_s={"right": (0.1, 0.0)})
-    traj = run(cfg)
-    assert traj.states[-1].u.shape == (2 * traj.mesh.n_nodes,)
+    traj, states = run_with_states(cfg)
+    assert states[-1].u.shape == (2 * traj.mesh.n_nodes,)
     for r in traj.rows:
         assert r.min_chi >= -1e-12
         assert r.min_w >= -1e-12
@@ -248,52 +251,52 @@ def test_unknown_side_key_rejected_by_the_gate():
 
 @pytest.fixture(scope="module")
 def charged():
-    return run(desk_default_config(resolution=(20,), T=0.01))
+    return run_with_states(desk_default_config(resolution=(20,), T=0.01))
 
 
 def test_interpolants_agree_at_nodes(charged):
-    traj = charged
+    traj, states = charged
     for k in (0, 3, traj.n_steps):
         t = k * traj.tau
-        aff = interpolant_eval(traj, "chi", "affine", t)
-        back = interpolant_eval(traj, "chi", "backward", t)
-        assert np.allclose(aff, getattr(traj.states[k], "chi"), atol=1e-14)
-        assert np.array_equal(back, traj.states[k].chi)
+        aff = interpolant_eval(states, traj.tau, "chi", "affine", t)
+        back = interpolant_eval(states, traj.tau, "chi", "backward", t)
+        assert np.allclose(aff, getattr(states[k], "chi"), atol=1e-14)
+        assert np.array_equal(back, states[k].chi)
 
 
 def test_affine_midpoint_is_average(charged):
-    traj = charged
+    traj, states = charged
     k = 4
     t = (k - 0.5) * traj.tau
-    mid = interpolant_eval(traj, "w", "affine", t)
-    expect = 0.5 * (traj.states[k - 1].w + traj.states[k].w)
+    mid = interpolant_eval(states, traj.tau, "w", "affine", t)
+    expect = 0.5 * (states[k - 1].w + states[k].w)
     assert np.allclose(mid, expect, atol=1e-15)
 
 
 def test_forward_holds_older_state(charged):
-    traj = charged
+    traj, states = charged
     k = 5
     t = (k - 0.5) * traj.tau
-    fwd = interpolant_eval(traj, "chi", "forward", t)
-    assert np.array_equal(fwd, traj.states[k - 1].chi)
+    fwd = interpolant_eval(states, traj.tau, "chi", "forward", t)
+    assert np.array_equal(fwd, states[k - 1].chi)
 
 
 def test_velocity_affine_starts_at_initial_velocity(charged):
-    traj = charged
-    v0 = interpolant_eval(traj, "u", "velocity-affine", 0.0)
-    assert np.allclose(v0, traj.states[0].velocity(traj.tau), atol=1e-15)
+    traj, states = charged
+    v0 = interpolant_eval(states, traj.tau, "u", "velocity-affine", 0.0)
+    assert np.allclose(v0, states[0].velocity(traj.tau), atol=1e-15)
 
 
 def test_velocity_interpolant_second_difference(charged):
-    traj = charged
+    traj, states = charged
     tau = traj.tau
     k = 6
     t1, t2 = (k - 0.75) * tau, (k - 0.25) * tau
-    v1 = interpolant_eval(traj, "u", "velocity-affine", t1)
-    v2 = interpolant_eval(traj, "u", "velocity-affine", t2)
+    v1 = interpolant_eval(states, tau, "u", "velocity-affine", t1)
+    v2 = interpolant_eval(states, tau, "u", "velocity-affine", t2)
     accel = (v2 - v1) / (t2 - t1)
-    u = [traj.states[j].u for j in (k, k - 1)]
-    u_mm = traj.states[k - 2].u if k >= 2 else traj.states[0].u_prev
+    u = [states[j].u for j in (k, k - 1)]
+    u_mm = states[k - 2].u if k >= 2 else states[0].u_prev
     expect = (u[0] - 2.0 * u[1] + u_mm) / tau ** 2
     assert np.allclose(accel, expect, atol=1e-9 * max(1.0,
                                                       np.abs(expect).max()))
@@ -301,7 +304,7 @@ def test_velocity_interpolant_second_difference(charged):
 
 def test_backward_minus_affine_identity(charged):
     # ||ubar - u_aff||_{L2(Q)} = tau/sqrt(3) * ||du/dt||_{L2(Q)}, exactly
-    traj = charged
+    traj, states = charged
     tau, n = traj.tau, traj.n_steps
     Mv = vector_lumped_mass(traj.mesh)
     gauss = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -309,21 +312,24 @@ def test_backward_minus_affine_identity(charged):
     for k in range(1, n + 1):
         for g in gauss:
             t = (k - 1 + g) * tau
-            d = (interpolant_eval(traj, "u", "backward", t)
-                 - interpolant_eval(traj, "u", "affine", t))
+            d = (interpolant_eval(states, tau, "u", "backward", t)
+                 - interpolant_eval(states, tau, "u", "affine", t))
             acc += 0.5 * tau * float(np.sum(Mv * d * d))
     lhs = np.sqrt(acc)
     rate = np.sqrt(sum(
-        tau * float(np.sum(Mv * traj.states[k].velocity(tau) ** 2))
+        tau * float(np.sum(Mv * states[k].velocity(tau) ** 2))
         for k in range(1, n + 1)))
     assert abs(lhs - tau / np.sqrt(3.0) * rate) <= 1e-10
 
 
 def test_interpolant_outside_horizon_rejected(charged):
+    traj, states = charged
     with pytest.raises(ValueError):
-        interpolant_eval(charged, "u", "affine", charged.T * 1.5)
+        interpolant_eval(states, traj.tau, "u", "affine", traj.T * 1.5)
     with pytest.raises(ValueError):
-        interpolant_eval(charged, "u", "sideways", 0.0)
+        interpolant_eval(states, traj.tau, "u", "sideways", 0.0)
+    with pytest.raises(ValueError, match="defined for u"):
+        interpolant_eval(states, traj.tau, "w", "velocity-affine", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +419,9 @@ def test_vtk_snapshot_shape(tmp_path):
     assert "SCALARS theta double 1" in text
 
 
-def _assert_snapshots_match_states(traj, outdir):
-    for st in traj.states:
+def _assert_snapshots_match_states(cfg, outdir):
+    traj, states = run_with_states(cfg)
+    for st in states:
         stem = outdir / ("fields_%06d" % st.k)
         assert (stem.with_suffix(".csv").read_text()
                 == reference_snapshot(traj.mesh, traj.mat, st))
@@ -430,7 +437,7 @@ def test_run_snapshots_reuse_mesh_text(tmp_path):
                     outdir=str(tmp_path))
     traj = run(cfg)
     assert len(list(tmp_path.glob("fields_*.vtk"))) == traj.n_steps + 1
-    _assert_snapshots_match_states(traj, tmp_path)
+    _assert_snapshots_match_states(cfg, tmp_path)
 
 
 def test_mesh_text_belongs_to_its_run(tmp_path):
@@ -444,63 +451,86 @@ def test_mesh_text_belongs_to_its_run(tmp_path):
         cfg = RunConfig(dim=2, lengths=lengths, resolution=res, T=0.001,
                         tau=1e-3, h_s={"left": 0.5}, vtk=True,
                         outdir=str(out))
-        traj = run(cfg)
-        _assert_snapshots_match_states(traj, out)
+        run(cfg)
+        _assert_snapshots_match_states(cfg, out)
         vtk = (out / "fields_000000.vtk").read_text()
         points.append(vtk[vtk.index("POINTS"):vtk.index("CELLS")])
     assert len(set(points)) == 3
 
 
 # ---------------------------------------------------------------------------
-# runs that keep no states
+# run against a direct reader of the step stream
 
 
 def _row_bits(row):
     return [float.hex(v) for v in dataclasses.astuple(row)]
 
 
+def _write_as_a_reader(cfg, outdir):
+    """Read ``steps(cfg)`` directly and write what ``run`` writes, each
+    snapshot in-process; returns the trajectory."""
+    outdir.mkdir()
+    traj, states = run_with_states(cfg)
+    text = _mesh_text(traj.mesh)
+    n = traj.n_steps
+    for st in states:
+        if st.k in (0, n) or (cfg.every_n and st.k % cfg.every_n == 0):
+            stem = str(outdir / ("fields_%06d" % st.k))
+            fields = _write_snapshot(traj.mesh, traj.mat, st, stem + ".csv",
+                                     text)
+            _write_vtk(traj.mesh, traj.mat, st, stem + ".vtk", fields, text)
+    energy_audit.write_energy_csv(traj, str(outdir / "energy.csv"))
+    return traj
+
+
 @pytest.mark.parametrize("every_n", [0, 1])
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
 def test_run_without_states_matches_full_run(tmp_path, dim, every_n):
+    # run keeps no state; its rows, files and iteration totals are those
+    # of a caller that reads every state of steps (with every_n = 1 run
+    # hands its snapshots to the writer process, the reader writes them
+    # in-process)
     space = dict(lengths=(1.0,), resolution=(9,)) if dim == 1 else dict(
         lengths=(1.0, 1.0), resolution=(5, 4))
     cfg = RunConfig(dim=dim, **space, n_steps=4, tau=1e-3,
                     chi0=lambda c: 0.3 + 0.5 * c[:, 0], theta0=0.1,
                     h_s={"left": 0.5}, every_n=every_n, vtk=True,
-                    outdir=str(tmp_path / "full"))
-    full = run(cfg)
-    lean = run(dataclasses.replace(cfg, outdir=str(tmp_path / "lean")),
-               keep_states=False)
-    assert len(full.states) == 5 and lean.states == []
+                    outdir=str(tmp_path / "run"))
+    lean = run(cfg)
+    full = _write_as_a_reader(cfg, tmp_path / "reader")
     assert ([_row_bits(r) for r in lean.rows]
             == [_row_bits(r) for r in full.rows])
     assert (lean.n_steps, lean.T) == (full.n_steps, full.T) == (4, 4e-3)
     assert lean.meta["iterations"] == full.meta["iterations"]
-    names = sorted(p.name for p in (tmp_path / "full").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "lean").iterdir())
+    assert sum(lean.meta["iterations"].values()) > 0
+    names = sorted(p.name for p in (tmp_path / "reader").iterdir())
     assert "energy.csv" in names and "fields_000004.vtk" in names
-    manifests = []
+    assert (sorted(p.name for p in (tmp_path / "run").iterdir())
+            == sorted(names + ["run_manifest.json"]))
     for name in names:
-        full_bytes = (tmp_path / "full" / name).read_bytes()
-        lean_bytes = (tmp_path / "lean" / name).read_bytes()
-        if name == "run_manifest.json":
-            manifests = [json.loads(b) for b in (full_bytes, lean_bytes)]
-            for m in manifests:
-                del m["config"]["outdir"]
-        else:
-            assert lean_bytes == full_bytes, name
-    assert manifests[0] == manifests[1]
+        assert ((tmp_path / "run" / name).read_bytes()
+                == (tmp_path / "reader" / name).read_bytes()), name
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert manifest["iterations"] == full.meta["iterations"]
 
 
-def test_state_readers_reject_a_run_without_states():
-    traj = run(desk_default_config(resolution=(10,), T=0.003),
-               keep_states=False)
-    with pytest.raises(ValueError, match="apriori_monitor needs the states"):
-        apriori_monitor(traj)
-    with pytest.raises(ValueError, match="interpolant_eval needs the states"):
-        interpolant_eval(traj, "u", "affine", 0.0)
-    with pytest.raises(ValueError, match="refine_study needs the states"):
-        driver._step_samples(traj)
+def test_manifest_names_the_package_version(tmp_path):
+    run(desk_default_config(resolution=(8,), T=0.002, outdir=str(tmp_path)))
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["version"] == hydrisim.__version__ != "unknown"
+
+
+def test_stage_invariant_violation_names_its_step():
+    # the left end loses 1e-3 per step from an empty specimen while the
+    # right end gains 2e-3: the global hydrogen budget passes, and the
+    # concentration stage finds a negative node on step 1
+    cfg = desk_default_config(resolution=(12,), T=0.003,
+                              h_s={"left": -1.0, "right": 2.0})
+    with pytest.raises(InvariantViolation,
+                       match=r"^step 1: negative concentration -1\.190e-02;"
+                       ) as info:
+        run(cfg)
+    assert info.value.step == 1
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +553,24 @@ def test_refine_study_ratios_decay(tmp_path):
         assert d[1] <= d[0]
         assert all(r > 1.2 for r in rep.ratios[name])
     assert all(1.4 <= r <= 2.6 for r in rep.nu1_ratios)
+
+
+def test_refine_study_memory_does_not_grow_with_the_step_count():
+    # the levels advance in lockstep and sum as their states arrive, so
+    # four times the steps leave the traced peak where it was (a study
+    # that kept every state of every level doubled it on this grid)
+    def peak(n_steps):
+        cfg = RunConfig(dim=2, lengths=(1.0, 0.6), resolution=(12, 10),
+                        tau=1e-3, n_steps=n_steps, h_s={"left": 0.5})
+        tracemalloc.start()
+        try:
+            refine_study(cfg, levels=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # caches filled on first use are not the study's
+    assert peak(8) <= 1.1 * peak(2)
 
 
 def test_refine_study_needs_two_levels():

@@ -33,6 +33,8 @@ from hydrisim.grid import (
 from hydrisim.mech_phase import StateTerms
 from hydrisim.state import State, Trajectory
 
+from _streams import run_with_states
+
 
 def desk(**kw):
     return dataclasses.replace(desk_default_material(1), **kw)
@@ -90,8 +92,7 @@ def test_static_trajectory_all_residuals_zero():
     s1 = make_state(mesh, 1, tau)
     rows = [initial_row(mesh, mat, s0, tau)[0],
             ledger(mesh, mat, s0, s1, tau, {}, ZERO_HEAT)]
-    traj = Trajectory(mesh=mesh, mat=mat, tau=tau, states=[s0, s1],
-                      rows=rows, meta={})
+    traj = Trajectory(mesh=mesh, mat=mat, tau=tau, rows=rows, meta={})
     for nu in (0.0, 0.5, 1.0):
         assert np.allclose(balance_residual(traj, nu), 0.0, atol=1e-15)
     r = rows[1]
@@ -167,13 +168,13 @@ def test_driver_hands_the_ledger_its_stage_arrays(monkeypatch):
         return ledger_step(*args, **kwargs)
 
     monkeypatch.setattr(driver, "ledger_step", recording)
-    traj = run(RunConfig(dim=2, lengths=(1.0, 1.0), resolution=(6, 5),
-                         tau=1e-3, n_steps=3, chi0=lambda c: 1.2 * c[:, 0],
-                         theta0=0.1, h_s={"left": 0.5}))
+    traj, states = run_with_states(RunConfig(
+        dim=2, lengths=(1.0, 1.0), resolution=(6, 5), tau=1e-3, n_steps=3,
+        chi0=lambda c: 1.2 * c[:, 0], theta0=0.1, h_s={"left": 0.5}))
     mesh, mat, tau = traj.mesh, traj.mat, traj.tau
     assert len(calls) == traj.n_steps
     for k, (args, kwargs) in enumerate(calls, start=1):
-        prev, cur = traj.states[k - 1], traj.states[k]
+        prev, cur = states[k - 1], states[k]
         prev_terms, terms = args[2], args[3]
         assert prev_terms.state is prev and terms.state is cur
         # each step hands the next the terms it built, bit for bit the
@@ -266,15 +267,16 @@ def test_work_column_accounts_all_external_input():
 
 def test_apriori_monitor_zero_run_is_zero():
     cfg = desk_default_config(resolution=(10,), T=0.002, h_s=None)
-    traj = run(cfg)
-    mon = apriori_monitor(traj)
+    traj, states = run_with_states(cfg)
+    mon = apriori_monitor(traj.mesh, traj.mat, traj.tau, states)
     for name, val in mon.items():
         assert val == pytest.approx(0.0, abs=1e-13), name
 
 
 def test_apriori_monitor_keys_and_finiteness():
-    traj = run(desk_default_config(resolution=(20,), T=0.01))
-    mon = apriori_monitor(traj)
+    cfg = desk_default_config(resolution=(20,), T=0.01)
+    traj, states = run_with_states(cfg)
+    mon = apriori_monitor(traj.mesh, traj.mat, traj.tau, states)
     for name in ("u_rate_sup_l2", "u_h1_h1", "m_sup_h1", "m_rate_l2",
                  "m_sup_abs", "chi_sup_h1", "mu_sup_h1", "w_sup_l1",
                  "w_grad_l98", "accel_dual_l2", "w_rate_dual_l1",
@@ -283,6 +285,12 @@ def test_apriori_monitor_keys_and_finiteness():
         assert np.isfinite(mon[name])
     assert mon["chi_sup_h1"] > 0.0
     assert mon["w_grad_l98"] > 0.0
+    # read one state at a time, as the step stream yields them, the
+    # running maxima and sums give the same bits
+    streamed = apriori_monitor(traj.mesh, traj.mat, cfg.tau, (
+        state for state, *_ in driver.steps(cfg)))
+    assert ({k: float.hex(v) for k, v in streamed.items()}
+            == {k: float.hex(v) for k, v in mon.items()})
 
 
 @pytest.mark.parametrize("cfg", [
@@ -291,8 +299,8 @@ def test_apriori_monitor_keys_and_finiteness():
               h_s={"left": 0.5}),
 ], ids=["line20", "grid7x5"])
 def test_apriori_dual_norms_match_a_dense_riesz_solve(cfg):
-    traj = run(cfg)
-    mesh, tau, states = traj.mesh, traj.tau, traj.states
+    traj, states = run_with_states(cfg)
+    mesh, tau = traj.mesh, traj.tau
     Ml = lumped_mass(mesh)
     R = np.diag(Ml) + stiffness(mesh, 1.0).toarray()
 
@@ -313,7 +321,7 @@ def test_apriori_dual_norms_match_a_dense_riesz_solve(cfg):
         "chi_rate_dual_l2": np.sqrt(sum(
             tau * dual_sq((b.chi - a.chi) / tau) for a, b in steps)),
     }
-    mon = apriori_monitor(traj)
+    mon = apriori_monitor(mesh, traj.mat, tau, states)
     for name, val in ref.items():
         assert val > 0.0, name
         assert mon[name] == pytest.approx(val, rel=1e-10, abs=0.0), name

@@ -367,10 +367,10 @@ def test_two_dimensional_step_runs():
 def test_desk_run_terminal_residuals_stay_absolute():
     # the forcing-scaled stopping rule must not loosen 1D desk solves:
     # their terminal first-order residuals stay within the absolute 1e-10
-    from hydrisim.driver import desk_default_config, run
+    from hydrisim.driver import desk_default_config
+    from _streams import run_with_states
 
-    traj = run(desk_default_config(resolution=(30,), T=0.01))
-    st = traj.states
+    traj, st = run_with_states(desk_default_config(resolution=(30,), T=0.01))
     for k in range(1, traj.n_steps + 1):
         pr = MechPhaseProblem(mesh=traj.mesh, mat=traj.mat, tau=traj.tau,
                               prev=StateTerms(traj.mesh, traj.mat,

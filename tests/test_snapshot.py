@@ -22,6 +22,8 @@ from hydrisim.driver import (
 )
 from hydrisim.errors import InvariantViolation, StepFailure
 
+from _streams import run_with_states
+
 N_STEPS = 5
 
 
@@ -49,10 +51,10 @@ def writers(monkeypatch):
     return started
 
 
-def _reference(traj, k, ext, scratch):
-    """Snapshot ``k`` of ``traj`` as the in-process writers write it."""
+def _reference(traj, states, k, ext, scratch):
+    """Snapshot ``k`` of a run as the in-process writers write it."""
     path = str(scratch / ("ref." + ext))
-    st = traj.states[k]
+    st = states[k]
     text = _mesh_text(traj.mesh)
     if ext == "csv":
         _write_snapshot(traj.mesh, traj.mat, st, path, text)
@@ -73,27 +75,27 @@ def _names(steps, vtk):
 def test_run_snapshots_match_in_process_writers(tmp_path, writers, dim, vtk,
                                                 every_n):
     out = tmp_path / "run"
-    traj = run(_config(dim, out, every_n=every_n, vtk=vtk))
+    cfg = _config(dim, out, every_n=every_n, vtk=vtk)
+    run(cfg)
+    traj, states = run_with_states(cfg)
     due = [k for k in range(N_STEPS + 1)
            if k in (0, N_STEPS) or (every_n and k % every_n == 0)]
     assert {p.name for p in out.glob("fields_*")} == _names(due, vtk)
     for k in due:
         for ext in ("csv", "vtk") if vtk else ("csv",):
             got = (out / ("fields_%06d.%s" % (k, ext))).read_bytes()
-            assert got == _reference(traj, k, ext, tmp_path), (k, ext)
+            assert got == _reference(traj, states, k, ext,
+                                     tmp_path), (k, ext)
     # a writer process only when a snapshot falls strictly inside the run
     assert len(writers) == (1 if 0 < every_n < N_STEPS else 0)
     assert all(proc.returncode == 0 for proc in writers)
 
 
-@pytest.mark.parametrize("fault, keep_states", [
-    pytest.param(fault, keep,
-                 id=fault.__name__ + ("" if keep else "-rows-only"))
-    for keep in (True, False)
-    for fault in (StepFailure, InvariantViolation, KeyboardInterrupt)])
+@pytest.mark.parametrize("fault", [
+    StepFailure, InvariantViolation, KeyboardInterrupt],
+    ids=lambda fault: fault.__name__)
 def test_aborted_run_keeps_every_snapshot_handed_over(tmp_path, writers,
-                                                      monkeypatch, fault,
-                                                      keep_states):
+                                                      monkeypatch, fault):
     run(_config(2, tmp_path / "clean", every_n=1, vtk=True))
     real = driver.solve_chi_step
     calls = []
@@ -106,8 +108,7 @@ def test_aborted_run_keeps_every_snapshot_handed_over(tmp_path, writers,
 
     monkeypatch.setattr(driver, "solve_chi_step", failing_at_step_3)
     with pytest.raises(fault, match="injected at step 3"):
-        run(_config(2, tmp_path / "failed", every_n=1, vtk=True),
-            keep_states=keep_states)
+        run(_config(2, tmp_path / "failed", every_n=1, vtk=True))
     names = _names(range(3), vtk=True)
     assert {p.name for p in (tmp_path / "failed").glob("*")} == names
     for name in names:
@@ -161,10 +162,12 @@ def test_writer_ignores_an_interrupt(tmp_path, monkeypatch):
         real_send(self, k, u, scalars)
 
     monkeypatch.setattr(_snapshot.Writer, "send", interrupt_then_send)
-    traj = run(_config(1, tmp_path / "run", every_n=1))
+    cfg = _config(1, tmp_path / "run", every_n=1)
+    run(cfg)
+    traj, states = run_with_states(cfg)
     for k in range(N_STEPS + 1):
         assert ((tmp_path / "run" / ("fields_%06d.csv" % k)).read_bytes()
-                == _reference(traj, k, "csv", tmp_path))
+                == _reference(traj, states, k, "csv", tmp_path))
 
 
 @pytest.mark.parametrize("cannot_start", ["Popen", "executable"])
@@ -176,11 +179,14 @@ def test_no_writer_process_writes_in_process(tmp_path, monkeypatch,
         monkeypatch.setattr(subprocess, "Popen", refuse)
     else:
         monkeypatch.setattr(sys, "executable", "")
-    traj = run(_config(2, tmp_path / "run", every_n=1, vtk=True))
+    cfg = _config(2, tmp_path / "run", every_n=1, vtk=True)
+    run(cfg)
+    traj, states = run_with_states(cfg)
     for k in range(N_STEPS + 1):
         for ext in ("csv", "vtk"):
             assert ((tmp_path / "run" / ("fields_%06d.%s" % (k, ext)))
-                    .read_bytes() == _reference(traj, k, ext, tmp_path))
+                    .read_bytes() == _reference(traj, states, k, ext,
+                                                tmp_path))
 
 
 def test_writer_file_imports_only_the_standard_library():
@@ -199,8 +205,10 @@ def test_writer_file_runs_without_site_packages(tmp_path):
     # the stream a Writer sends, built here from the documented layout
     # and fed to the file run as the writer process is
     tmp_path.joinpath("run").mkdir()
-    traj = run(_config(2, tmp_path / "run", n_steps=1, vtk=True))
-    mesh, mat, st = traj.mesh, traj.mat, traj.states[1]
+    cfg = _config(2, tmp_path / "run", n_steps=1, vtk=True)
+    run(cfg)
+    traj, states = run_with_states(cfg)
+    mesh, mat, st = traj.mesh, traj.mat, states[1]
     u, *scalars = driver._snapshot_fields(mat, st)
     stream = b"".join(
         [_snapshot._MESH.pack(2, mesh.n_nodes, mesh.n_elems, 1),
