@@ -327,9 +327,12 @@ def parse_config(path: str) -> RunConfig:
     cfg = RunConfig(dim=dim, lengths=lengths, resolution=resolution,
                     material=mat, T=T, tau=tau, **init_kw, **src_kw,
                     **sol_kw, **out_kw)
+    # outdir is settled by _cmd_simulate (--out, else [output] dir, else
+    # "out"), which logs its own fallback
     given = {k for s in parser.sections() for k in parser[s]}
     for fld in dataclasses.fields(cfg):
-        if fld.name not in given and fld.name not in ("material", "n_steps"):
+        if fld.name not in given and fld.name not in ("material", "n_steps",
+                                                      "outdir"):
             log.info("defaulted %s = %r", fld.name, getattr(cfg, fld.name))
     return cfg
 
@@ -344,6 +347,7 @@ def _cmd_simulate(args) -> int:
         cfg = dataclasses.replace(cfg, outdir=args.out)
     if not cfg.outdir:
         cfg = dataclasses.replace(cfg, outdir="out")
+        log.info("defaulted outdir = %r", cfg.outdir)
     traj = run(cfg)
     last = traj.rows[-1]
     print("completed %d steps to T=%g" % (traj.n_steps, traj.T))

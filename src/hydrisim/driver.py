@@ -237,17 +237,13 @@ def _mesh_text(mesh: Mesh) -> _snapshot.MeshText:
         memoryview(np.ascontiguousarray(mesh.elems, np.int64).ravel()))
 
 
-def _snapshot_fields(mat: MaterialModel, st: State) -> list:
-    """u, then the nodal fields of ``_snapshot.SCALARS``, each a flat
-    contiguous float64 array."""
-    return [np.ascontiguousarray(vals, float).ravel()
-            for vals in (st.u, st.m, st.chi, st.mu, st.w, st.theta(mat))]
-
-
 def _field_text(mesh: Mesh, mat: MaterialModel, st: State) -> list:
-    """Every nodal value of ``st`` formatted once (``_snapshot.field_text``
-    on memoryviews of the arrays, so no value list is built)."""
-    u, *scalars = map(memoryview, _snapshot_fields(mat, st))
+    """Every nodal value of ``st`` formatted once: ``_snapshot.field_text``
+    on memoryviews of u and the fields of ``_snapshot.SCALARS`` as flat
+    contiguous float64 arrays, so no value list is built."""
+    u, *scalars = (memoryview(np.ascontiguousarray(vals, float).ravel())
+                   for vals in (st.u, st.m, st.chi, st.mu, st.w,
+                                st.theta(mat)))
     return _snapshot.field_text(mesh.dim, u, scalars)
 
 
@@ -278,36 +274,21 @@ def _write_vtk(mesh: Mesh, mat: MaterialModel, st: State, path: str,
 
 class _Snapshots:
     """The due snapshots of one run: step 0, step n and, with ``every_n``
-    > 0, every multiple of it.
-
-    When some snapshot falls strictly between step 0 and step n, every
-    snapshot before step n goes to a ``_snapshot.Writer`` process, which
-    formats and writes it on another core while the run goes on.  Step n,
-    and every snapshot of a run without a writer, is written here by the
-    same functions while the writer drains its pipe.
+    > 0, every multiple of it.  Each is written in the run's process as
+    its state arrives, so a run that fails or is interrupted leaves every
+    snapshot before the failing step on disk.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialModel, cfg: RunConfig,
                  n: int):
         self.mesh, self.mat, self.cfg, self.n = mesh, mat, cfg, n
         self.text = _mesh_text(mesh)
-        self.writer = None
 
     def take(self, st: State):
         cfg, k = self.cfg, st.k
         due = (cfg.every_n > 0 and k % cfg.every_n == 0) or k in (0, self.n)
         if not (cfg.outdir and due):
             return
-        if k == 0 and 0 < cfg.every_n < self.n:
-            self.writer = _snapshot.Writer.start(
-                cfg.outdir, self.mesh.dim, self.text.coords,
-                self.text.elems, cfg.vtk)
-        if self.writer is not None and k < self.n:
-            u, *scalars = _snapshot_fields(self.mat, st)
-            self.writer.send(k, u, scalars)
-            return
-        if self.writer is not None:
-            self.writer.end()
         fields = _write_snapshot(
             self.mesh, self.mat, st,
             _snapshot.snapshot_path(cfg.outdir, k, "csv"), self.text)
@@ -315,14 +296,6 @@ class _Snapshots:
             _write_vtk(self.mesh, self.mat, st,
                        _snapshot.snapshot_path(cfg.outdir, k, "vtk"), fields,
                        self.text)
-        if self.writer is not None:
-            self.writer.join()
-
-    def abort(self):
-        """Close the writer's pipe and reap it, so every snapshot handed
-        over reaches the disk; its own failure is not raised."""
-        if self.writer is not None:
-            self.writer.abort()
 
 
 def _manifest(cfg: RunConfig, mat: MaterialModel, mesh: Mesh, n: int,
@@ -492,9 +465,10 @@ def steps(config: RunConfig):
 def run(config: RunConfig) -> Trajectory:
     """Advance the scheme over the configured horizon through ``steps``
     and return the trajectory: one ledger row per step and the iteration
-    totals.  Each state is dropped once its snapshot is handed over; a
-    caller that reads the states iterates ``steps`` itself.  Nothing is
-    written before ``prepare`` has passed the inputs.
+    totals.  Each due snapshot is written in this process as its state
+    arrives, and each state is dropped after that; a caller that reads
+    the states iterates ``steps`` itself.  Nothing is written before
+    ``prepare`` has passed the inputs.
     """
     cfg = config
     stream = steps(cfg)
@@ -511,18 +485,12 @@ def run(config: RunConfig) -> Trajectory:
                               % (outdir, exc.strerror)) from None
     snaps = _Snapshots(mesh, mat, cfg, n)
     rows, totals = [], Counter()
-    # any failure, interrupt included, first reaps the snapshot writer,
-    # so every snapshot handed over is on disk when the error propagates
-    try:
-        while step is not None:
-            state, _, row, iterations = step
-            rows.append(row)
-            totals.update(iterations)
-            snaps.take(state)
-            step = next(stream, None)
-    except BaseException:
-        snaps.abort()
-        raise
+    while step is not None:
+        state, _, row, iterations = step
+        rows.append(row)
+        totals.update(iterations)
+        snaps.take(state)
+        step = next(stream, None)
 
     traj = Trajectory(mesh=mesh, mat=mat, tau=cfg.tau, rows=rows,
                       meta={"iterations": dict(totals)})

@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -193,6 +194,29 @@ def test_simulate_writes_artifacts(tmp_path, monkeypatch, capsys):
     assert (out / "fields_000000.csv").exists()
     assert (out / "fields_000004.csv").exists()
     assert (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("how", ["ini-dir", "flag", "fallback"])
+def test_defaulted_log_reports_the_output_directory(tmp_path, monkeypatch,
+                                                   caplog, how):
+    # only the CLI's own fallback to "out" is a defaulted outdir; an
+    # [output] dir or a --out is given, and the None that parse_config
+    # leaves for --out to fill is never reported
+    monkeypatch.chdir(tmp_path)
+    text = SMALL + ("dir = somewhere\n" if how == "ini-dir" else "")
+    argv = ["simulate", write_cfg(tmp_path, text)]
+    argv += ["--out", "elsewhere"] if how == "flag" else []
+    caplog.set_level(logging.INFO, logger="hydrisim.cli")
+    assert run_main(monkeypatch, *argv) == 0
+    got = [msg for msg in caplog.messages
+           if msg.startswith("defaulted outdir")]
+    expected = {"ini-dir": "somewhere", "flag": "elsewhere",
+                "fallback": "out"}[how]
+    assert got == (["defaulted outdir = 'out'"] if how == "fallback"
+                   else [])
+    assert (tmp_path / expected / "fields_000004.csv").exists()
+    # the other keys are still reported
+    assert "defaulted vtk = False" in caplog.messages
 
 
 def test_simulate_reruns_byte_identical(tmp_path, monkeypatch):

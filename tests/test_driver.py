@@ -430,8 +430,8 @@ def _assert_snapshots_match_states(cfg, outdir):
 
 
 def test_run_snapshots_reuse_mesh_text(tmp_path):
-    # the run formats its mesh text once, in the writer process for the
-    # snapshots before the last and in-process for the last
+    # the run formats its mesh text once, and every snapshot of the run
+    # reuses it
     cfg = RunConfig(dim=2, lengths=(1.0, 1.0), resolution=(5, 4), T=0.003,
                     tau=1e-3, h_s={"left": 0.5}, every_n=1, vtk=True,
                     outdir=str(tmp_path))
@@ -487,9 +487,7 @@ def _write_as_a_reader(cfg, outdir):
 @pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
 def test_run_without_states_matches_full_run(tmp_path, dim, every_n):
     # run keeps no state; its rows, files and iteration totals are those
-    # of a caller that reads every state of steps (with every_n = 1 run
-    # hands its snapshots to the writer process, the reader writes them
-    # in-process)
+    # of a caller that reads every state of steps
     space = dict(lengths=(1.0,), resolution=(9,)) if dim == 1 else dict(
         lengths=(1.0, 1.0), resolution=(5, 4))
     cfg = RunConfig(dim=dim, **space, n_steps=4, tau=1e-3,

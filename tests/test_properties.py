@@ -9,12 +9,13 @@ import scipy.sparse.linalg as spla
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from hydrisim import _snapshot, cli  # noqa: E402
+from hydrisim import cli  # noqa: E402
 from hydrisim.constitutive import desk_default_material  # noqa: E402
 from hydrisim.errors import HydrisimError  # noqa: E402
 from hydrisim.driver import (  # noqa: E402
+    RunConfig,
     _mesh_text,
-    _snapshot_fields,
+    _Snapshots,
     _write_snapshot,
     _write_vtk,
 )
@@ -151,13 +152,11 @@ def test_snapshot_writers_match_oracles(tmp_path_factory, resolution, lengths,
         assert (out / "f.csv").read_text() == reference_snapshot(mesh, mat,
                                                                  state)
         assert (out / "f.vtk").read_text() == reference_vtk(mesh, mat, state)
-        u, *scalars = _snapshot_fields(mat, state)
-    # the writer process, fed the raw values, writes the same bytes
-    writer = _snapshot.Writer.start(str(out), dim, text.coords, text.elems,
-                                    True)
-    writer.send(seed, u, scalars)
-    writer.end()
-    writer.join()
+        # a run's snapshot of the same state, through the path ``run``
+        # takes, writes the same bytes
+        cfg = RunConfig(dim=dim, outdir=str(out), every_n=1, vtk=True)
+        snaps = _Snapshots(mesh, mat, cfg, n=1)
+        snaps.take(dataclasses.replace(state, k=seed))
     for ext in ("csv", "vtk"):
         assert ((out / ("fields_%06d.%s" % (seed, ext))).read_bytes()
                 == (out / ("f." + ext)).read_bytes())
