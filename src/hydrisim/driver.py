@@ -20,6 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__, _snapshot
+# _Snapshots calls these names, which perfbench/spans.py swaps
+from ._snapshot import write_snapshot as _write_snapshot
+from ._snapshot import write_vtk as _write_vtk
 from .constitutive import (
     MaterialModel,
     desk_default_material,
@@ -229,49 +232,6 @@ def _initial_state(mesh: Mesh, mat: MaterialModel, cfg: RunConfig) -> State:
                  mu=mu0, xi=np.zeros(mesh.n_nodes))
 
 
-def _mesh_text(mesh: Mesh) -> _snapshot.MeshText:
-    """The mesh text of ``mesh``, on memoryviews of its flat coordinates
-    and 8-byte element node ids."""
-    return _snapshot.MeshText(
-        mesh.dim, memoryview(np.ascontiguousarray(mesh.coords, float).ravel()),
-        memoryview(np.ascontiguousarray(mesh.elems, np.int64).ravel()))
-
-
-def _field_text(mesh: Mesh, mat: MaterialModel, st: State) -> list:
-    """Every nodal value of ``st`` formatted once: ``_snapshot.field_text``
-    on memoryviews of u and the fields of ``_snapshot.SCALARS`` as flat
-    contiguous float64 arrays, so no value list is built."""
-    u, *scalars = (memoryview(np.ascontiguousarray(vals, float).ravel())
-                   for vals in (st.u, st.m, st.chi, st.mu, st.w,
-                                st.theta(mat)))
-    return _snapshot.field_text(mesh.dim, u, scalars)
-
-
-def _write_snapshot(mesh: Mesh, mat: MaterialModel, st: State, path: str,
-                    text: _snapshot.MeshText) -> list:
-    """Write the nodal fields of ``st`` as CSV: the node index, then
-    ``%.17g`` coordinates, displacement and scalars, one row per node.
-
-    Each value is formatted once per snapshot; the strings are returned
-    for ``_write_vtk`` to reuse.  ``text`` is the run's mesh text
-    (``_mesh_text``), so the ``node,x,y`` columns are formatted once per
-    run."""
-    fields = _field_text(mesh, mat, st)
-    _snapshot.write_csv(path, mesh.dim, fields, text)
-    return fields
-
-
-def _write_vtk(mesh: Mesh, mat: MaterialModel, st: State, path: str,
-               fields: list, text: _snapshot.MeshText):
-    """Write the nodal fields of ``st`` as a legacy ASCII VTK
-    unstructured grid with the same ``%.17g`` values as the CSV.
-
-    ``fields`` are the strings ``_write_snapshot`` returned for the same
-    state, so no value is formatted a second time, and ``text`` is the
-    run's mesh text."""
-    _snapshot.write_vtk(path, fields, text)
-
-
 class _Snapshots:
     """The due snapshots of one run: step 0, step n and, with ``every_n``
     > 0, every multiple of it.  Each is written in the run's process as
@@ -282,7 +242,7 @@ class _Snapshots:
     def __init__(self, mesh: Mesh, mat: MaterialModel, cfg: RunConfig,
                  n: int):
         self.mesh, self.mat, self.cfg, self.n = mesh, mat, cfg, n
-        self.text = _mesh_text(mesh)
+        self.text = _snapshot.MeshText(mesh)
 
     def take(self, st: State):
         cfg, k = self.cfg, st.k

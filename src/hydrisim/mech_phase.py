@@ -146,7 +146,7 @@ def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators
     G = vector_grad_op(mesh)
     (lam, mu), (lam_v, mu_v) = mat.lame, mat.visc
     A_u = elastic_stiffness(mesh, (lam + lam_v / tau, mu + mu_v / tau), G)
-    B = coupling_force_matrix(mesh, _transformation_stress(mat), G)
+    B = coupling_force_matrix(mesh, mat.C_eps_tr, G)
     del G
     A_u.setdiag(A_u.diagonal() + mat.rho / tau ** 2 * Mvec)
     # Gershgorin row sums D of the phase-block Hessian H leave D - H diagonally
@@ -184,12 +184,6 @@ def _on_pattern(A: sp.spmatrix, P: sp.csr_matrix) -> sp.csr_matrix:
         return A.copy()
     return sp.csr_matrix((A.data.copy(), P.indices, P.indptr),
                          shape=A.shape)
-
-
-def _transformation_stress(mat: MaterialModel) -> np.ndarray:
-    eps_tr = np.asarray(mat.eps_tr_mat, float)
-    lam, mu = mat.lame
-    return lam * np.trace(eps_tr) * np.eye(mat.dim) + 2.0 * mu * eps_tr
 
 
 class StateTerms:

@@ -7,10 +7,10 @@ import pytest
 
 import hydrisim
 from hydrisim import diffusion, driver, energy_audit, heat, mech_phase
+from hydrisim._snapshot import MeshText
 from hydrisim.constitutive import desk_default_material, theta_of_w
 from hydrisim.driver import (
     RunConfig,
-    _mesh_text,
     _write_snapshot,
     _write_vtk,
     desk_default_config,
@@ -393,15 +393,22 @@ def _awkward_state(mesh, seed):
 
 
 # 24x24: 576 nodes and 1058 elements, each several writer blocks with a
-# partial last one
-@pytest.mark.parametrize("dim, resolution",
-                         [(1, (3,)), (2, (3, 3)), (2, (24, 24))],
-                         ids=["line-3", "square-3x3", "square-24x24"])
-def test_snapshot_formats_pinned(tmp_path, dim, resolution):
+# partial last one; "relaid" is that mesh with Fortran-ordered coordinates
+# and int32 element node ids, which the writers read as they come
+@pytest.mark.parametrize("dim, resolution, relaid",
+                         [(1, (3,), False), (2, (3, 3), False),
+                          (2, (24, 24), False), (2, (24, 24), True)],
+                         ids=["line-3", "square-3x3", "square-24x24",
+                              "square-24x24-relaid"])
+def test_snapshot_formats_pinned(tmp_path, dim, resolution, relaid):
     mesh = build_mesh(dim, (1.0,) * dim, resolution)
+    if relaid:
+        mesh = dataclasses.replace(mesh, coords=np.asfortranarray(mesh.coords),
+                                   elems=mesh.elems.astype(np.int32))
+        assert not mesh.coords.flags.c_contiguous
     mat = desk_default_material(dim)
     st = _awkward_state(mesh, dim)
-    text = _mesh_text(mesh)
+    text = MeshText(mesh)
     fields = _write_snapshot(mesh, mat, st, str(tmp_path / "f.csv"), text)
     _write_vtk(mesh, mat, st, str(tmp_path / "f.vtk"), fields, text)
     assert (tmp_path / "f.csv").read_text() == reference_snapshot(mesh, mat,
@@ -471,7 +478,7 @@ def _write_as_a_reader(cfg, outdir):
     snapshot in-process; returns the trajectory."""
     outdir.mkdir()
     traj, states = run_with_states(cfg)
-    text = _mesh_text(traj.mesh)
+    text = MeshText(traj.mesh)
     n = traj.n_steps
     for st in states:
         if st.k in (0, n) or (cfg.every_n and st.k % cfg.every_n == 0):

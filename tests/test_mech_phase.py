@@ -24,7 +24,6 @@ from hydrisim.mech_phase import (
     _on_pattern,
     _recover_xi,
     _solve_m_block,
-    _transformation_stress,
     _u_rhs_base,
     build_operators,
     incremental_objective,
@@ -402,8 +401,7 @@ def test_displacement_matrices_share_one_pattern(dim, res):
     tau = 1e-3
     ops = build_operators(mesh, mat, tau)
     _, _, A_u = _separate_forms(mesh, mat, tau)
-    B = coupling_force_matrix(mesh, _transformation_stress(mat),
-                              vector_grad_op(mesh))
+    B = coupling_force_matrix(mesh, mat.C_eps_tr, vector_grad_op(mesh))
     assert np.array_equal(ops.B.toarray(), B.toarray())
     # one elastic form of the summed Lame pairs with the inertia on its
     # diagonal is the sum of the separate forms up to rounding, on the

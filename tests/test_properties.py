@@ -10,11 +10,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from hydrisim import cli  # noqa: E402
+from hydrisim._snapshot import MeshText  # noqa: E402
 from hydrisim.constitutive import desk_default_material  # noqa: E402
 from hydrisim.errors import HydrisimError  # noqa: E402
 from hydrisim.driver import (  # noqa: E402
     RunConfig,
-    _mesh_text,
     _Snapshots,
     _write_snapshot,
     _write_vtk,
@@ -146,7 +146,7 @@ def test_snapshot_writers_match_oracles(tmp_path_factory, resolution, lengths,
     # theta of an awkward w and m can overflow or be NaN: the writers and
     # the oracles format the same values
     with np.errstate(over="ignore", invalid="ignore"):
-        text = _mesh_text(mesh)
+        text = MeshText(mesh)
         fields = _write_snapshot(mesh, mat, state, str(out / "f.csv"), text)
         _write_vtk(mesh, mat, state, str(out / "f.vtk"), fields, text)
         assert (out / "f.csv").read_text() == reference_snapshot(mesh, mat,
