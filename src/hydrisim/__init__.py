@@ -27,6 +27,7 @@ from .errors import (
 from .grid import Mesh, build_mesh, lumped_mass, stiffness, boundary_functional
 from .mech_phase import (
     MechPhaseProblem,
+    build_operators,
     MechPhaseSolution,
     StateTerms,
     phase_nodal_prox,
@@ -34,7 +35,13 @@ from .mech_phase import (
     tau_max,
 )
 from .diffusion import DiffusionProblem, DiffusionSolution, assemble_mu, solve_chi_step
-from .heat import HeatProblem, HeatSolution, dissipation_rhs, solve_w_step
+from .heat import (
+    HeatProblem,
+    HeatSolution,
+    build_heat_operator,
+    dissipation_rhs,
+    solve_w_step,
+)
 from .energy_audit import (
     LedgerRow,
     apriori_monitor,
@@ -59,10 +66,11 @@ __all__ = [
     "HydrisimError", "ConfigError", "MaterialError", "StepFailure",
     "InvariantViolation",
     "Mesh", "build_mesh", "lumped_mass", "stiffness", "boundary_functional",
-    "MechPhaseProblem", "MechPhaseSolution", "StateTerms",
+    "MechPhaseProblem", "MechPhaseSolution", "StateTerms", "build_operators",
     "phase_nodal_prox", "solve_mech_phase_step", "tau_max",
     "DiffusionProblem", "DiffusionSolution", "assemble_mu", "solve_chi_step",
-    "HeatProblem", "HeatSolution", "dissipation_rhs", "solve_w_step",
+    "HeatProblem", "HeatSolution", "build_heat_operator", "dissipation_rhs",
+    "solve_w_step",
     "LedgerRow", "apriori_monitor", "balance_residual", "ledger_step",
     "write_energy_csv",
     "State", "Trajectory",

@@ -25,13 +25,14 @@ from ._snapshot import write_snapshot as _write_snapshot
 from ._snapshot import write_vtk as _write_vtk
 from .constitutive import (
     MaterialModel,
+    chemical_potential,
     desk_default_material,
     omega_of_theta,
     validate_material,
 )
-from .diffusion import DiffusionProblem, assemble_mu, solve_chi_step
+from .diffusion import DiffusionProblem, solve_chi_step
 from .energy_audit import initial_row, ledger_step, slack, write_energy_csv
-from .errors import NEG_TOL, ConfigError, InvariantViolation
+from .errors import NEG_TOL, ConfigError, InvariantViolation, StepFailure
 from .grid import Mesh, boundary_functional, build_mesh, vector_lumped_mass
 from .heat import HeatProblem, build_heat_operator, solve_w_step
 from .mech_phase import (
@@ -226,10 +227,10 @@ def _initial_state(mesh: Mesh, mat: MaterialModel, cfg: RunConfig) -> State:
     if np.any(theta0 < 0.0):
         raise ConfigError("theta0 must be nonnegative")
     w0 = omega_of_theta(mat, m0, theta0)
-    mu0, _ = assemble_mu(mesh, mat, m0, chi0)
     return State(k=0, t=0.0, u=u0, u_prev=u0 - cfg.tau * v0, m=m0,
                  chi=chi0, w=np.asarray(w0, float) * np.ones(mesh.n_nodes),
-                 mu=mu0, xi=np.zeros(mesh.n_nodes))
+                 mu=chemical_potential(mat, m0, chi0),
+                 xi=np.zeros(mesh.n_nodes))
 
 
 class _Snapshots:
@@ -259,7 +260,7 @@ class _Snapshots:
 
 
 def _manifest(cfg: RunConfig, mat: MaterialModel, mesh: Mesh, n: int,
-              defaulted, iterations: dict) -> dict:
+              iterations: dict) -> dict:
     def enc(v):
         if callable(v):
             return "<callable>"
@@ -279,7 +280,6 @@ def _manifest(cfg: RunConfig, mat: MaterialModel, mesh: Mesh, n: int,
         "version": __version__,
         "config": cfg_dict,
         "material": mat_dict,
-        "defaulted": sorted(defaulted),
         "mesh": {"nodes": mesh.n_nodes, "elements": mesh.n_elems},
         "n_steps": n,
         "iterations": iterations,
@@ -351,8 +351,9 @@ def steps(config: RunConfig):
 
     ``prepare`` checks the inputs first.  Between yields only the latest
     state and what its successor needs are held, so memory does not grow
-    with the step count.  Aborts with InvariantViolation, naming the
-    step, the moment a guaranteed property fails.
+    with the step count.  Aborts the moment a guaranteed property fails
+    (InvariantViolation) or a stage's solver gives up (StepFailure), the
+    message naming the step.
     """
     cfg = config
     mat, n, mesh, state, sources = prepare(cfg)
@@ -368,9 +369,8 @@ def steps(config: RunConfig):
             t = k * cfg.tau
             src = sources.at(t)
             pr = MechPhaseProblem(
-                mesh=mesh, mat=mat, tau=cfg.tau, prev=terms, f=src["f"],
-                f_s=src["f_s"], cg_tol=cfg.cg_tol, opt_tol=opt_tol,
-                opt_max=cfg.opt_max, ops=ops)
+                tau=cfg.tau, prev=terms, ops=ops, f=src["f"], f_s=src["f_s"],
+                cg_tol=cfg.cg_tol, opt_tol=opt_tol, opt_max=cfg.opt_max)
             j_prev = incremental_objective(pr, state.u, state.m)
             sol = solve_mech_phase_step(pr)
             if sol.objective > j_prev + OBJECTIVE_TOL * (1.0 + abs(j_prev)):
@@ -388,11 +388,10 @@ def steps(config: RunConfig):
             dsol = solve_chi_step(dpr)
 
             hpr = HeatProblem(
-                mesh=mesh, mat=mat, tau=cfg.tau, prev=terms,
-                eps_new=sol.strain, m=sol.m, grad_mu=dsol.grad_mu,
-                q=src["q"], q_s=src["q_s"],
+                tau=cfg.tau, prev=terms, eps_new=sol.strain, m=sol.m,
+                grad_mu=dsol.grad_mu, op=heat_op, q=src["q"], q_s=src["q_s"],
                 cg_tol=cfg.cg_tol, picard_tol=cfg.picard_tol,
-                picard_max=cfg.picard_max, op=heat_op)
+                picard_max=cfg.picard_max)
             hsol = solve_w_step(hpr)
 
             new = State(k=k, t=t, u=sol.u, u_prev=state.u, m=sol.m,
@@ -408,9 +407,11 @@ def steps(config: RunConfig):
             if gap < -SLACK_TOL * scale:
                 raise InvariantViolation(
                     "energy-inequality slack %.3e negative" % gap)
-        except InvariantViolation as exc:
+        except (InvariantViolation, StepFailure) as exc:
             # neither the stages' checks nor the ones above know the step
-            raise InvariantViolation(str(exc), step=k) from exc
+            exc.step = k
+            exc.args = (f"step {k}: {exc}",)
+            raise
         state, terms, row = new, new_terms, new_row
         # the problems hold the previous state's terms; dropping them
         # here frees those arrays before the next step's stages run
@@ -457,20 +458,7 @@ def run(config: RunConfig) -> Trajectory:
     traj.check_uniform()
     if outdir:
         write_energy_csv(traj, os.path.join(outdir, "energy.csv"))
-
-        def is_default(fld):
-            val = getattr(cfg, fld.name)
-            if isinstance(val, np.ndarray) or callable(val):
-                return False
-            try:
-                return bool(val == fld.default)
-            except Exception:
-                return False
-
-        defaulted = [f.name for f in dataclasses.fields(cfg)
-                     if f.name != "material" and is_default(f)]
-        manifest = _manifest(cfg, mat, mesh, n, defaulted,
-                             traj.meta["iterations"])
+        manifest = _manifest(cfg, mat, mesh, n, traj.meta["iterations"])
         with open(os.path.join(outdir, "run_manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -6,9 +6,11 @@ input file from a solver breakdown from a violated runtime invariant.
 
 
 class HydrisimError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  ``step`` is the time step the
+    error stopped, when one did; the message then starts with it."""
 
     exit_code = 1
+    step: int | None = None
 
 
 class ConfigError(HydrisimError):
@@ -42,9 +44,3 @@ class InvariantViolation(HydrisimError):
     """A guaranteed discrete property failed at runtime; the run aborts."""
 
     exit_code = 4
-
-    def __init__(self, message: str, step: int | None = None):
-        if step is not None:
-            message = f"step {step}: {message}"
-        super().__init__(message)
-        self.step = step

@@ -52,38 +52,31 @@ from .grid import (
 from .mech_phase import StateTerms
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeatProblem:
     """Frozen data of one enthalpy increment.
 
-    ``prev`` holds the previous state and its arrays, ``eps_new`` is the
-    element strain of the new displacement (``MechPhaseSolution.strain``)
-    and ``m`` the new phase.  ``q`` holds nodal source values (per
-    unit volume), ``q_s`` an already-assembled boundary load vector; None
-    means zero.  ``grad_mu`` is the element chemical-potential gradient
-    from the diffusion step.
-    ``op`` lets the time loop share the system matrix across steps; it is
-    built from mesh, material and tau when absent.
+    ``prev`` holds the previous state, its mesh and material and its
+    arrays, ``eps_new`` is the element strain of the new displacement
+    (``MechPhaseSolution.strain``) and ``m`` the new phase.  ``grad_mu``
+    is the element chemical-potential gradient from the diffusion step.
+    ``op`` is the run's solver of the system matrix,
+    ``build_heat_operator(prev.mesh, prev.mat, tau)``.  ``q`` holds nodal
+    source values (per unit volume), ``q_s`` an already-assembled
+    boundary load vector; None means zero.
     """
 
-    mesh: Mesh
-    mat: MaterialModel
     tau: float
     prev: StateTerms
     eps_new: np.ndarray
     m: np.ndarray
     grad_mu: np.ndarray
+    op: SPDSolver = field(repr=False)
     q: np.ndarray | None = None
     q_s: np.ndarray | None = None
     cg_tol: float = 1e-12
     picard_tol: float = 1e-10
     picard_max: int = 200
-    op: SPDSolver | None = field(default=None, repr=False)
-
-    def operator(self) -> SPDSolver:
-        if self.op is None:
-            self.op = build_heat_operator(self.mesh, self.mat, self.tau)
-        return self.op
 
 
 def build_heat_operator(mesh: Mesh, mat: MaterialModel,
@@ -122,7 +115,7 @@ def dissipation_rhs(pr: HeatProblem, w_lin: np.ndarray) -> dict:
     activation entries cancel against the mechanics ledger exactly.
     """
     return _iterate_terms(pr, _fixed_terms(pr), *_adiabatic_at(
-        pr, w_lin, elem_mean(pr.mesh, w_lin)))
+        pr, w_lin, elem_mean(pr.prev.mesh, w_lin)))
 
 
 def _fixed_terms(pr: HeatProblem) -> tuple:
@@ -130,7 +123,7 @@ def _fixed_terms(pr: HeatProblem) -> tuple:
     step: the element strain rate, the nodal phase rate and the load
     vectors, with None for the two that depend on w.  The key order is
     the order in which the right-hand side adds them."""
-    mesh, mat, tau = pr.mesh, pr.mat, pr.tau
+    mesh, mat, tau = pr.prev.mesh, pr.prev.mat, pr.tau
     Ml = lumped_mass(mesh)
     # strain is linear in u: the rate is the difference of the strains
     rate = (pr.eps_new - pr.prev.strain) / tau
@@ -160,8 +153,8 @@ def _adiabatic_at(pr: HeatProblem, w_lin: np.ndarray,
     """Element sigma_a and nodal s_a at the previous phase and ``w_lin``,
     whose element mean is ``w_e``."""
     prev = pr.prev
-    return (sigma_a_tensor(pr.mat, prev.m_mean, w_e),
-            s_a(pr.mat, prev.state.m, w_lin))
+    return (sigma_a_tensor(prev.mat, prev.m_mean, w_e),
+            s_a(prev.mat, prev.state.m, w_lin))
 
 
 def _iterate_terms(pr: HeatProblem, fixed: tuple, sig: np.ndarray,
@@ -169,7 +162,7 @@ def _iterate_terms(pr: HeatProblem, fixed: tuple, sig: np.ndarray,
     """The load vectors of ``fixed`` with the adiabatic stress power of
     the element sigma_a ``sig`` and the phase heating of the nodal s_a
     ``sa_node`` filled in, in the same key order."""
-    mesh, mat = pr.mesh, pr.mat
+    mesh, mat = pr.prev.mesh, pr.prev.mat
     rate, dm, loads = fixed
     adiab_density = np.einsum("eij,eij->e", sig, rate)
     phase_nodal = (sa_node + mat.alpha * dm) * dm
@@ -179,7 +172,7 @@ def _iterate_terms(pr: HeatProblem, fixed: tuple, sig: np.ndarray,
 
 
 def solve_w_step(pr: HeatProblem) -> HeatSolution:
-    mesh, mat, tau = pr.mesh, pr.mat, pr.tau
+    mesh, mat, tau = pr.prev.mesh, pr.prev.mat, pr.tau
     w_prev = pr.prev.state.w
     if np.min(w_prev) < -NEG_TOL:
         raise InvariantViolation("previous enthalpy has negative nodes")
@@ -189,10 +182,11 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
         raise InvariantViolation("negative boundary heat flux defeats w >= 0")
 
     Ml = lumped_mass(mesh)
-    op = pr.operator()
-    # cross conduction L = K0 d theta / d m acts on grad m; it vanishes
-    # unless c0 depends on m
-    m_e = elem_mean(mesh, pr.m) if mat.c0_m_slope != 0.0 else None
+    # cross conduction L = K0 d theta / d m acts on grad m, which is fixed
+    # over the step; it vanishes unless c0 depends on m
+    cross = mat.c0_m_slope != 0.0
+    if cross:
+        m_e, grad_m = elem_mean(mesh, pr.m), grad_field(mesh, pr.m)
     fixed = _fixed_terms(pr)
     w_lin = w_prev.copy()
     w_e = pr.prev.w_mean  # the element mean of each iterate, taken once
@@ -206,12 +200,11 @@ def solve_w_step(pr: HeatProblem) -> HeatSolution:
         rhs = Ml * w_prev / tau
         for vec in terms.values():
             rhs = rhs + vec
-        if m_e is not None:
+        if cross:
             L = mat.K0 * dtheta_dm(mat, m_e, np.maximum(w_e, 0.0))
             if np.any(L != 0.0):
-                rhs = rhs - grad_stiffness_vector(
-                    mesh, L, grad_field(mesh, pr.m))
-        w_new, cg_it = op.solve(rhs, w_lin, pr.cg_tol)
+                rhs = rhs - grad_stiffness_vector(mesh, L, grad_m)
+        w_new, cg_it = pr.op.solve(rhs, w_lin, pr.cg_tol)
         cg_total += cg_it
         update = float(np.sqrt(np.sum(Ml * (w_new - w_lin) ** 2)))
         if update <= pr.picard_tol:

@@ -124,7 +124,6 @@ class MechOperators:
     and viscous energies are taken from element strains instead.
     """
 
-    tau: float
     Mlump: np.ndarray
     Mvec: np.ndarray
     A_m: sp.csr_matrix  # phase-gradient stiffness + transformation coupling
@@ -157,8 +156,7 @@ def build_operators(mesh: Mesh, mat: MaterialModel, tau: float) -> MechOperators
     lipschitz = np.asarray(abs(H).sum(axis=1)).ravel()
     u_solver = SPDSolver(A_u, "displacement solve", tensor_grid_inverse(
         mesh, *_displacement_models(mat, tau)))
-    return MechOperators(tau, Mlump, Mvec, A_m, B, B.T, A_u, u_solver,
-                         lipschitz)
+    return MechOperators(Mlump, Mvec, A_m, B, B.T, A_u, u_solver, lipschitz)
 
 
 def _displacement_models(mat: MaterialModel, tau: float):
@@ -242,36 +240,30 @@ class StateTerms:
         return s_a(self.mat, self.state.m, self.state.w)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MechPhaseProblem:
     """Frozen data of one displacement/phase increment.
 
-    ``prev`` holds the previous state and the arrays of it that the step
-    reads: the displacement one step before it (``prev.state.u_prev``)
-    gives the inertia, the concentration gives a(chi_prev) for phi1, and
-    m, w give the adiabatic couplings frozen over the step.  ``f`` and
-    ``f_s`` are already-assembled nodal load vectors (body and surface);
-    None means zero.  ``ops`` lets the time loop share the assembled
-    matrices across steps.  ``opt_tol`` bounds the first-order residual
-    relative to 1 + the dual norm of the step forcing, which coincides
-    with an absolute bound for steps starting from rest.
+    ``prev`` holds the previous state, its mesh and material and the
+    arrays of it that the step reads: the displacement one step before
+    it (``prev.state.u_prev``) gives the inertia, the concentration gives
+    a(chi_prev) for phi1, and m, w give the adiabatic couplings frozen
+    over the step.  ``ops`` are the run's matrices,
+    ``build_operators(prev.mesh, prev.mat, tau)``.  ``f`` and ``f_s`` are
+    already-assembled nodal load vectors (body and surface); None means
+    zero.  ``opt_tol`` bounds the first-order residual relative to 1 +
+    the dual norm of the step forcing, which coincides with an absolute
+    bound for steps starting from rest.
     """
 
-    mesh: Mesh
-    mat: MaterialModel
     tau: float
     prev: StateTerms
+    ops: MechOperators = field(repr=False)
     f: np.ndarray | None = None
     f_s: np.ndarray | None = None
     cg_tol: float = 1e-12
     opt_tol: float = 1e-10
     opt_max: int = 200
-    ops: MechOperators | None = field(default=None, repr=False)
-
-    def operators(self) -> MechOperators:
-        if self.ops is None or self.ops.tau != self.tau:
-            self.ops = build_operators(self.mesh, self.mat, self.tau)
-        return self.ops
 
 
 @dataclass(frozen=True)
@@ -288,13 +280,12 @@ class MechPhaseSolution:
     strain: np.ndarray  # element strain of u, seeds the next StateTerms
 
 
-def _m_smooth_grad(pr, ops, m, Am, Bu):
+def _m_smooth_grad(pr, m, Am, Bu):
     """Gradient of the smooth part of the m-functional, given Am = A_m @ m."""
-    mat, prev = pr.mat, pr.prev
-    return Am - Bu + ops.Mlump * (dphi1_dm(mat, m, prev.state.chi,
-                                           a=prev.swelling)
-                                  + (mat.alpha / pr.tau) * (m - prev.state.m)
-                                  + prev.s_a)
+    mat, prev = pr.prev.mat, pr.prev
+    return Am - Bu + pr.ops.Mlump * (
+        dphi1_dm(mat, m, prev.state.chi, a=prev.swelling)
+        + (mat.alpha / pr.tau) * (m - prev.state.m) + prev.s_a)
 
 
 def _m_residual(g, m, m_prev, Mlump, r, lo, hi):
@@ -309,17 +300,17 @@ def _m_residual(g, m, m_prev, Mlump, r, lo, hi):
                                               target - hi_tot))
 
 
-def _solve_m_block(pr, ops, u, m_start, tol, max_iter):
+def _solve_m_block(pr, u, m_start, tol, max_iter):
     """FISTA with restart in the metric D = ops.lipschitz and one A_m product
     per iteration; returns m, g(m), its nodal residual and the count."""
-    mat, m_prev = pr.mat, pr.prev.state.m
+    mat, ops, m_prev = pr.prev.mat, pr.ops, pr.prev.state.m
     Bu = ops.B_t @ u
     D = ops.lipschitz
     kappa = ops.Mlump * mat.threshold_r
     lo, hi = mat.m_lo, mat.m_hi
     y = m = np.clip(m_start, lo, hi)
     Am = ops.A_m @ m
-    g = g_y = _m_smooth_grad(pr, ops, m, Am, Bu)
+    g = g_y = _m_smooth_grad(pr, m, Am, Bu)
     t_acc = 1.0
     for it in range(1, max_iter + 1):
         m_new = phase_nodal_prox(D, y - g_y / D, m_prev, kappa, lo, hi)
@@ -330,25 +321,24 @@ def _solve_m_block(pr, ops, u, m_start, tol, max_iter):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2))
         beta = (t_acc - 1.0) / t_next
         Am_new = ops.A_m @ m_new
-        g_new = _m_smooth_grad(pr, ops, m_new, Am_new, Bu)
+        g_new = _m_smooth_grad(pr, m_new, Am_new, Bu)
         res = _m_residual(g_new, m_new, m_prev, ops.Mlump,
                           mat.threshold_r, lo, hi)
         if np.sqrt(np.sum(res ** 2 / ops.Mlump)) <= tol:
             return m_new, g_new, res, it
         y = m_new + beta * (m_new - m)
         # A_m is linear, so A_m @ y needs no product of its own
-        g_y = _m_smooth_grad(pr, ops, y, (1.0 + beta) * Am_new - beta * Am,
-                             Bu)
+        g_y = _m_smooth_grad(pr, y, (1.0 + beta) * Am_new - beta * Am, Bu)
         m, Am, g, t_acc = m_new, Am_new, g_new, t_next
     return m, g, res, max_iter
 
 
-def _u_rhs_base(pr, ops):
-    mat, prev = pr.mat, pr.prev
-    b = (mat.rho / pr.tau ** 2) * ops.Mvec * (2.0 * prev.state.u
-                                             - prev.state.u_prev)
+def _u_rhs_base(pr):
+    mat, prev = pr.prev.mat, pr.prev
+    b = (mat.rho / pr.tau ** 2) * pr.ops.Mvec * (2.0 * prev.state.u
+                                                - prev.state.u_prev)
     # A_visc u_prev / tau, the viscous stress of eps(u_prev) as a force
-    b += strain_adjoint(pr.mesh,
+    b += strain_adjoint(prev.mesh,
                         apply_viscosity(mat, prev.strain)) / pr.tau
     b -= prev.sigma_a_force
     for load in (pr.f, pr.f_s):
@@ -362,19 +352,19 @@ def incremental_objective(pr: MechPhaseProblem, u: np.ndarray,
                           ) -> float:
     """Value of the step functional; +inf outside the phase box.
 
-    ``eps`` is ``strain(pr.mesh, u)`` when the caller holds it.  The
+    ``eps`` is ``strain(pr.prev.mesh, u)`` when the caller holds it.  The
     elastic and viscous terms are element quadratures of eps(u) and of
     eps(u) - eps(u_prev), as in the energy ledger.  At the very arrays u
     and m of ``pr.prev``, the viscous, alpha and activation terms are
     exactly 0 and skipped, and phi1 is read from ``pr.prev``.
     """
-    mat, prev = pr.mat, pr.prev
-    ops = pr.operators()
+    prev, ops = pr.prev, pr.ops
+    mesh, mat = prev.mesh, prev.mat
     if np.any(m < mat.m_lo) or np.any(m > mat.m_hi):
         return np.inf
     at_prev = u is prev.state.u and m is prev.state.m
     if at_prev or eps is None:
-        eps = prev.strain if at_prev else strain(pr.mesh, u)
+        eps = prev.strain if at_prev else strain(mesh, u)
     acc = u - 2.0 * prev.state.u + prev.state.u_prev
     val = 0.5 * mat.rho / pr.tau ** 2 * np.sum(ops.Mvec * acc ** 2)
     if at_prev:
@@ -383,11 +373,11 @@ def incremental_objective(pr: MechPhaseProblem, u: np.ndarray,
         deps = eps - prev.strain
         dm = m - prev.state.m
         val += 0.5 / pr.tau * strain_pairing(
-            pr.mesh, apply_viscosity(mat, deps), deps)
+            mesh, apply_viscosity(mat, deps), deps)
         nodal = (phi1(mat, m, prev.state.chi, a=prev.swelling)
                  + 0.5 * mat.alpha / pr.tau * dm ** 2
                  + mat.threshold_r * np.abs(dm) + prev.s_a * m)
-    val += 0.5 * strain_pairing(pr.mesh, apply_elastic(mat, eps), eps)
+    val += 0.5 * strain_pairing(mesh, apply_elastic(mat, eps), eps)
     val -= u @ (ops.B @ m)
     val += 0.5 * (m @ (ops.A_m @ m))
     val += np.sum(ops.Mlump * nodal)
@@ -411,15 +401,14 @@ def _recover_xi(g, m, m_prev, Mlump, r, lo, hi):
 
 
 def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
-    mat, st = pr.mat, pr.prev.state
+    mat, st, ops = pr.prev.mat, pr.prev.state, pr.ops
     if np.min(st.chi) < -NEG_TOL:
         raise InvariantViolation("previous concentration has negative nodes")
     if np.min(st.w) < -NEG_TOL:
         raise InvariantViolation("previous enthalpy has negative nodes")
     check_step_size(mat, pr.tau)
 
-    ops = pr.operators()
-    b_base = _u_rhs_base(pr, ops)
+    b_base = _u_rhs_base(pr)
 
     # stopping is relative to the forcing magnitude: the inertial part of
     # b_base scales like rho/tau^2, so an absolute test would demand more
@@ -436,7 +425,7 @@ def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
         b_u = b_base + ops.B @ m
         u, cg_it = ops.u_solver.solve(b_u, u, pr.cg_tol)
         cg_total += cg_it
-        m, g, r_m, fista_it = _solve_m_block(pr, ops, u, m, 0.5 * tol_eff,
+        m, g, r_m, fista_it = _solve_m_block(pr, u, m, 0.5 * tol_eff,
                                              FISTA_MAX)
         prox_total += fista_it
         r_u = ops.A_u @ u - (b_base + ops.B @ m)
@@ -452,7 +441,7 @@ def solve_mech_phase_step(pr: MechPhaseProblem) -> MechPhaseSolution:
 
     xi = _recover_xi(g, m, st.m, ops.Mlump, mat.threshold_r,
                      mat.m_lo, mat.m_hi)
-    eps = strain(pr.mesh, u)
+    eps = strain(pr.prev.mesh, u)
     obj = incremental_objective(pr, u, m, eps)
     return MechPhaseSolution(u=u, m=m, xi=xi, residual=residual,
                              tolerance=tol_eff,

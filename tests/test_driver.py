@@ -18,7 +18,7 @@ from hydrisim.driver import (
     refine_study,
     run,
 )
-from hydrisim.errors import ConfigError, InvariantViolation
+from hydrisim.errors import ConfigError, InvariantViolation, StepFailure
 from hydrisim.grid import build_mesh, lumped_mass, vector_lumped_mass
 from hydrisim.state import State
 
@@ -129,7 +129,10 @@ def test_each_step_quantity_is_evaluated_once(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for module in (driver, diffusion, energy_audit):
+    # mu and its gradient once per step, in the concentration solve; the
+    # initial state needs mu alone, and the driver binds no assemble_mu
+    assert not hasattr(driver, "assemble_mu")
+    for module in (diffusion, energy_audit):
         count(module, "assemble_mu")
     # the strain of each state once: the initial ledger row builds eps(u0)
     # and each step's final objective eps(u_new), which seeds the new
@@ -151,7 +154,7 @@ def test_each_step_quantity_is_evaluated_once(monkeypatch):
     traj = run(desk_default_config(resolution=(20,), n_steps=n))
     assert traj.n_steps == n
     assert traj.mesh.half_bandwidth <= diffusion._BAND_MAX
-    assert counts.get("assemble_mu") == n + 1
+    assert counts.get("assemble_mu") == n
     assert counts.get("strain") == 1 + n
     assert counts.get("swelling_curve") == n + 1
     picard_w = traj.meta["iterations"]["picard_w"]
@@ -352,7 +355,8 @@ def test_outputs_written_and_deterministic(tmp_path):
     manifest = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
     assert manifest["n_steps"] == 5
     assert manifest["mesh"]["nodes"] == 15
-    assert "defaulted" in manifest
+    assert set(manifest["config"]) == {
+        f.name for f in dataclasses.fields(RunConfig)} - {"material"}
     iters = manifest["iterations"]
     assert set(iters) == {"outer", "cg", "prox", "picard_chi", "cg_chi",
                           "chi_exact", "picard_w", "cg_w"}
@@ -536,6 +540,37 @@ def test_stage_invariant_violation_names_its_step():
                        ) as info:
         run(cfg)
     assert info.value.step == 1
+
+
+def test_stage_solver_failure_names_its_step():
+    # one concentration Picard iterate cannot meet picard_tol on a
+    # charging step; the failure keeps its exit code and names the step
+    cfg = desk_default_config(resolution=(12,), T=0.002, picard_max=1)
+    with pytest.raises(StepFailure,
+                       match=r"^step 1: concentration Picard loop stalled: "
+                       ) as info:
+        run(cfg)
+    assert info.value.step == 1
+    assert info.value.exit_code == 3
+
+
+def test_cg_stall_through_run_keeps_its_iterations(monkeypatch):
+    # a one-iteration CG budget stalls the first 2D enthalpy solve; the
+    # failure gains its step and keeps what the solver spent
+    def one_iteration(*args):
+        op = heat.build_heat_operator(*args)
+        op.max_iter = 1
+        return op
+
+    monkeypatch.setattr(driver, "build_heat_operator", one_iteration)
+    cfg = RunConfig(dim=2, lengths=(1.0, 1.0), resolution=(6, 5),
+                    T=0.002, tau=1e-3, h_s={"left": 0.5},
+                    f_s={"right": (0.1, 0.0)})
+    with pytest.raises(StepFailure,
+                       match=r"^step 1: enthalpy solve: CG stalled ") as info:
+        run(cfg)
+    assert info.value.step == 1
+    assert info.value.iterations == 1
 
 
 # ---------------------------------------------------------------------------

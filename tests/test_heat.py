@@ -17,7 +17,12 @@ from hydrisim.grid import (
     strain,
 )
 from hydrisim import heat
-from hydrisim.heat import HeatProblem, dissipation_rhs, solve_w_step
+from hydrisim.heat import (
+    HeatProblem,
+    build_heat_operator,
+    dissipation_rhs,
+    solve_w_step,
+)
 from hydrisim.mech_phase import StateTerms
 from hydrisim.state import State
 
@@ -40,9 +45,9 @@ def make_problem(mesh, mat, tau, u=None, u_prev=None, m_prev=None,
                  u_prev=np.zeros(n * d), m=z if m_prev is None else m_prev,
                  chi=z, w=z if w_prev is None else w_prev, mu=z, xi=z)
     eps_new = strain(mesh, np.zeros(n * d) if u is None else u)
-    args = dict(mesh=mesh, mat=mat, tau=tau,
-                prev=StateTerms(mesh, mat, prev), eps_new=eps_new,
-                m=np.zeros(n), grad_mu=np.zeros((mesh.n_elems, d)))
+    args = dict(tau=tau, prev=StateTerms(mesh, mat, prev), eps_new=eps_new,
+                m=np.zeros(n), grad_mu=np.zeros((mesh.n_elems, d)),
+                op=build_heat_operator(mesh, mat, tau))
     args.update(kw)
     return HeatProblem(**args)
 
@@ -252,7 +257,7 @@ def _cross_conduction_problem():
 
 def test_fixed_point_residual_with_cross_conduction():
     pr = _cross_conduction_problem()
-    mesh, mat, tau, m = pr.mesh, pr.mat, pr.tau, pr.m
+    mesh, mat, tau, m = pr.prev.mesh, pr.prev.mat, pr.tau, pr.m
     ne = mesh.n_elems
     w0 = pr.prev.state.w
     sol = solve_w_step(pr)
@@ -276,14 +281,18 @@ def test_fixed_point_residual_with_cross_conduction():
 
 def test_cross_conduction_takes_one_mean_of_w_per_iterate(monkeypatch):
     # each iterate's element mean of w feeds both sigma_a and the cross
-    # conduction; the first iterate reads the previous state's
-    calls = []
+    # conduction; the first iterate reads the previous state's.  m is
+    # fixed over the step, so every iterate reads one gradient of m
+    calls, grads = [], []
     monkeypatch.setattr(heat, "elem_mean",
                         lambda *a: calls.append(1) or elem_mean(*a))
+    monkeypatch.setattr(heat, "grad_field",
+                        lambda *a: grads.append(1) or grad_field(*a))
     sol = solve_w_step(_cross_conduction_problem())
     # the mean of m once, then one mean of w per iterate after the first
     assert sol.iterations == 4
     assert len(calls) == 4
+    assert len(grads) == 1
 
 
 def test_cross_conduction_skipped_without_c0_slope(monkeypatch):

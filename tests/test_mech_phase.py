@@ -52,8 +52,8 @@ def make_problem(mesh, mat, tau, u_prev=None, u_prev2=None, m_prev=None,
                u_prev=given(u_prev2, n * d), m=given(m_prev, n),
                chi=given(chi_prev, n), w=given(w_prev, n), mu=np.zeros(n),
                xi=np.zeros(n))
-    return MechPhaseProblem(mesh=mesh, mat=mat, tau=tau,
-                            prev=StateTerms(mesh, mat, st), **kw)
+    return MechPhaseProblem(tau=tau, prev=StateTerms(mesh, mat, st),
+                            ops=build_operators(mesh, mat, tau), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +370,10 @@ def test_desk_run_terminal_residuals_stay_absolute():
     from _streams import run_with_states
 
     traj, st = run_with_states(desk_default_config(resolution=(30,), T=0.01))
+    ops = build_operators(traj.mesh, traj.mat, traj.tau)
     for k in range(1, traj.n_steps + 1):
-        pr = MechPhaseProblem(mesh=traj.mesh, mat=traj.mat, tau=traj.tau,
-                              prev=StateTerms(traj.mesh, traj.mat,
-                                              st[k - 1]))
+        pr = MechPhaseProblem(tau=traj.tau, prev=StateTerms(
+            traj.mesh, traj.mat, st[k - 1]), ops=ops)
         sol = solve_mech_phase_step(pr)
         assert sol.residual <= 1e-10
 
@@ -437,7 +437,7 @@ def test_strain_terms_match_the_separate_matrices(dim, res):
                       w_prev=rng.uniform(0.0, 2.0, n),
                       f=rng.normal(0.0, 0.5, n * dim))
     m = rng.uniform(mat.m_lo, mat.m_hi, n)
-    ops = pr.operators()
+    ops = pr.ops
     A_el, A_visc, _ = _separate_forms(mesh, mat, tau)
     prev = pr.prev.state
     sa_force, sa_node = pr.prev.sigma_a_force, pr.prev.s_a
@@ -454,7 +454,7 @@ def test_strain_terms_match_the_separate_matrices(dim, res):
     assert incremental_objective(pr, u, m, strain(mesh, u)) == j
     b_ref = (mat.rho / tau ** 2 * ops.Mvec * (2.0 * u_prev - prev.u_prev)
              + (A_visc @ u_prev) / tau - sa_force + pr.f)
-    b = _u_rhs_base(pr, ops)
+    b = _u_rhs_base(pr)
     assert np.linalg.norm(b - b_ref) <= 1e-12 * np.linalg.norm(b_ref)
     # the solution carries the strain of its u for the ledger
     sol = solve_mech_phase_step(pr)
@@ -512,14 +512,14 @@ def _phase_block_case(seed=3):
 
 def test_phase_block_matches_scalar_fista_oracle():
     pr, u = _phase_block_case()
-    mat, ops = pr.mat, pr.operators()
+    mat, ops = pr.prev.mat, pr.ops
     m_prev = pr.prev.state.m
     tol = 1e-11
-    m, g, _, iters = _solve_m_block(pr, ops, u, m_prev, tol, FISTA_MAX)
+    m, g, _, iters = _solve_m_block(pr, u, m_prev, tol, FISTA_MAX)
     Bu = ops.B.T @ u
 
     def grad(x):
-        return _m_smooth_grad(pr, ops, x, ops.A_m @ x, Bu)
+        return _m_smooth_grad(pr, x, ops.A_m @ x, Bu)
 
     def converged(x, g):
         r = _m_residual(g, x, m_prev, ops.Mlump, mat.threshold_r,

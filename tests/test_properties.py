@@ -28,6 +28,7 @@ from hydrisim.mech_phase import (  # noqa: E402
     _m_residual,
     _m_smooth_grad,
     _solve_m_block,
+    build_operators,
     tau_max,
 )
 from hydrisim.state import State  # noqa: E402
@@ -88,17 +89,16 @@ def test_phase_block_meets_its_residual(dim, nx, ny, r, k, a1, double_well,
     prev = State(k=0, t=0.0, u=u, u_prev=u, m=m_prev,
                  chi=rng.uniform(0.0, 1.5, n), w=rng.uniform(0.0, 1.0, n),
                  mu=np.zeros(n), xi=np.zeros(n))
-    pr = MechPhaseProblem(mesh=mesh, mat=mat, tau=tau,
-                          prev=StateTerms(mesh, mat, prev))
-    ops = pr.operators()
+    ops = build_operators(mesh, mat, tau)
+    pr = MechPhaseProblem(tau=tau, prev=StateTerms(mesh, mat, prev), ops=ops)
     # relative to the gradient scale: the metric applied to a unit m, in
     # the lumped dual norm the residual is measured in
     tol = 1e-9 * (1.0 + float(np.sqrt(np.sum(ops.lipschitz ** 2
                                              / ops.Mlump))))
-    m, _, _, iters = _solve_m_block(pr, ops, u, m_prev, tol, FISTA_MAX)
+    m, _, _, iters = _solve_m_block(pr, u, m_prev, tol, FISTA_MAX)
     assert iters < FISTA_MAX
     assert np.all((m >= mat.m_lo) & (m <= mat.m_hi))
-    g = _m_smooth_grad(pr, ops, m, ops.A_m.toarray() @ m, ops.B.T @ u)
+    g = _m_smooth_grad(pr, m, ops.A_m.toarray() @ m, ops.B.T @ u)
     resid = _m_residual(g, m, m_prev, ops.Mlump, r, mat.m_lo, mat.m_hi)
     assert np.sqrt(np.sum(resid ** 2 / ops.Mlump)) <= tol * (1.0 + 1e-4)
 
